@@ -6,24 +6,18 @@ pub mod program;
 pub mod service;
 
 use crate::miner::{MineJob, MinerConfig};
-use perf_core::query::EngineChoice;
 use perf_core::{Diagnostics, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
 /// Builds the miner's vendor-shipped interface bundle for a given
-/// configuration (compiled evaluation substrate).
+/// configuration.
 pub fn bundle(cfg: MinerConfig) -> InterfaceBundle<MineJob> {
-    bundle_with_engine(cfg, EngineChoice::Compiled)
-}
-
-/// Builds the bundle with an explicit evaluation substrate.
-pub fn bundle_with_engine(cfg: MinerConfig, engine: EngineChoice) -> InterfaceBundle<MineJob> {
     InterfaceBundle::new("bitcoin-miner", nl::interface())
         .with(Box::new(
-            program::BitcoinProgramInterface::with_engine(cfg, engine).expect("shipped .pi parses"),
+            program::BitcoinProgramInterface::new(cfg).expect("shipped .pi parses"),
         ))
         .with(Box::new(
-            petri::BitcoinPetriInterface::with_engine(cfg, engine).expect("generated .pnet parses"),
+            petri::BitcoinPetriInterface::new(cfg).expect("generated .pnet parses"),
         ))
 }
 

@@ -8,14 +8,12 @@
 
 use crate::miner::{MineJob, MinerConfig};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::Value;
-use perf_petri::engine::Options;
 use perf_petri::net::Net;
-use perf_petri::stepper::NetExec;
 use perf_petri::text;
 use perf_petri::token::Token;
+use perf_petri::{NetExec, Options};
 
 /// Renders the miner's `.pnet` source for a configuration.
 pub fn pnet_source(cfg: &MinerConfig) -> String {
@@ -60,21 +58,8 @@ impl BitcoinPetriInterface {
     /// Generates and parses the net for `cfg`; evaluations run the
     /// compiled stepper.
     pub fn new(cfg: MinerConfig) -> Result<BitcoinPetriInterface, CoreError> {
-        Self::with_engine(cfg, EngineChoice::Compiled)
-    }
-
-    /// Generates and parses the net for `cfg` with an explicit
-    /// evaluation substrate.
-    pub fn with_engine(
-        cfg: MinerConfig,
-        engine: EngineChoice,
-    ) -> Result<BitcoinPetriInterface, CoreError> {
         let src = pnet_source(&cfg);
-        let net = text::parse(&src)?;
-        let exec = match engine {
-            EngineChoice::Compiled => NetExec::compiled(net),
-            EngineChoice::Interpreted => NetExec::interpreted(net),
-        };
+        let exec = NetExec::new(text::parse(&src)?);
         Ok(BitcoinPetriInterface { exec, src })
     }
 

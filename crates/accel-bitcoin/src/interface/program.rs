@@ -7,7 +7,6 @@
 
 use crate::miner::{MineJob, MinerConfig};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::vm::Executable;
 use perf_iface_lang::{Program, Value};
@@ -26,23 +25,9 @@ impl BitcoinProgramInterface {
     /// Parses the shipped program for configuration `cfg`; calls run
     /// the bytecode VM.
     pub fn new(cfg: MinerConfig) -> Result<BitcoinProgramInterface, CoreError> {
-        Self::with_engine(cfg, EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped program with an explicit evaluation
-    /// substrate.
-    pub fn with_engine(
-        cfg: MinerConfig,
-        engine: EngineChoice,
-    ) -> Result<BitcoinProgramInterface, CoreError> {
         let prog =
             Program::parse(BITCOIN_PI_SRC).map_err(|e| CoreError::Artifact(e.to_string()))?;
-        let prog = match engine {
-            EngineChoice::Compiled => {
-                Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?
-            }
-            EngineChoice::Interpreted => Executable::interpreted(prog),
-        };
+        let prog = Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?;
         Ok(BitcoinProgramInterface { prog, cfg })
     }
 

@@ -7,7 +7,7 @@
 
 use crate::miner::{MineJob, MinerConfig, MinerCycleSim};
 use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
 
 /// The miner's query-service backend.
@@ -15,21 +15,14 @@ pub struct BitcoinService {
     /// Interface bundles keyed by the `Loop` parameter (at most the
     /// eight divisors of 128 ever materialize).
     bundles: Vec<(u64, InterfaceBundle<MineJob>)>,
-    engine: EngineChoice,
 }
 
 impl BitcoinService {
-    /// Builds an empty backend on the compiled substrate; bundles
-    /// materialize per queried `Loop`.
+    /// Builds an empty backend; bundles materialize per queried
+    /// `Loop`.
     pub fn new() -> BitcoinService {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Builds an empty backend with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> BitcoinService {
         BitcoinService {
             bundles: Vec::new(),
-            engine,
         }
     }
 
@@ -52,10 +45,8 @@ impl BitcoinService {
         if let Some(i) = self.bundles.iter().position(|(l, _)| *l == cfg.loop_) {
             return &self.bundles[i].1;
         }
-        self.bundles.push((
-            cfg.loop_,
-            crate::interface::bundle_with_engine(cfg, self.engine),
-        ));
+        self.bundles
+            .push((cfg.loop_, crate::interface::bundle(cfg)));
         &self.bundles.last().expect("just pushed").1
     }
 }
@@ -91,10 +82,6 @@ pub fn nl_bounds(cfg: MinerConfig, job: &MineJob, metric: Metric) -> Prediction 
 impl QueryBackend for BitcoinService {
     fn accel(&self) -> &'static str {
         "bitcoin-miner"
-    }
-
-    fn engine(&self) -> EngineChoice {
-        self.engine
     }
 
     fn spec_kinds(&self) -> &'static [&'static str] {

@@ -2,21 +2,19 @@
 //!
 //! The net ships as text (`assets/jpeg.pnet`). Evaluating it means
 //! injecting one token per 8×8 block — carrying the block's actual
-//! coded-bit and nonzero counts — and running the event-driven engine.
+//! coded-bit and nonzero counts — and running the compiled stepper.
 //! This is far cheaper than the tick-accurate simulator because nothing
 //! happens between events.
 
 use crate::hw::JpegHwConfig;
 use crate::workload::{Image, HEADER_BYTES};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::Value;
-use perf_petri::engine::Options;
 use perf_petri::net::Net;
-use perf_petri::stepper::NetExec;
 use perf_petri::text;
 use perf_petri::token::Token;
+use perf_petri::{NetExec, Options};
 
 /// The shipped Petri-net source.
 pub const JPEG_PNET_SRC: &str = include_str!("../../assets/jpeg.pnet");
@@ -31,18 +29,8 @@ pub struct JpegPetriInterface {
 impl JpegPetriInterface {
     /// Parses the shipped net; evaluations run the compiled stepper.
     pub fn new() -> Result<JpegPetriInterface, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped net with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<JpegPetriInterface, CoreError> {
-        let net = text::parse(JPEG_PNET_SRC)?;
-        let exec = match engine {
-            EngineChoice::Compiled => NetExec::compiled(net),
-            EngineChoice::Interpreted => NetExec::interpreted(net),
-        };
         Ok(JpegPetriInterface {
-            exec,
+            exec: NetExec::new(text::parse(JPEG_PNET_SRC)?),
             header_cycles: JpegHwConfig::default().header_cycles(HEADER_BYTES),
             events_evaluated: std::cell::Cell::new(0),
         })
@@ -59,16 +47,7 @@ impl JpegPetriInterface {
         self.exec.net()
     }
 
-    /// Which evaluation substrate [`JpegPetriInterface::run`] uses.
-    pub fn engine(&self) -> EngineChoice {
-        if self.exec.is_compiled() {
-            EngineChoice::Compiled
-        } else {
-            EngineChoice::Interpreted
-        }
-    }
-
-    /// Engine events processed across all predictions so far (the cost
+    /// Stepper events processed across all predictions so far (the cost
     /// metric compared against simulator ticks in E5-style analyses).
     pub fn events_evaluated(&self) -> u64 {
         self.events_evaluated.get()

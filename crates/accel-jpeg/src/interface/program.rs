@@ -6,7 +6,6 @@
 
 use crate::workload::Image;
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::vm::Executable;
 use perf_iface_lang::Program;
@@ -22,19 +21,8 @@ pub struct JpegProgramInterface {
 impl JpegProgramInterface {
     /// Parses the shipped program; calls run the bytecode VM.
     pub fn new() -> Result<JpegProgramInterface, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped program with an explicit evaluation
-    /// substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<JpegProgramInterface, CoreError> {
         let prog = Program::parse(JPEG_PI_SRC).map_err(|e| CoreError::Artifact(e.to_string()))?;
-        let prog = match engine {
-            EngineChoice::Compiled => {
-                Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?
-            }
-            EngineChoice::Interpreted => Executable::interpreted(prog),
-        };
+        let prog = Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?;
         Ok(JpegProgramInterface { prog })
     }
 
@@ -42,15 +30,6 @@ impl JpegProgramInterface {
     /// measurement).
     pub fn source(&self) -> &str {
         self.prog.source()
-    }
-
-    /// Which evaluation substrate calls use.
-    pub fn engine(&self) -> EngineChoice {
-        if self.prog.is_compiled() {
-            EngineChoice::Compiled
-        } else {
-            EngineChoice::Interpreted
-        }
     }
 }
 

@@ -13,36 +13,25 @@ use crate::hw::JpegHwConfig;
 use crate::interface::{petri, program};
 use crate::workload::{ColorMode, Image, ImageGen};
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, Fnv1a, QueryBackend, WorkloadSpec};
+use perf_core::query::{Fnv1a, QueryBackend, WorkloadSpec};
 use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
-use perf_petri::net::Net;
-use perf_petri::text;
 
 /// The decoder's query-service backend.
 ///
 /// Holds the parsed program and Petri-net interfaces (built once, at
-/// worker startup) plus the raw net for deep cache fingerprints.
+/// worker startup); the Petri interface's net keys deep cache
+/// fingerprints.
 pub struct JpegService {
     program: program::JpegProgramInterface,
     petri: petri::JpegPetriInterface,
-    net: Net,
-    engine: EngineChoice,
 }
 
 impl JpegService {
-    /// Builds the backend from the shipped interface artifacts; the
-    /// interfaces run on the compiled substrate.
+    /// Builds the backend from the shipped interface artifacts.
     pub fn new() -> Result<JpegService, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Builds the backend with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<JpegService, CoreError> {
         Ok(JpegService {
-            program: program::JpegProgramInterface::with_engine(engine)?,
-            petri: petri::JpegPetriInterface::with_engine(engine)?,
-            net: text::parse(petri::JPEG_PNET_SRC)?,
-            engine,
+            program: program::JpegProgramInterface::new()?,
+            petri: petri::JpegPetriInterface::new()?,
         })
     }
 
@@ -130,10 +119,6 @@ impl QueryBackend for JpegService {
         "jpeg-decoder"
     }
 
-    fn engine(&self) -> EngineChoice {
-        self.engine
-    }
-
     fn spec_kinds(&self) -> &'static [&'static str] {
         &["random", "sized", "color", "flat"]
     }
@@ -180,7 +165,7 @@ impl QueryBackend for JpegService {
         let mut h = Fnv1a::new();
         h.write(self.accel().as_bytes());
         h.write(&[repr as u8]);
-        h.write_u64(self.net.fingerprint());
+        h.write_u64(self.petri.net().fingerprint());
         if let Ok(img) = self.realize(spec) {
             for blk in &img.blocks {
                 h.write_u64(blk.bits as u64);

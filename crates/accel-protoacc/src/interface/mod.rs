@@ -6,24 +6,17 @@ pub mod program;
 pub mod service;
 
 use crate::simx::ProtoWorkload;
-use perf_core::query::EngineChoice;
 use perf_core::{Diagnostics, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
-/// Builds Protoacc's vendor-shipped interface bundle (compiled
-/// evaluation substrate).
+/// Builds Protoacc's vendor-shipped interface bundle.
 pub fn bundle() -> InterfaceBundle<ProtoWorkload> {
-    bundle_with_engine(EngineChoice::Compiled)
-}
-
-/// Builds the bundle with an explicit evaluation substrate.
-pub fn bundle_with_engine(engine: EngineChoice) -> InterfaceBundle<ProtoWorkload> {
     InterfaceBundle::new("protoacc", nl::interface())
         .with(Box::new(
-            program::ProtoaccProgramInterface::with_engine(engine).expect("shipped .pi parses"),
+            program::ProtoaccProgramInterface::new().expect("shipped .pi parses"),
         ))
         .with(Box::new(
-            petri::ProtoaccPetriInterface::with_engine(engine).expect("generated .pnet parses"),
+            petri::ProtoaccPetriInterface::new().expect("generated .pnet parses"),
         ))
 }
 

@@ -9,13 +9,11 @@ use crate::descriptor::Message;
 use crate::simx::{ProtoWorkload, ProtoaccConfig};
 use crate::wire;
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::Value;
-use perf_petri::engine::Options;
-use perf_petri::stepper::NetExec;
 use perf_petri::text;
 use perf_petri::token::Token;
+use perf_petri::{NetExec, Options};
 
 /// The shipped `.pnet` source.
 pub const PROTOACC_PNET_SRC: &str = include_str!("../../assets/protoacc.pnet");
@@ -48,29 +46,10 @@ pub struct ProtoaccPetriInterface {
 impl ProtoaccPetriInterface {
     /// Parses the shipped net; evaluations run the compiled stepper.
     pub fn new() -> Result<ProtoaccPetriInterface, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped net with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<ProtoaccPetriInterface, CoreError> {
-        let net = text::parse(PROTOACC_PNET_SRC)?;
-        let exec = match engine {
-            EngineChoice::Compiled => NetExec::compiled(net),
-            EngineChoice::Interpreted => NetExec::interpreted(net),
-        };
         Ok(ProtoaccPetriInterface {
-            exec,
+            exec: NetExec::new(text::parse(PROTOACC_PNET_SRC)?),
             cfg: ProtoaccConfig::default(),
         })
-    }
-
-    /// Which evaluation substrate [`ProtoaccPetriInterface::run`] uses.
-    pub fn engine(&self) -> EngineChoice {
-        if self.exec.is_compiled() {
-            EngineChoice::Compiled
-        } else {
-            EngineChoice::Interpreted
-        }
     }
 
     /// The `.pnet` source.

@@ -2,7 +2,6 @@
 
 use crate::simx::{ProtoWorkload, ProtoaccConfig};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::vm::Executable;
 use perf_iface_lang::{Program, Value};
@@ -19,33 +18,13 @@ pub struct ProtoaccProgramInterface {
 impl ProtoaccProgramInterface {
     /// Parses the shipped program; calls run the bytecode VM.
     pub fn new() -> Result<ProtoaccProgramInterface, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped program with an explicit evaluation
-    /// substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<ProtoaccProgramInterface, CoreError> {
         let prog =
             Program::parse(PROTOACC_PI_SRC).map_err(|e| CoreError::Artifact(e.to_string()))?;
-        let prog = match engine {
-            EngineChoice::Compiled => {
-                Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?
-            }
-            EngineChoice::Interpreted => Executable::interpreted(prog),
-        };
+        let prog = Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?;
         Ok(ProtoaccProgramInterface {
             prog,
             chunk_bytes: ProtoaccConfig::default().chunk_bytes,
         })
-    }
-
-    /// Which evaluation substrate calls use.
-    pub fn engine(&self) -> EngineChoice {
-        if self.prog.is_compiled() {
-            EngineChoice::Compiled
-        } else {
-            EngineChoice::Interpreted
-        }
     }
 
     /// The program source (display / complexity metric).

@@ -10,30 +10,22 @@ use crate::interface;
 use crate::simx::{ProtoWorkload, ProtoaccSim};
 use crate::{suite, wire};
 use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
 
 /// The serializer's query-service backend.
 pub struct ProtoaccService {
     bundle: InterfaceBundle<ProtoWorkload>,
     formats: Vec<MessageDesc>,
-    engine: EngineChoice,
 }
 
 impl ProtoaccService {
     /// Builds the backend with the shipped interface bundle and the
-    /// 32-format workload suite; the interfaces run on the compiled
-    /// substrate.
+    /// 32-format workload suite.
     pub fn new() -> ProtoaccService {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Builds the backend with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> ProtoaccService {
         ProtoaccService {
-            bundle: interface::bundle_with_engine(engine),
+            bundle: interface::bundle(),
             formats: suite::formats(),
-            engine,
         }
     }
 
@@ -171,10 +163,6 @@ pub fn nl_bounds(w: &ProtoWorkload, metric: Metric) -> Prediction {
 impl QueryBackend for ProtoaccService {
     fn accel(&self) -> &'static str {
         "protoacc"
-    }
-
-    fn engine(&self) -> EngineChoice {
-        self.engine
     }
 
     fn spec_kinds(&self) -> &'static [&'static str] {

@@ -6,7 +6,6 @@ pub mod program;
 pub mod service;
 
 use crate::isa::Program;
-use perf_core::query::EngineChoice;
 use perf_core::{Diagnostics, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
@@ -22,20 +21,14 @@ pub const ENTRY_PLACES: [&str; 5] = [
 
 /// Builds VTA's vendor-shipped interface bundle (the full-fidelity
 /// Petri net; see [`petri::VtaPetriInterface::new_lite`] for the
-/// corner-cut ablation variant). Interfaces run the compiled
-/// substrate.
+/// corner-cut ablation variant).
 pub fn bundle() -> InterfaceBundle<Program> {
-    bundle_with_engine(EngineChoice::Compiled)
-}
-
-/// Builds the bundle with an explicit evaluation substrate.
-pub fn bundle_with_engine(engine: EngineChoice) -> InterfaceBundle<Program> {
     InterfaceBundle::new("vta", nl::interface())
         .with(Box::new(
-            program::VtaProgramInterface::with_engine(engine).expect("shipped .pi parses"),
+            program::VtaProgramInterface::new().expect("shipped .pi parses"),
         ))
         .with(Box::new(
-            petri::VtaPetriInterface::full_with_engine(engine).expect("shipped .pnet parses"),
+            petri::VtaPetriInterface::new_full().expect("shipped .pnet parses"),
         ))
 }
 

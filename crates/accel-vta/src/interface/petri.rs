@@ -5,14 +5,12 @@
 
 use crate::isa::{Insn, Module, Opcode, Program};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::Value;
-use perf_petri::engine::{Options, SimResult};
 use perf_petri::net::Net;
-use perf_petri::stepper::NetExec;
 use perf_petri::text;
 use perf_petri::token::Token;
+use perf_petri::{NetExec, Options, SimResult};
 
 /// The shipped full-fidelity net.
 pub const VTA_FULL_PNET_SRC: &str = include_str!("../../assets/vta_full.pnet");
@@ -20,8 +18,8 @@ pub const VTA_FULL_PNET_SRC: &str = include_str!("../../assets/vta_full.pnet");
 /// The shipped corner-cut net.
 pub const VTA_LITE_PNET_SRC: &str = include_str!("../../assets/vta_lite.pnet");
 
-/// Converts one instruction into its token payload.
-fn insn_token(insn: &Insn) -> Value {
+/// Converts one instruction into its `fetch_q` token payload.
+pub fn insn_token(insn: &Insn) -> Value {
     let m = match insn.module() {
         Module::Load => 0u64,
         Module::Compute => 1,
@@ -84,34 +82,17 @@ impl VtaPetriInterface {
     /// Parses the shipped full-fidelity net; evaluations run the
     /// compiled stepper.
     pub fn new_full() -> Result<VtaPetriInterface, CoreError> {
-        Self::full_with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped full-fidelity net with an explicit
-    /// evaluation substrate.
-    pub fn full_with_engine(engine: EngineChoice) -> Result<VtaPetriInterface, CoreError> {
-        Self::from_src(VTA_FULL_PNET_SRC, engine)
+        Self::from_src(VTA_FULL_PNET_SRC)
     }
 
     /// Parses the shipped corner-cut net (E9 ablation).
     pub fn new_lite() -> Result<VtaPetriInterface, CoreError> {
-        Self::lite_with_engine(EngineChoice::Compiled)
+        Self::from_src(VTA_LITE_PNET_SRC)
     }
 
-    /// Parses the corner-cut net with an explicit evaluation
-    /// substrate.
-    pub fn lite_with_engine(engine: EngineChoice) -> Result<VtaPetriInterface, CoreError> {
-        Self::from_src(VTA_LITE_PNET_SRC, engine)
-    }
-
-    fn from_src(src: &'static str, engine: EngineChoice) -> Result<VtaPetriInterface, CoreError> {
-        let net = text::parse(src)?;
-        let exec = match engine {
-            EngineChoice::Compiled => NetExec::compiled(net),
-            EngineChoice::Interpreted => NetExec::interpreted(net),
-        };
+    fn from_src(src: &'static str) -> Result<VtaPetriInterface, CoreError> {
         Ok(VtaPetriInterface {
-            exec,
+            exec: NetExec::new(text::parse(src)?),
             src,
             events: std::cell::Cell::new(0),
         })
@@ -127,7 +108,7 @@ impl VtaPetriInterface {
         self.exec.net()
     }
 
-    /// Total engine events processed (the evaluation-cost metric for
+    /// Total stepper events processed (the evaluation-cost metric for
     /// experiment E5).
     pub fn events_evaluated(&self) -> u64 {
         self.events.get()

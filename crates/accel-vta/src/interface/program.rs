@@ -2,7 +2,6 @@
 
 use crate::isa::{Insn, Module, Opcode, Program};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
-use perf_core::query::EngineChoice;
 use perf_core::{CoreError, Prediction};
 use perf_iface_lang::vm::Executable;
 use perf_iface_lang::{Program as PilProgram, Value};
@@ -74,19 +73,8 @@ pub struct VtaProgramInterface {
 impl VtaProgramInterface {
     /// Parses the shipped program; calls run the bytecode VM.
     pub fn new() -> Result<VtaProgramInterface, CoreError> {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Parses the shipped program with an explicit evaluation
-    /// substrate.
-    pub fn with_engine(engine: EngineChoice) -> Result<VtaProgramInterface, CoreError> {
         let prog = PilProgram::parse(VTA_PI_SRC).map_err(|e| CoreError::Artifact(e.to_string()))?;
-        let prog = match engine {
-            EngineChoice::Compiled => {
-                Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?
-            }
-            EngineChoice::Interpreted => Executable::interpreted(prog),
-        };
+        let prog = Executable::compiled(prog).map_err(|e| CoreError::Artifact(e.to_string()))?;
         Ok(VtaProgramInterface { prog })
     }
 

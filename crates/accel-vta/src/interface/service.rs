@@ -11,27 +11,19 @@ use crate::gen::ProgGen;
 use crate::interface;
 use crate::isa::{Insn, Module, Opcode, Program};
 use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, Fnv1a, QueryBackend, WorkloadSpec};
+use perf_core::query::{Fnv1a, QueryBackend, WorkloadSpec};
 use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
 
 /// The VTA query-service backend.
 pub struct VtaService {
     bundle: InterfaceBundle<Program>,
-    engine: EngineChoice,
 }
 
 impl VtaService {
-    /// Builds the backend with the shipped interface bundle; the
-    /// interfaces run on the compiled substrate.
+    /// Builds the backend with the shipped interface bundle.
     pub fn new() -> VtaService {
-        Self::with_engine(EngineChoice::Compiled)
-    }
-
-    /// Builds the backend with an explicit evaluation substrate.
-    pub fn with_engine(engine: EngineChoice) -> VtaService {
         VtaService {
-            bundle: interface::bundle_with_engine(engine),
-            engine,
+            bundle: interface::bundle(),
         }
     }
 
@@ -154,10 +146,6 @@ pub fn nl_bounds(prog: &Program, metric: Metric) -> Prediction {
 impl QueryBackend for VtaService {
     fn accel(&self) -> &'static str {
         "vta"
-    }
-
-    fn engine(&self) -> EngineChoice {
-        self.engine
     }
 
     fn spec_kinds(&self) -> &'static [&'static str] {

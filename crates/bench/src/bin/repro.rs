@@ -13,8 +13,6 @@
 //!                       #   --json        machine-readable results
 //!                       #   --write PATH  regenerate EXPERIMENTS.md
 //!                       #   --check PATH  CI drift gate vs committed
-//! repro --bench-engine BENCH_engine.json
-//!                       # only the engine throughput benchmark
 //! repro --trace TRACE.json [--perfetto OUT.json]
 //!                       # traced run of every substrate: writes the
 //!                       # combined JSON report, prints folded stacks;
@@ -36,7 +34,8 @@
 //!                       # JSON report instead of the summary.
 //! repro --compose       # composite-pipeline smoke: parse the demo
 //!                       # TOML topology, lint the glued net, check
-//!                       # engine agreement and tier cross-checks,
+//!                       # that the stepper agrees with the reference
+//!                       # evaluator, run tier cross-checks,
 //!                       # run quick composite conformance; exit 1
 //!                       # on any budget violation.
 //! repro --serve         # performance-query server on stdin/stdout:
@@ -57,7 +56,6 @@ repro — regenerate the paper's tables and figures
 usage: repro [--quick] [--exp eN] [--markdown PATH]
        repro --experiments [--quick] [--only EID] [--json]
                            [--write PATH] [--check PATH]
-       repro --bench-engine PATH [--quick]
        repro --trace PATH [--perfetto OUT] [--quick]
        repro --lint-all | --xcheck [--json] | --conformance [--json] | --compose
        repro --serve [--workers N] [--tcp ADDR]
@@ -93,7 +91,7 @@ flags:
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--exp eN] [--markdown PATH] [--bench-engine PATH] \
+        "usage: repro [--quick] [--exp eN] [--markdown PATH] \
          [--trace PATH [--perfetto OUT]] [--experiments [--only EID] [--json] \
          [--write PATH] [--check PATH]] [--lint-all] [--xcheck [--json]] \
          [--conformance [--json]] [--compose] [--serve [--workers N] [--tcp ADDR]]"
@@ -108,41 +106,10 @@ fn io_fail(what: &str, path: &str, err: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Measures reference/incremental/compiled engine throughput and
-/// writes the JSON artifact to `path`. Exits nonzero when the
-/// compiled stepper is slower than the incremental engine on any
-/// shape — a fast-path regression must not land silently.
-fn bench_engine(path: &str, quick: bool) {
-    let (stages, lanes, tokens, repeats) = if quick {
-        (16, 6, 128, 3)
-    } else {
-        (48, 8, 512, 5)
-    };
-    let report = perf_bench::enginebench::run_engine_bench(stages, lanes, tokens, repeats);
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        io_fail("cannot write engine bench report", path, e);
-    }
-    print!("{json}");
-    eprintln!(
-        "deep pipeline: {:.2}x incremental-over-reference, {:.2}x compiled-over-incremental; \
-         fan: {:.2}x / {:.2}x; wrote {path}",
-        report.deep.speedup(),
-        report.deep.compiled_speedup(),
-        report.fan.speedup(),
-        report.fan.compiled_speedup()
-    );
-    if !report.pass() {
-        eprintln!("FAIL: compiled stepper slower than the incremental engine");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let mut quick = false;
     let mut only: Option<String> = None;
     let mut markdown: Option<String> = None;
-    let mut engine_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut perfetto_out: Option<String> = None;
     let mut experiments_mode = false;
@@ -163,7 +130,6 @@ fn main() {
             "--quick" => quick = true,
             "--exp" => only = Some(args.next().unwrap_or_else(|| usage()).to_lowercase()),
             "--markdown" => markdown = Some(args.next().unwrap_or_else(|| usage())),
-            "--bench-engine" => engine_out = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--perfetto" => perfetto_out = Some(args.next().unwrap_or_else(|| usage())),
             "--experiments" => experiments_mode = true,
@@ -302,11 +268,6 @@ fn main() {
         let (report, clean) = perf_bench::lintall::report();
         print!("{report}");
         std::process::exit(if clean { 0 } else { 1 });
-    }
-
-    if let Some(path) = engine_out {
-        bench_engine(&path, quick);
-        return;
     }
 
     if let Some(path) = trace_out {

@@ -2,8 +2,8 @@
 //!
 //! Exercises the whole composition story end to end on a small demo
 //! topology: parse the TOML config, lint the glued Petri net, check
-//! that the interpreted and compiled engines agree on the composite
-//! makespan, sanity-check the three composite interface tiers against
+//! that the compiled stepper agrees with the reference evaluator
+//! ([`perf_petri::reference`]) on the composite makespan, sanity-check the three composite interface tiers against
 //! each other, and finally run the quick composite conformance
 //! subject under the full Budget machinery (fault injection
 //! included). Any failure is a nonzero exit for `scripts/check.sh`.
@@ -12,7 +12,6 @@ use perf_compose::{Composite, StreamParams, Topology};
 use perf_conformance::harness::run_subject;
 use perf_conformance::subjects::dag::DagSubject;
 use perf_conformance::subjects::pipeline::PipelineSubject;
-use perf_core::query::EngineChoice;
 
 /// The demo SoC config: a decode → compress-scan → serialize chain,
 /// written as the TOML the `perf-compose` parser accepts (headers,
@@ -105,7 +104,7 @@ fn check(report: &mut String, pass: &mut bool, ok: bool, line: &str) {
 }
 
 /// Runs the shared per-topology checks — parse, config lint, net
-/// lint, engine agreement, tier cross-check — appending one report
+/// lint, stepper-vs-reference agreement, tier cross-check — appending one report
 /// line per check.
 fn smoke_topology(report: &mut String, pass: &mut bool, src: &str, quick: bool) {
     let topo = match Topology::parse_toml(src) {
@@ -133,7 +132,7 @@ fn smoke_topology(report: &mut String, pass: &mut bool, src: &str, quick: bool) 
         "config lint of the demo topology is clean",
     );
 
-    let mut comp = match Composite::new(topo, EngineChoice::Compiled) {
+    let mut comp = match Composite::new(topo) {
         Ok(c) => c,
         Err(e) => {
             check(report, pass, false, &format!("build composite: {e}"));
@@ -151,17 +150,18 @@ fn smoke_topology(report: &mut String, pass: &mut bool, src: &str, quick: bool) 
         Err(e) => check(report, pass, false, &format!("lint: {e}")),
     }
 
-    // Incremental and compiled engines must agree exactly on the
-    // composite net — same structure, same token costs.
+    // The stepper must agree exactly with the reference evaluator on
+    // the composite net — same structure, same token costs.
     let items = if quick { 5 } else { 12 };
     let stream = StreamParams { items, seed: 7 };
     match comp.petri_makespan_both(&stream) {
-        Ok((interp, compiled)) => check(
+        Ok((refr, stepper)) => check(
             report,
             pass,
-            interp == compiled,
+            refr == stepper,
             &format!(
-                "engines agree on composite makespan: interpreted {interp} == compiled {compiled}"
+                "stepper agrees with the reference on composite makespan: \
+                 reference {refr} == stepper {stepper}"
             ),
         ),
         Err(e) => check(report, pass, false, &format!("makespan: {e}")),
@@ -211,10 +211,10 @@ pub struct TopologyMetrics {
     pub config_lint_clean: bool,
     /// `pnet`-level lint of the glued net found no errors.
     pub net_lint_clean: bool,
-    /// Composite makespan under the incremental engine.
-    pub interp: u64,
+    /// Composite makespan under the reference evaluator.
+    pub reference: u64,
     /// Composite makespan under the compiled stepper.
-    pub compiled: u64,
+    pub stepper: u64,
     /// Ground-truth stream makespan from the composed simulators.
     pub measured: f64,
     /// Composite NL lower bound.
@@ -241,13 +241,13 @@ pub fn topology_metrics(src: &str, quick: bool) -> Result<TopologyMetrics, perf_
     let stages = topo.stages.len();
     let edges = topo.edges.len();
     let config_lint_clean = !perf_compose::lint::lint_toml("demo", src).has_errors();
-    let mut comp = Composite::new(topo, EngineChoice::Compiled)?;
+    let mut comp = Composite::new(topo)?;
     let net_lint_clean = !comp.lint_net()?.has_errors();
     let stream = StreamParams {
         items: if quick { 5 } else { 12 },
         seed: 7,
     };
-    let (interp, compiled) = comp.petri_makespan_both(&stream)?;
+    let (reference, stepper) = comp.petri_makespan_both(&stream)?;
     let measured = comp.measure_stream(&stream)?.latency.0 as f64;
     let (nl_lo, nl_hi) = comp.nl_bounds(&stream)?;
     let prog = comp.program_makespan(&stream)?;
@@ -257,8 +257,8 @@ pub fn topology_metrics(src: &str, quick: bool) -> Result<TopologyMetrics, perf_
         edges,
         config_lint_clean,
         net_lint_clean,
-        interp,
-        compiled,
+        reference,
+        stepper,
         measured,
         nl_lo,
         nl_hi,
@@ -349,7 +349,7 @@ mod tests {
     fn compose_smoke_passes_quick() {
         let demo = run(true);
         assert!(demo.pass, "{}", demo.report);
-        assert!(demo.report.contains("engines agree"));
+        assert!(demo.report.contains("stepper agrees with the reference"));
         assert!(demo.report.contains("demo-soc-dag"));
         assert!(demo.report.contains("DAG conformance"));
     }

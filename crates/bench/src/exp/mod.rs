@@ -304,7 +304,6 @@ fn svcbench_variant(quick: bool) -> VariantOutput {
         .map(|p| {
             vec![
                 if p.warm { "warm" } else { "cold" }.into(),
-                p.engine.name().into(),
                 p.topology.clone(),
                 format!("{}", p.workers),
                 format!("{}", p.batch),
@@ -319,7 +318,6 @@ fn svcbench_variant(quick: bool) -> VariantOutput {
         samples: None,
         headers: [
             "Phase",
-            "Engine",
             "Topology",
             "Workers",
             "Batch",
@@ -358,7 +356,7 @@ fn compose_variant(topology: &str, quick: bool) -> Result<VariantOutput, CoreErr
     };
     let m = composedemo::topology_metrics(src, quick)?;
     let lint_clean = m.config_lint_clean && m.net_lint_clean;
-    let engines_agree = m.interp == m.compiled;
+    let engines_agree = m.reference == m.stepper;
     let nl_contains = m.nl_lo <= m.measured && m.measured <= m.nl_hi;
     Ok(VariantOutput {
         axis: Vec::new(),
@@ -369,7 +367,7 @@ fn compose_variant(topology: &str, quick: bool) -> Result<VariantOutput, CoreErr
             "Stages",
             "Edges",
             "Lint",
-            "Petri interp = compiled",
+            "Petri ref = stepper",
             "Measured",
             "NL bounds",
             "Program tier",
@@ -383,7 +381,7 @@ fn compose_variant(topology: &str, quick: bool) -> Result<VariantOutput, CoreErr
             format!("{}", m.stages),
             format!("{}", m.edges),
             if lint_clean { "clean" } else { "FAIL" }.into(),
-            format!("{} = {}", m.interp, m.compiled),
+            format!("{} = {}", m.reference, m.stepper),
             format!("{:.0}", m.measured),
             format!("[{:.0}, {:.0}]", m.nl_lo, m.nl_hi),
             format!("{:.0} ({} err)", m.prog, pct(m.prog_rel_err())),
@@ -666,7 +664,7 @@ impl RunResults {
              ```\n\n\
              Each invocation exits nonzero if any pass criterion fails. The\n\
              other `repro` modes (`--conformance`, `--compose`, `--trace`,\n\
-             `--bench-engines`, the legacy `--exp <id>`) are unchanged; Chrome\n\
+             the legacy `--exp <id>`) are unchanged; Chrome\n\
              traces for ui.perfetto.dev come from `repro --trace --perfetto\n\
              <out.json>` (see README).\n",
         );

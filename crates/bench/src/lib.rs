@@ -2,13 +2,10 @@
 //!
 //! Every artifact in the paper's evaluation maps to a function here
 //! (see `DESIGN.md`'s experiment index). The `repro` binary prints them
-//! all; the Criterion benches under `benches/` exercise the same
-//! runners at reduced scale; integration tests assert the headline
-//! shapes.
+//! all; integration tests assert the headline shapes.
 
 pub mod composedemo;
 pub mod conformance;
-pub mod enginebench;
 pub mod exp;
 pub mod experiments;
 pub mod lintall;

@@ -9,7 +9,6 @@
 //! artifact a tool can reason about.
 
 use perf_compose::{Composite, Topology};
-use perf_core::query::EngineChoice;
 use perf_core::{Diagnostic, Diagnostics, Severity};
 
 /// One accelerator's audit result.
@@ -25,8 +24,7 @@ pub struct AccelLint {
 /// per-accelerator audit sees, so the composite net gets the same
 /// treatment as the shipped component nets.
 fn demo_composite_lint() -> Diagnostics {
-    let build = Topology::parse_toml(crate::composedemo::DEMO_TOPOLOGY)
-        .and_then(|topo| Composite::new(topo, EngineChoice::Compiled));
+    let build = Topology::parse_toml(crate::composedemo::DEMO_TOPOLOGY).and_then(Composite::new);
     match build.and_then(|c| c.lint_net()) {
         Ok(ds) => ds,
         Err(e) => {

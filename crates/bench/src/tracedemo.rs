@@ -3,7 +3,7 @@
 //!
 //! Three layers feed the same observability surface:
 //!
-//! * the Petri-net engine runs a reference pipeline with firing-trace
+//! * the Petri-net stepper runs a reference pipeline with firing-trace
 //!   provenance enabled, and the critical-path extractor decomposes
 //!   the end-to-end latency into per-transition service and queueing
 //!   cycles;
@@ -23,16 +23,15 @@ use accel_protoacc::{FieldDesc, FieldKind, MessageDesc, ProtoaccSim};
 use accel_vta::cycle::VtaCycleSim;
 use perf_autotune::{CachedCost, CostBackend, GemmWorkload, PetriCost, Schedule, TracedCost};
 use perf_compose::{Composite, StreamParams, Topology};
-use perf_core::query::EngineChoice;
 use perf_core::{ChromeTrace, MemorySink};
 use perf_iface_lang::Value;
-use perf_petri::engine::{Engine, Options};
 use perf_petri::net::{Net, NetBuilder};
 use perf_petri::token::Token;
 use perf_petri::trace::{
     chrome_trace_events, critical_path, trace_report_json, DEFAULT_TRACE_CAPACITY,
 };
 use perf_petri::SimResult;
+use perf_petri::{CompiledNet, Options};
 
 /// The rendered trace report.
 pub struct TraceDemo {
@@ -69,7 +68,8 @@ fn reference_net() -> Net {
 /// result (completions, counters, firing trace).
 pub fn traced_reference_run(tokens: usize) -> (Net, SimResult) {
     let net = reference_net();
-    let mut eng = Engine::new(
+    let plan = CompiledNet::compile(&net);
+    let mut s = plan.stepper(
         &net,
         Options {
             trace: Some(DEFAULT_TRACE_CAPACITY),
@@ -78,9 +78,9 @@ pub fn traced_reference_run(tokens: usize) -> (Net, SimResult) {
     );
     let src = net.place_id("src").expect("net has src");
     for i in 0..tokens {
-        eng.inject(src, Token::at(Value::num(i as f64), 0));
+        s.inject(src, Token::at(Value::num(i as f64), 0));
     }
-    let res = eng.run().expect("reference net cannot deadlock");
+    let res = s.run().expect("reference net cannot deadlock");
     (net, res)
 }
 
@@ -92,7 +92,7 @@ pub fn run_trace_demo(quick: bool) -> TraceDemo {
         (128, 20, 2_000, 64)
     };
 
-    // 1. Petri-net engine with firing trace + critical path.
+    // 1. Petri-net stepper with firing trace + critical path.
     let (net, res) = traced_reference_run(tokens);
     let path = critical_path(&res).expect("traced run completes");
     debug_assert_eq!(path.total(), res.makespan);
@@ -180,7 +180,7 @@ pub fn run_trace_demo(quick: bool) -> TraceDemo {
     );
     let topo = Topology::parse_toml(crate::composedemo::DEMO_TOPOLOGY)
         .expect("shipped demo topology parses");
-    let mut comp = Composite::new(topo, EngineChoice::Compiled).expect("demo composite builds");
+    let mut comp = Composite::new(topo).expect("demo composite builds");
     let stream = StreamParams {
         items: if quick { 5 } else { 12 },
         seed: 7,
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn critical_path_attribution_sums_to_reported_latency() {
         // The acceptance check: over the reference net, the critical
-        // path's attributed cycles reproduce the engine's end-to-end
+        // path's attributed cycles reproduce the stepper's end-to-end
         // latency exactly (integer arithmetic — well within 1e-9).
         let (_, res) = traced_reference_run(64);
         let path = critical_path(&res).expect("traced");

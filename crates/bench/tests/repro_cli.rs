@@ -24,7 +24,6 @@ fn flags_with_missing_operands_exit_2() {
     for flag in [
         "--exp",
         "--markdown",
-        "--bench-engine",
         "--trace",
         "--perfetto",
         "--only",

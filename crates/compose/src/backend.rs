@@ -9,7 +9,7 @@
 
 use perf_core::budget::Budget;
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{CoreError, Observation, Prediction};
 
 use crate::model::{Composite, StreamParams};
@@ -26,8 +26,8 @@ pub struct PipelineBackend {
 
 impl PipelineBackend {
     /// Wraps a topology.
-    pub fn new(topo: Topology, engine: EngineChoice) -> Result<PipelineBackend, CoreError> {
-        let composite = Composite::new(topo, engine)?;
+    pub fn new(topo: Topology) -> Result<PipelineBackend, CoreError> {
+        let composite = Composite::new(topo)?;
         let name = format!("pipe:{}", composite.topology().chain_label());
         Ok(PipelineBackend {
             composite,
@@ -37,8 +37,8 @@ impl PipelineBackend {
 
     /// Parses the one-line chain shorthand (the service's
     /// `pipe:<chain>` accel names route here).
-    pub fn from_chain(chain: &str, engine: EngineChoice) -> Result<PipelineBackend, CoreError> {
-        PipelineBackend::new(Topology::parse_chain(chain)?, engine)
+    pub fn from_chain(chain: &str) -> Result<PipelineBackend, CoreError> {
+        PipelineBackend::new(Topology::parse_chain(chain)?)
     }
 
     /// The underlying composite model (fault arming, differential
@@ -56,10 +56,6 @@ impl PipelineBackend {
 impl QueryBackend for PipelineBackend {
     fn accel(&self) -> &'static str {
         self.name
-    }
-
-    fn engine(&self) -> EngineChoice {
-        self.composite.engine()
     }
 
     fn spec_kinds(&self) -> &'static [&'static str] {
@@ -129,8 +125,7 @@ mod tests {
 
     #[test]
     fn backend_answers_every_channel() {
-        let mut b =
-            PipelineBackend::from_chain("vta:2>protoacc:4", EngineChoice::Compiled).unwrap();
+        let mut b = PipelineBackend::from_chain("vta:2>protoacc:4").unwrap();
         assert_eq!(b.accel(), "pipe:vta:2>protoacc:4");
         assert_eq!(b.spec_kinds(), &["stream"]);
         let spec = WorkloadSpec::new("stream")
@@ -161,11 +156,8 @@ mod tests {
 
     #[test]
     fn backend_accepts_dag_chain_specs() {
-        let mut b = PipelineBackend::from_chain(
-            "vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3",
-            EngineChoice::Compiled,
-        )
-        .unwrap();
+        let mut b =
+            PipelineBackend::from_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
         assert_eq!(
             b.accel(),
             "pipe:vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3",
@@ -195,7 +187,7 @@ mod tests {
 
     #[test]
     fn non_stream_specs_are_rejected() {
-        let mut b = PipelineBackend::from_chain("vta:2", EngineChoice::Interpreted).unwrap();
+        let mut b = PipelineBackend::from_chain("vta:2").unwrap();
         assert!(b.measure(&WorkloadSpec::new("random")).is_err());
         assert!(b
             .predict(

@@ -18,7 +18,6 @@
 use crate::model::accel_backend;
 use crate::topology::{default_template, GraphIssue, Policy, StageCfg, Topology, MAX_ITEMS};
 use perf_core::diag::{Diagnostic, Diagnostics};
-use perf_core::query::EngineChoice;
 use perf_iface_lang::lint::{bound_src, BoxVal};
 
 /// The topology lint catalog: code, summary.
@@ -159,7 +158,7 @@ pub fn lint(topo: &Topology) -> Diagnostics {
     };
     let mut ceilings: Vec<Option<f64>> = Vec::with_capacity(topo.stages.len());
     for (i, st) in topo.stages.iter().enumerate() {
-        match accel_backend(&st.accel, EngineChoice::Compiled) {
+        match accel_backend(&st.accel) {
             Err(_) => {
                 ds.push(at(
                     i,

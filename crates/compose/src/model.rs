@@ -39,14 +39,14 @@
 //! traffic rather than guessing at each other's arbitration.
 
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::units::{Cycles, Throughput};
 use perf_core::{CoreError, Observation};
 use perf_iface_lang::Value;
 use perf_petri::behavior::Behavior;
 use perf_petri::lint::lint;
 use perf_petri::net::Transition;
-use perf_petri::{Engine, Net, NetBuilder, NetExec, Options, SimResult, Token};
+use perf_petri::{reference, CompiledNet, Net, NetBuilder, Options, SimResult, Token};
 use perf_sim::{DagNodeSpec, DagPipeline, FaultPlan, Pipeline, Route, StageSpec};
 use std::collections::HashMap;
 
@@ -57,19 +57,16 @@ use accel_jpeg::interface::service::JpegService;
 use accel_protoacc::interface::service::ProtoaccService;
 use accel_vta::interface::service::VtaService;
 
-/// Builds the query backend for one shipped accelerator on an explicit
-/// evaluation substrate. This is the canonical constructor table —
+/// Builds the query backend for one shipped accelerator. This is the
+/// canonical constructor table —
 /// `perf-service`'s registry delegates here (the dependency points this
 /// way so composite backends never need the service crate).
-pub fn accel_backend(
-    accel: &str,
-    engine: EngineChoice,
-) -> Result<Box<dyn QueryBackend>, CoreError> {
+pub fn accel_backend(accel: &str) -> Result<Box<dyn QueryBackend>, CoreError> {
     match accel {
-        "jpeg-decoder" => Ok(Box::new(JpegService::with_engine(engine)?)),
-        "bitcoin-miner" => Ok(Box::new(BitcoinService::with_engine(engine))),
-        "protoacc" => Ok(Box::new(ProtoaccService::with_engine(engine))),
-        "vta" => Ok(Box::new(VtaService::with_engine(engine))),
+        "jpeg-decoder" => Ok(Box::new(JpegService::new()?)),
+        "bitcoin-miner" => Ok(Box::new(BitcoinService::new())),
+        "protoacc" => Ok(Box::new(ProtoaccService::new())),
+        "vta" => Ok(Box::new(VtaService::new())),
         other => Err(CoreError::Artifact(format!(
             "unknown accelerator `{other}` (have: jpeg-decoder, bitcoin-miner, protoacc, vta)"
         ))),
@@ -123,7 +120,6 @@ type CostBounds = Vec<Vec<(f64, f64)>>;
 /// A topology realized against live accelerator backends.
 pub struct Composite {
     topo: Topology,
-    engine: EngineChoice,
     backends: Vec<Box<dyn QueryBackend>>,
     /// Fault injection for ground-truth measurement: the plan applies
     /// to one stage of the composite pipeline (`set_fault`).
@@ -140,11 +136,11 @@ pub struct Composite {
 impl Composite {
     /// Realizes `topo`: constructs each stage's backend and checks the
     /// stage templates against what the backends accept.
-    pub fn new(topo: Topology, engine: EngineChoice) -> Result<Composite, CoreError> {
+    pub fn new(topo: Topology) -> Result<Composite, CoreError> {
         topo.validate()?;
         let mut backends = Vec::new();
         for st in &topo.stages {
-            let b = accel_backend(&st.accel, engine)?;
+            let b = accel_backend(&st.accel)?;
             if !b.spec_kinds().contains(&st.kind.as_str()) {
                 return Err(CoreError::Artifact(format!(
                     "stage `{}`: accelerator `{}` does not accept spec kind `{}` (accepts: {})",
@@ -158,7 +154,6 @@ impl Composite {
         }
         Ok(Composite {
             topo,
-            engine,
             backends,
             fault: None,
             pred_cache: HashMap::new(),
@@ -169,11 +164,6 @@ impl Composite {
     /// The realized topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The evaluation substrate the stage backends run on.
-    pub fn engine(&self) -> EngineChoice {
-        self.engine
     }
 
     /// Number of stages.
@@ -642,76 +632,61 @@ impl Composite {
             .collect())
     }
 
-    /// Runs the composite net on one engine and returns its makespan.
-    fn run_net(&self, net: Net, tokens: &[Token], engine: EngineChoice) -> Result<u64, CoreError> {
+    /// Runs the composite net on the compiled stepper and rejects runs
+    /// that strand tokens.
+    fn run_net(net: &Net, tokens: &[Token], opts: Options) -> Result<SimResult, CoreError> {
         let entry = net
             .place_id("in")
             .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
-        let exec = match engine {
-            EngineChoice::Interpreted => NetExec::interpreted(net),
-            EngineChoice::Compiled => NetExec::compiled(net),
-        };
-        let mut session = exec.session(Options::default());
+        let plan = CompiledNet::compile(net);
+        let mut s = plan.stepper(net, opts);
         for t in tokens {
-            session.inject(entry, t.clone());
+            s.inject(entry, t.clone());
         }
-        let res = session.run()?;
+        let res = s.run()?;
         if !res.stranded.is_empty() {
             return Err(CoreError::Artifact(format!(
                 "composite net stranded tokens: {:?}",
                 res.stranded
             )));
         }
-        Ok(res.makespan)
+        Ok(res)
     }
 
-    /// Petri-tier composite prediction: the net's makespan under this
-    /// composite's configured engine.
+    /// Petri-tier composite prediction: the net's makespan.
     pub fn petri_makespan(&mut self, stream: &StreamParams) -> Result<u64, CoreError> {
         let tokens = self.stream_tokens(stream)?;
-        let net = self.build_net()?;
-        self.run_net(net, &tokens, self.engine)
+        let res = Self::run_net(&self.build_net()?, &tokens, Options::default())?;
+        Ok(res.makespan)
     }
 
     /// Runs the composite net with firing-trace recording enabled and
     /// returns the net together with the traced [`SimResult`] — the
     /// input to [`perf_petri::critical_path`] and the Chrome-trace
-    /// exporter. Always uses the incremental interpreter (the compiled
-    /// stepper does not record traces).
+    /// exporter.
     pub fn petri_traced(&mut self, stream: &StreamParams) -> Result<(Net, SimResult), CoreError> {
         let tokens = self.stream_tokens(stream)?;
         let net = self.build_net()?;
-        let entry = net
-            .place_id("in")
-            .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
-        let mut engine = Engine::new(
-            &net,
-            Options {
-                trace: Some(perf_petri::trace::DEFAULT_TRACE_CAPACITY),
-                ..Options::default()
-            },
-        );
-        for t in &tokens {
-            engine.inject(entry, t.clone());
-        }
-        let res = engine.run()?;
-        if !res.stranded.is_empty() {
-            return Err(CoreError::Artifact(format!(
-                "composite net stranded tokens: {:?}",
-                res.stranded
-            )));
-        }
+        let opts = Options {
+            trace: Some(perf_petri::trace::DEFAULT_TRACE_CAPACITY),
+            ..Options::default()
+        };
+        let res = Self::run_net(&net, &tokens, opts)?;
         Ok((net, res))
     }
 
-    /// Runs the composite net on *both* engines (incremental
-    /// interpreter and `CompiledNet` stepper) and returns both
-    /// makespans; the differential harness asserts they agree.
+    /// Runs the composite net on the [`perf_petri::reference`] spec
+    /// and on the compiled stepper and returns both makespans
+    /// `(reference, stepper)`; the differential harness asserts they
+    /// agree.
     pub fn petri_makespan_both(&mut self, stream: &StreamParams) -> Result<(u64, u64), CoreError> {
         let tokens = self.stream_tokens(stream)?;
-        let interpreted = self.run_net(self.build_net()?, &tokens, EngineChoice::Interpreted)?;
-        let compiled = self.run_net(self.build_net()?, &tokens, EngineChoice::Compiled)?;
-        Ok((interpreted, compiled))
+        let net = self.build_net()?;
+        let stepper = Self::run_net(&net, &tokens, Options::default())?;
+        let entry = net.place_id("in").expect("run_net found the entry place");
+        let injects = tokens.into_iter().map(|t| (entry, t));
+        let refr = reference::run(&net, injects, Options::default())?;
+        Ok((refr.makespan, stepper.makespan))
     }
 
     /// Lints the composite net structure (entry = the stream injection
@@ -1008,17 +983,17 @@ mod tests {
     use super::*;
 
     fn chain(c: &str) -> Composite {
-        Composite::new(Topology::parse_chain(c).unwrap(), EngineChoice::Compiled).unwrap()
+        Composite::new(Topology::parse_chain(c).unwrap()).unwrap()
     }
 
     const STREAM: StreamParams = StreamParams { items: 6, seed: 3 };
 
     #[test]
-    fn composite_net_round_trips_both_engines_and_lints() {
+    fn composite_net_round_trips_both_evaluators_and_lints() {
         let mut c = chain("jpeg-decoder:2>protoacc:4");
-        let (interp, comp) = c.petri_makespan_both(&STREAM).unwrap();
-        assert_eq!(interp, comp, "engines must agree on the composite net");
-        assert!(interp > 0);
+        let (refr, stepper) = c.petri_makespan_both(&STREAM).unwrap();
+        assert_eq!(refr, stepper, "evaluators must agree on the composite net");
+        assert!(refr > 0);
         let diags = c.lint_net().unwrap();
         assert!(!diags.has_errors(), "{}", diags.render());
     }
@@ -1158,12 +1133,12 @@ mod tests {
     }
 
     #[test]
-    fn dag_composite_round_trips_both_engines_and_lints() {
+    fn dag_composite_round_trips_both_evaluators_and_lints() {
         let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
-        let mut c = Composite::new(topo, EngineChoice::Compiled).unwrap();
-        let (interp, comp) = c.petri_makespan_both(&STREAM).unwrap();
-        assert_eq!(interp, comp, "engines must agree on the branched net");
-        assert!(interp > 0);
+        let mut c = Composite::new(topo).unwrap();
+        let (refr, stepper) = c.petri_makespan_both(&STREAM).unwrap();
+        assert_eq!(refr, stepper, "evaluators must agree on the branched net");
+        assert!(refr > 0);
         let diags = c.lint_net().unwrap();
         assert!(!diags.has_errors(), "{}", diags.render());
     }
@@ -1171,7 +1146,7 @@ mod tests {
     #[test]
     fn dag_tiers_track_ground_truth() {
         let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
-        let mut c = Composite::new(topo, EngineChoice::Compiled).unwrap();
+        let mut c = Composite::new(topo).unwrap();
         let actual = Metric::Latency.of(&c.measure_stream(&STREAM).unwrap());
         assert!(actual > 0.0);
         // NL bounds contain the measurement (same tolerance as the
@@ -1225,12 +1200,12 @@ mod tests {
         let plan = DagPlan::new(&topo, 4);
         assert_eq!(plan.jobs[1].len(), 4, "each branch sees every item");
         assert_eq!(plan.jobs[2].len(), 4);
-        let mut c = Composite::new(topo, EngineChoice::Compiled).unwrap();
+        let mut c = Composite::new(topo).unwrap();
         let stream = StreamParams { items: 4, seed: 1 };
         let actual = Metric::Latency.of(&c.measure_stream(&stream).unwrap());
         assert!(actual > 0.0);
-        let (interp, comp) = c.petri_makespan_both(&stream).unwrap();
-        assert_eq!(interp, comp);
+        let (refr, stepper) = c.petri_makespan_both(&stream).unwrap();
+        assert_eq!(refr, stepper);
         let (lo, hi) = c.nl_bounds(&stream).unwrap();
         assert!(lo > 0.0 && actual <= hi * 1.05, "{lo}..{hi} vs {actual}");
     }
@@ -1242,8 +1217,8 @@ mod tests {
         let single = Topology::parse_chain("vta:2>bitcoin-miner:4>protoacc:2").unwrap();
         let doubled = Topology::parse_chain("vta*2:2>bitcoin-miner:4>protoacc:2").unwrap();
         let stream = StreamParams { items: 8, seed: 3 };
-        let mut c1 = Composite::new(single, EngineChoice::Compiled).unwrap();
-        let mut c2 = Composite::new(doubled, EngineChoice::Compiled).unwrap();
+        let mut c1 = Composite::new(single).unwrap();
+        let mut c2 = Composite::new(doubled).unwrap();
         let t1 = Metric::Latency.of(&c1.measure_stream(&stream).unwrap());
         let t2 = Metric::Latency.of(&c2.measure_stream(&stream).unwrap());
         assert!(
@@ -1264,7 +1239,7 @@ mod tests {
     #[test]
     fn fault_on_a_dag_stage_slows_the_stream() {
         let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
-        let mut c = Composite::new(topo, EngineChoice::Compiled).unwrap();
+        let mut c = Composite::new(topo).unwrap();
         let clean = Metric::Latency.of(&c.measure_stream(&STREAM).unwrap());
         c.set_fault(3, Some(FaultPlan::backpressure(2, 900, 500)));
         let faulted = Metric::Latency.of(&c.measure_stream(&STREAM).unwrap());
@@ -1280,7 +1255,7 @@ mod tests {
     fn unknown_spec_kind_is_rejected_at_construction() {
         let mut topo = Topology::parse_chain("vta:2>protoacc:2").unwrap();
         topo.stages[0].kind = "no-such-kind".to_string();
-        let err = match Composite::new(topo, EngineChoice::Compiled) {
+        let err = match Composite::new(topo) {
             Err(e) => e,
             Ok(_) => panic!("bad spec kind must be rejected"),
         };

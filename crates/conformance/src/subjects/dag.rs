@@ -14,7 +14,7 @@
 
 use perf_compose::PipelineBackend;
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{CoreError, Observation, Prediction};
 use perf_sim::FaultPlan;
 
@@ -40,7 +40,7 @@ impl DagSubject {
     /// Creates the subject over the canonical fan-out/fan-in topology.
     pub fn new() -> DagSubject {
         DagSubject {
-            backend: PipelineBackend::from_chain(DAG_CHAIN, EngineChoice::Compiled)
+            backend: PipelineBackend::from_chain(DAG_CHAIN)
                 .expect("shipped DAG topology must construct"),
         }
     }

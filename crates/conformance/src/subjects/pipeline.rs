@@ -11,7 +11,7 @@
 
 use perf_compose::PipelineBackend;
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, QueryBackend, WorkloadSpec};
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{CoreError, Observation, Prediction};
 use perf_sim::FaultPlan;
 
@@ -42,8 +42,7 @@ impl PipelineSubject {
     /// Creates the subject over the canonical decode→serialize chain.
     pub fn new() -> PipelineSubject {
         PipelineSubject {
-            backend: PipelineBackend::from_chain(CHAIN, EngineChoice::Compiled)
-                .expect("shipped chain must construct"),
+            backend: PipelineBackend::from_chain(CHAIN).expect("shipped chain must construct"),
         }
     }
 }

@@ -76,41 +76,6 @@ impl Default for Fnv1a {
     }
 }
 
-/// Which evaluation substrate answers Petri- and program-tier queries.
-///
-/// Both substrates are observably identical (the differential suites
-/// hold them to byte-identical results and error messages), so the
-/// choice is purely a cost knob: `Compiled` runs the static-topology
-/// Petri stepper (`perf_petri::CompiledNet`) and the `.pi` bytecode VM
-/// (`perf_iface_lang::vm::CompiledProgram`); `Interpreted` runs the
-/// generic event engine and the tree-walking interpreter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EngineChoice {
-    /// Generic event engine + tree-walking interpreter.
-    Interpreted,
-    /// Compiled stepper + bytecode VM (the default service backend).
-    Compiled,
-}
-
-impl EngineChoice {
-    /// Wire/report name: `"interpreted"` or `"compiled"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineChoice::Interpreted => "interpreted",
-            EngineChoice::Compiled => "compiled",
-        }
-    }
-
-    /// Parses a wire/report name (inverse of [`EngineChoice::name`]).
-    pub fn parse(s: &str) -> Option<EngineChoice> {
-        match s {
-            "interpreted" => Some(EngineChoice::Interpreted),
-            "compiled" => Some(EngineChoice::Compiled),
-            _ => None,
-        }
-    }
-}
-
 /// A wire-friendly description of one workload: a spec `kind` chosen
 /// from the backend's [`QueryBackend::spec_kinds`] plus named numeric
 /// fields.
@@ -225,13 +190,6 @@ pub trait QueryBackend {
     /// Accelerator name, matching the conformance report (e.g.
     /// `"jpeg-decoder"`).
     fn accel(&self) -> &'static str;
-
-    /// Which evaluation substrate this backend's interfaces run on.
-    /// Answers and benchmark rows are tagged with it so performance
-    /// deltas stay attributable.
-    fn engine(&self) -> EngineChoice {
-        EngineChoice::Interpreted
-    }
 
     /// The spec kinds [`QueryBackend::predict`] accepts, for error
     /// messages and service discovery.

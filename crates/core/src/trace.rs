@@ -1,7 +1,7 @@
 //! The `TraceSink` observability interface.
 //!
 //! Every execution substrate in this workspace — the tick-accurate
-//! accelerator models, the event-driven Petri-net engine and the
+//! accelerator models, the event-driven Petri-net stepper and the
 //! autotuner's search loop — can explain where its cycles (or its wall
 //! time) went by emitting records into a [`TraceSink`]. The trait is
 //! deliberately tiny and monomorphizable: code paths instrumented with

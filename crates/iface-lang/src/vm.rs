@@ -1405,13 +1405,13 @@ impl Vm<'_> {
     }
 }
 
-/// A parsed program paired with (optionally) its bytecode-compiled
-/// form: the engine-choice façade interface adapters hold.
+/// A parsed program paired with its bytecode-compiled form: what
+/// interface adapters hold.
 ///
-/// Calls route to the VM when compiled, to the tree-walking
-/// interpreter otherwise; both produce identical values and identical
-/// error messages (enforced by the differential suite in
-/// `tests/vm_props.rs`), so callers choose purely on cost.
+/// Calls run the VM. The tree-walking [`crate::Program::call`] stays
+/// as the VM's executable specification: both produce identical values
+/// and identical error messages (enforced by the differential suite in
+/// `tests/vm_props.rs`).
 ///
 /// # Examples
 ///
@@ -1426,24 +1426,14 @@ impl Vm<'_> {
 /// ```
 pub struct Executable {
     prog: crate::Program,
-    vm: Option<CompiledProgram>,
+    vm: CompiledProgram,
 }
 
 impl Executable {
-    /// Wraps a program for tree-walk evaluation.
-    pub fn interpreted(prog: crate::Program) -> Executable {
-        Executable { prog, vm: None }
-    }
-
     /// Compiles the program to bytecode once; calls run the VM.
     pub fn compiled(prog: crate::Program) -> Result<Executable, LangError> {
         let vm = CompiledProgram::compile(&prog)?;
-        Ok(Executable { prog, vm: Some(vm) })
-    }
-
-    /// Whether calls run the bytecode VM.
-    pub fn is_compiled(&self) -> bool {
-        self.vm.is_some()
+        Ok(Executable { prog, vm })
     }
 
     /// The wrapped program (source, AST, metadata).
@@ -1463,10 +1453,7 @@ impl Executable {
 
     /// Calls function `name` with `args` under default limits.
     pub fn call(&self, name: &str, args: &[Value]) -> Result<Value, LangError> {
-        match &self.vm {
-            Some(vm) => vm.call(name, args),
-            None => self.prog.call(name, args),
-        }
+        self.vm.call(name, args)
     }
 
     /// Calls function `name` with `args` under custom limits.
@@ -1476,10 +1463,7 @@ impl Executable {
         args: &[Value],
         limits: Limits,
     ) -> Result<Value, LangError> {
-        match &self.vm {
-            Some(vm) => vm.call_with_limits(name, args, limits),
-            None => self.prog.call_with_limits(name, args, limits),
-        }
+        self.vm.call_with_limits(name, args, limits)
     }
 }
 

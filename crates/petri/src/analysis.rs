@@ -1,7 +1,7 @@
 //! Structural and dynamic analyses of performance nets.
 
-use crate::engine::SimResult;
 use crate::net::Net;
+use crate::SimResult;
 
 /// Structural facts about a net, computed without simulating it.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,9 +128,9 @@ pub fn utilization(net: &Net, res: &SimResult) -> Utilization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Options};
     use crate::net::NetBuilder;
     use crate::token::Token;
+    use crate::{CompiledNet, Options};
     use perf_iface_lang::Value;
 
     fn pipe() -> Net {
@@ -189,7 +189,8 @@ mod tests {
     #[test]
     fn utilization_finds_bottleneck() {
         let net = pipe();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         for _ in 0..20 {
             e.inject(net.place_id("src").unwrap(), Token::at(Value::num(0.0), 0));
         }

@@ -22,7 +22,7 @@ use std::rc::Rc;
 pub struct Firing {
     /// Processing delay in cycles.
     pub delay: u64,
-    /// One payload per output arc (the engine replicates per arc
+    /// One payload per output arc (the evaluator replicates per arc
     /// weight).
     pub outputs: Vec<Value>,
 }
@@ -51,7 +51,7 @@ pub enum Behavior {
 
 impl Behavior {
     /// Whether firing is conditioned on a guard. Guard-free transitions
-    /// let the engine consume input tokens by move instead of cloning
+    /// let the stepper consume input tokens by move instead of cloning
     /// them for a speculative guard evaluation.
     pub fn has_guard(&self) -> bool {
         match self {
@@ -107,7 +107,7 @@ impl Behavior {
     /// with `t` bound to `tok` and `ts` to an unbounded list of such
     /// tokens). Native closures are opaque and enclose to `[0, +inf]`;
     /// so does any expression the abstract interpreter cannot pin down.
-    /// The engine rejects negative runtime delays, so the lower bound
+    /// The evaluators reject negative runtime delays, so the lower bound
     /// is clamped to `>= 0`.
     pub fn delay_interval(&self, tok: &perf_iface_lang::lint::BoxVal) -> Interval {
         use perf_iface_lang::lint::{bound_call, BoxVal};

@@ -8,7 +8,8 @@
 //!                                                 # throughput ceiling, no
 //!                                                 # simulation
 //! pnet dot FILE                                   # Graphviz to stdout
-//! pnet run FILE PLACE N [field=VAL...]            # inject N tokens, simulate
+//! pnet run FILE PLACE N [field=VAL...]            # inject N tokens, run the
+//!                                                 # compiled stepper
 //! pnet trace FILE PLACE N [--folded] [--perfetto OUT] [field=VAL...]
 //!                                                 # traced run: JSON report
 //!                                                 # (or folded stacks) with
@@ -24,10 +25,9 @@
 use perf_core::diag::{Diagnostic, Diagnostics};
 use perf_iface_lang::lint::BoxVal;
 use perf_iface_lang::Value;
-use perf_petri::engine::{Engine, Options};
 use perf_petri::token::Token;
 use perf_petri::trace::{critical_path, trace_report_json, DEFAULT_TRACE_CAPACITY};
-use perf_petri::{analysis, dot, lint, text, PetriError};
+use perf_petri::{analysis, dot, lint, text, NetExec, Options, PetriError};
 
 /// Full help text: every subcommand with every flag. The `--help`
 /// output and the short usage line are kept in sync by the
@@ -57,10 +57,13 @@ usage:
                                         unconstrained)
   pnet dot FILE                         Graphviz rendering to stdout
   pnet run FILE PLACE N [field=VAL...]  inject N tokens at PLACE and
-                                        simulate to completion
+                                        run the compiled stepper to
+                                        completion
   pnet trace FILE PLACE N [--folded] [--perfetto OUT] [field=VAL...]
-                                        traced run with critical-path
-                                        attribution: JSON report, or
+                                        traced stepper run with
+                                        critical-path attribution (same
+                                        records as the reference
+                                        evaluator): JSON report, or
                                         folded stacks with --folded;
                                         --perfetto OUT also writes a
                                         Chrome JSON trace (trace-event
@@ -380,7 +383,9 @@ fn main() {
         }
         Some("run") if args.len() >= 4 => {
             let (net, place, n, fields) = parse_run_args(&args[1..]);
-            let mut eng = Engine::new(&net, Options::default());
+            let exec = NetExec::new(net);
+            let net = exec.net();
+            let mut eng = exec.session(Options::default());
             for _ in 0..n {
                 eng.inject(place, Token::at(Value::record_owned(fields.clone()), 0));
             }
@@ -401,7 +406,7 @@ fn main() {
                     lats.iter().max().expect("nonempty")
                 );
             }
-            let util = analysis::utilization(&net, &res);
+            let util = analysis::utilization(net, &res);
             if let Some(b) = util.bottleneck {
                 println!("bottleneck:  {b}");
             }
@@ -425,13 +430,12 @@ fn main() {
                 usage();
             }
             let (net, place, n, fields) = parse_run_args(&rest);
-            let mut eng = Engine::new(
-                &net,
-                Options {
-                    trace: Some(DEFAULT_TRACE_CAPACITY),
-                    ..Options::default()
-                },
-            );
+            let exec = NetExec::new(net);
+            let net = exec.net();
+            let mut eng = exec.session(Options {
+                trace: Some(DEFAULT_TRACE_CAPACITY),
+                ..Options::default()
+            });
             for _ in 0..n {
                 eng.inject(place, Token::at(Value::record_owned(fields.clone()), 0));
             }
@@ -441,7 +445,7 @@ fn main() {
             });
             let path = critical_path(&res);
             if let Some(out) = &perfetto {
-                let doc = perf_petri::trace::chrome_trace_json(&net, &res, path.as_ref());
+                let doc = perf_petri::trace::chrome_trace_json(net, &res, path.as_ref());
                 if let Err(e) = std::fs::write(out, doc) {
                     fail(
                         Diagnostic::error("PN001", format!("cannot write Chrome trace: {e}"))
@@ -453,10 +457,10 @@ fn main() {
             }
             if folded {
                 if let Some(p) = &path {
-                    print!("{}", p.to_folded(&net));
+                    print!("{}", p.to_folded(net));
                 }
             } else {
-                print!("{}", trace_report_json(&net, &res, path.as_ref()));
+                print!("{}", trace_report_json(net, &res, path.as_ref()));
             }
         }
         _ => usage(),

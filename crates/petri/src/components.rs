@@ -93,8 +93,8 @@ pub fn interconnect(flit_bytes: u64, flit_cycles: u64) -> Result<Net, PetriError
 mod tests {
     use super::*;
     use crate::compose::compose;
-    use crate::engine::{Engine, Options};
     use crate::token::Token;
+    use crate::{CompiledNet, Options};
     use perf_iface_lang::Value;
 
     fn bytes_token(bytes: f64, miss: f64) -> Token {
@@ -108,7 +108,8 @@ mod tests {
     fn memory_system_banks_run_in_parallel() {
         let net = memory_system(4, 100, 16).expect("parses");
         let req = net.place_id("req").expect("req");
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         for _ in 0..4 {
             e.inject(req, bytes_token(160.0, 0.0));
         }
@@ -119,7 +120,8 @@ mod tests {
         // One bank would serialize them.
         let net1 = memory_system(1, 100, 16).expect("parses");
         let req1 = net1.place_id("req").expect("req");
-        let mut e1 = Engine::new(&net1, Options::default());
+        let plan = CompiledNet::compile(&net1);
+        let mut e1 = plan.stepper(&net1, Options::default());
         for _ in 0..4 {
             e1.inject(req1, bytes_token(160.0, 0.0));
         }
@@ -130,7 +132,8 @@ mod tests {
     fn tlb_routes_hits_and_misses() {
         let net = tlb(2, 50).expect("parses");
         let req = net.place_id("req").expect("req");
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         e.inject(req, bytes_token(0.0, 0.0)); // Hit.
         e.inject(req, bytes_token(0.0, 1.0)); // Miss.
         let res = e.run().expect("runs");
@@ -152,7 +155,8 @@ mod tests {
         let noc = interconnect(16, 1).expect("parses");
         let system = compose(engine, noc, &[("out", "req")], "engine_plus_noc").expect("composes");
         let jobs = system.place_id("jobs").expect("jobs");
-        let mut e = Engine::new(&system, Options::default());
+        let plan = CompiledNet::compile(&system);
+        let mut e = plan.stepper(&system, Options::default());
         for _ in 0..3 {
             e.inject(jobs, bytes_token(64.0, 0.0));
         }

@@ -146,9 +146,9 @@ pub fn transition_names(net: &Net) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Options};
     use crate::net::NetBuilder;
     use crate::token::Token;
+    use crate::{CompiledNet, Options};
     use perf_iface_lang::Value;
 
     /// Front component: a 3-cycle stage ending in a boundary place.
@@ -204,9 +204,10 @@ mod tests {
         b.build().expect("valid")
     }
 
-    fn run(net: &Net, n: usize) -> crate::engine::SimResult {
+    fn run(net: &Net, n: usize) -> crate::SimResult {
         let src = net.place_id("src").expect("src");
-        let mut e = Engine::new(net, Options::default());
+        let plan = CompiledNet::compile(net);
+        let mut e = plan.stepper(net, Options::default());
         for i in 0..n {
             e.inject(src, Token::at(Value::num(i as f64), 0));
         }
@@ -411,7 +412,8 @@ mod tests {
 
         let src = composed.place_id("src").expect("src");
         let src2 = composed.place_id("other.src2").expect("src2");
-        let mut e = Engine::new(&composed, Options::default());
+        let plan = CompiledNet::compile(&composed);
+        let mut e = plan.stepper(&composed, Options::default());
         e.inject(src, Token::at(Value::num(0.0), 0));
         e.inject(src2, Token::at(Value::num(1.0), 0));
         let res = e.run().expect("runs");
@@ -433,7 +435,8 @@ mod tests {
         .expect("parses");
         let composed = compose(producer, memsys, &[("out", "req")], "pipeline").expect("composes");
         let src = composed.place_id("src").expect("src");
-        let mut e = Engine::new(&composed, Options::default());
+        let plan = CompiledNet::compile(&composed);
+        let mut e = plan.stepper(&composed, Options::default());
         for _ in 0..4 {
             e.inject(
                 src,

@@ -15,9 +15,12 @@
 //! * token and behavior types — delays and output-token transforms can
 //!   be native Rust closures or expressions in the PIL interface
 //!   language ([`token`], [`behavior`]),
-//! * an event-driven simulation engine with single-server transition
-//!   semantics, capacity reservation (backpressure) and deterministic
-//!   conflict resolution ([`engine`]),
+//! * one production evaluator, the compiled static-topology
+//!   [`Stepper`] ([`stepper`]): event-driven, with single-server
+//!   transition semantics, capacity reservation (backpressure) and
+//!   deterministic conflict resolution,
+//! * a small executable specification of those semantics, the
+//!   full-scan [`mod@reference`] evaluator the stepper is tested against,
 //! * structural and dynamic analyses ([`analysis`]),
 //! * an optional firing trace with token provenance and a
 //!   critical-path extractor that attributes end-to-end predicted
@@ -30,9 +33,7 @@
 //! A two-stage pipeline processing five work items:
 //!
 //! ```
-//! use perf_petri::net::NetBuilder;
-//! use perf_petri::engine::{Engine, Options};
-//! use perf_petri::token::Token;
+//! use perf_petri::{NetBuilder, NetExec, Options, Token};
 //! use perf_iface_lang::Value;
 //!
 //! let mut b = NetBuilder::new("pipe");
@@ -41,13 +42,13 @@
 //! let done = b.sink("done");
 //! b.transition("stage1", &[src], &[mid], |_| 3, |toks| vec![toks[0].data.clone()]);
 //! b.transition("stage2", &[mid], &[done], |_| 5, |toks| vec![toks[0].data.clone()]);
-//! let net = b.build().unwrap();
+//! let exec = NetExec::new(b.build().unwrap());
 //!
-//! let mut eng = Engine::new(&net, Options::default());
+//! let mut s = exec.session(Options::default());
 //! for i in 0..5 {
-//!     eng.inject(src, Token::at(Value::num(i as f64), 0));
+//!     s.inject(src, Token::at(Value::num(i as f64), 0));
 //! }
-//! let res = eng.run().unwrap();
+//! let res = s.run().unwrap();
 //! assert_eq!(res.completions.len(), 5);
 //! // Throughput is set by the 5-cycle bottleneck stage.
 //! assert!(res.makespan >= 25);
@@ -61,18 +62,18 @@ pub mod compile;
 pub mod components;
 pub mod compose;
 pub mod dot;
-pub mod engine;
 pub mod lint;
 pub mod net;
+pub mod reference;
 pub mod stepper;
 pub mod text;
 pub mod token;
 pub mod trace;
 
 pub use bound::{bounds, bounds_any, NetBounds};
-pub use engine::{Engine, Options, SimResult};
 pub use net::{Net, NetBuilder, PlaceId, TransId};
-pub use stepper::{CompiledNet, ExecSession, NetExec, Stepper};
+pub use reference::{Options, SimResult};
+pub use stepper::{CompiledNet, NetExec, Stepper};
 pub use token::Token;
 pub use trace::{critical_path, CriticalPath, EngineTrace, FiringRecord, Segment, TokenSrc};
 

@@ -62,11 +62,11 @@ pub struct Transition {
 /// A complete timed Petri net.
 ///
 /// Besides the structure itself, a net carries adjacency indices
-/// computed once at assembly and shared by every [`crate::Engine`]
-/// bound to it: which transitions consume from / produce into each
-/// place, and the deterministic conflict-resolution order (priority
-/// descending, then declaration order). The incremental engine uses
-/// these to re-try only the transitions an event could have enabled.
+/// computed once at assembly and shared by every evaluator bound to
+/// it: which transitions consume from / produce into each place, and
+/// the deterministic conflict-resolution order (priority descending,
+/// then declaration order). [`crate::CompiledNet`] uses these to
+/// re-try only the transitions an event could have enabled.
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -125,7 +125,7 @@ impl Net {
     /// identically for all shipped `.pnet` artifacts, whose behaviors
     /// are pure functions of the structure — so the value serves as
     /// the net half of the `perf-service` result-cache key (the other
-    /// half is [`crate::Engine::marking_fingerprint`]). Native-closure
+    /// half is [`crate::Stepper::marking_fingerprint`]). Native-closure
     /// behaviors contribute only their constant folds; nets built from
     /// distinct closures with identical structure can collide, which
     /// is why cache keys must always include the workload fingerprint

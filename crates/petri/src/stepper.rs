@@ -1,14 +1,15 @@
 //! Compiled static-topology stepper: a specialization pass over a net
-//! plus the runtime that executes the specialized form.
+//! plus the runtime that executes the specialized form — the crate's
+//! production evaluator.
 //!
-//! [`crate::Engine`] is a general interpreter: every firing re-reads
-//! the net's arc lists through `Vec<Vec<_>>` indirection, boxes each
-//! consumed token through [`crate::token::Token`] clones, allocates a
-//! fresh output vector, and funnels every event through a
-//! `BinaryHeap`. For a net whose topology never changes — which is
-//! every net, since nets are immutable after
-//! [`crate::net::NetBuilder::build`] — all of that can be decided
-//! once. [`CompiledNet::compile`] lowers a net into:
+//! A general interpreter re-reads the net's arc lists through
+//! `Vec<Vec<_>>` indirection on every firing, clones each consumed
+//! [`crate::token::Token`], allocates a fresh output vector, and
+//! funnels every event through a `BinaryHeap` (that is what the
+//! executable specification, [`crate::reference`], does). For a net
+//! whose topology never changes — which is every net, since nets are
+//! immutable after [`crate::net::NetBuilder::build`] — all of that can
+//! be decided once. [`CompiledNet::compile`] lowers a net into:
 //!
 //! * **monomorphized adjacency** — input/output arcs in flat arrays
 //!   with precomputed per-arc capacity-prior sums, so an enablement
@@ -17,9 +18,11 @@
 //!   emits are resolved at compile time to a constant, a closed-form
 //!   [`CExpr`], or a dynamic fallback, so the hot path never touches
 //!   the interpreter;
-//! * **branchless enabled-set maintenance** — the set of transitions a
-//!   firing or deposit can wake is precomputed as bitmask words that
-//!   are OR-ed into the dirty set, replacing per-arc adjacency walks;
+//! * **an incremental enabled set** — after each event only the
+//!   transitions the event could have enabled are re-tried, tracked in
+//!   a rank-ordered dirty bitmask; the set of transitions a firing or
+//!   deposit can wake is precomputed as bitmask words that are OR-ed
+//!   in, replacing per-arc adjacency walks;
 //! * **arena/SoA token storage** — payloads, birth and arrival cycles
 //!   live in parallel arrays indexed by `u32` handles; place queues
 //!   hold handles, and a pass-through firing re-stamps a handle's
@@ -27,24 +30,29 @@
 //! * **event-driven time-skip** — a calendar wheel with an occupancy
 //!   bitmap finds the next populated cycle with a `trailing_zeros`
 //!   scan, so a thousand idle cycles cost one word test (events past
-//!   the wheel horizon overflow into a far heap, preserving the
-//!   engine's exact `(time, sequence)` order).
+//!   the wheel horizon overflow into a far heap, preserving the exact
+//!   `(time, sequence)` event order).
 //!
-//! The stepper is *observably identical* to [`crate::Engine::run`]:
+//! The stepper is *observably identical* to [`crate::reference::run`]:
 //! same completions (payload, birth, arrival, order), same makespan,
-//! same event and firing counts, even the same `enablement_checks` —
-//! it runs the same pass-structured dirty-set algorithm, just on
-//! specialized data. The differential suite in
-//! `tests/stepper_equivalence.rs` holds all three evaluators (compiled,
-//! incremental, reference) to that contract. The one exception is
-//! tracing: a [`crate::Options::trace`] request falls back to the
-//! interpreted engine, which carries the provenance machinery.
+//! same event, firing and busy counts, high-water marks, stranded
+//! report and errors. The dirty-set scan is pass-structured so that
+//! skipping a transition nothing woke never changes the firing
+//! sequence. `tests/stepper_equivalence.rs` holds the two to that
+//! contract; `enablement_checks` is a cost counter outside it.
+//!
+//! Tracing ([`Options::trace`]) records the same firing records and
+//! token provenance as the reference. A traced run takes the general
+//! path (never the fused chain kernels), and every piece of tracing
+//! bookkeeping sits behind the one `Option` holding the tracer, so
+//! untraced runs pay a branch, not the bookkeeping.
 
 use crate::behavior::Behavior;
 use crate::compile::CExpr;
-use crate::engine::{Engine, Options, SimResult};
 use crate::net::{Net, PlaceId};
+use crate::reference::{Options, SimResult};
 use crate::token::Token;
+use crate::trace::{EngineTrace, TokenSrc};
 use crate::PetriError;
 use perf_iface_lang::Value;
 use std::collections::BinaryHeap;
@@ -190,7 +198,7 @@ enum WakeMask {
 
 /// An output arc, flattened: target place, weight, and the summed
 /// weight of this firing's *earlier* arcs into the same place (the
-/// engine's capacity check counts those as already reserved).
+/// capacity check counts those as already reserved).
 struct OutArc {
     place: u32,
     weight: u32,
@@ -501,7 +509,7 @@ impl CompiledNet {
         }
         // A provably constant, valid delay folds completely. An invalid
         // constant (negative, non-finite, non-numeric) falls through so
-        // the engine's per-firing validation error still surfaces.
+        // the per-firing validation error still surfaces.
         let delay = match e.const_fn_value("__delay").and_then(|v| v.as_num()) {
             Some(d) if d.is_finite() && d >= 0.0 => DelayPlan::Const(d.round() as u64),
             _ => match e.compiled_delay() {
@@ -707,7 +715,7 @@ enum WEntry {
 }
 
 /// Far-heap entry, ordered by `(time, seq)` ascending (reversed for
-/// the max-heap), exactly like the engine's `Scheduled`.
+/// the max-heap), exactly like the reference's event heap.
 struct Far {
     time: u64,
     seq: u64,
@@ -742,8 +750,8 @@ struct Slot {
 
 /// The compiled runtime: inject tokens, then [`Stepper::run`].
 ///
-/// Mirrors the [`Engine`] API; see [`CompiledNet`] for how to obtain
-/// one and for the equivalence contract.
+/// Obtain one from [`NetExec::session`] or [`CompiledNet::stepper`];
+/// see the module docs for the equivalence contract.
 pub struct Stepper<'a> {
     net: &'a Net,
     plan: &'a CompiledNet,
@@ -755,7 +763,7 @@ pub struct Stepper<'a> {
     enablement_checks: u64,
     completions: Vec<Token>,
     /// `(place, token)` in injection order (also the seq order the
-    /// engine would assign).
+    /// reference would assign).
     injects: Vec<(u32, u32)>,
     // Event queue: calendar wheel + far heap. The fixed-size slot
     // array makes `time & WMASK` indexing provably in-bounds.
@@ -771,6 +779,33 @@ pub struct Stepper<'a> {
     ts: Vec<Value>,
     toks: Vec<Token>,
     sel: Vec<u32>,
+    /// Provenance bookkeeping; `Some` iff [`Options::trace`] was set.
+    tracer: Option<Box<Tracer>>,
+}
+
+/// A traced run's bookkeeping: the firing records plus the provenance
+/// of every live token, indexed by arena handle. A token's source is
+/// fixed when it is scheduled (injected, or emitted by a firing), so
+/// it is stamped then and read when the token is consumed or retired.
+struct Tracer {
+    trace: EngineTrace,
+    src: Vec<TokenSrc>,
+    /// Source stamped on the outputs of the firing being emitted.
+    firing: TokenSrc,
+}
+
+impl Tracer {
+    fn stamp(&mut self, tok: u32, src: TokenSrc) {
+        let i = tok as usize;
+        if i >= self.src.len() {
+            self.src.resize(i + 1, src);
+        }
+        self.src[i] = src;
+    }
+
+    fn stamp_output(&mut self, tok: u32) {
+        self.stamp(tok, self.firing);
+    }
 }
 
 impl<'a> Stepper<'a> {
@@ -818,6 +853,16 @@ impl<'a> Stepper<'a> {
             ts: Vec::new(),
             toks: Vec::new(),
             sel: Vec::new(),
+            tracer: opts.trace.map(|cap| {
+                Box::new(Tracer {
+                    trace: EngineTrace::new(cap),
+                    src: Vec::new(),
+                    firing: TokenSrc {
+                        producer: None,
+                        arrived: 0,
+                    },
+                })
+            }),
         }
     }
 
@@ -826,12 +871,26 @@ impl<'a> Stepper<'a> {
         let arrived = token.arrived;
         let tok = self.arena.alloc(token.data, token.born, arrived);
         self.injects.push((place.0 as u32, tok));
+        if let Some(tr) = self.tracer.as_mut() {
+            let src = TokenSrc {
+                producer: None,
+                arrived,
+            };
+            tr.stamp(tok, src);
+        }
     }
 
-    /// A 64-bit fingerprint of the injected workload, identical to
-    /// [`Engine::marking_fingerprint`] for the same net and injections
-    /// (so compiled and interpreted evaluations share service cache
-    /// slots). Call after `inject`ing and before [`Stepper::run`].
+    /// A 64-bit fingerprint of the injected workload: every injected
+    /// token with its place, payload, birth and arrival cycles, in
+    /// injection order, combined with the net's structural fingerprint
+    /// ([`Net::fingerprint`]).
+    ///
+    /// Deterministic runs from identical injections produce identical
+    /// results, so this value keys the `perf-service` result cache for
+    /// Petri-tier evaluations: two workloads whose token injections
+    /// coincide (say, two images with the same per-block bit/nonzero
+    /// profile) share one cache slot. Call after `inject`ing and
+    /// before [`Stepper::run`].
     pub fn marking_fingerprint(&self) -> u64 {
         let mut h = perf_core::query::Fnv1a::new();
         h.write_u64(self.plan.fp);
@@ -972,7 +1031,7 @@ impl<'a> Stepper<'a> {
         Some(time)
     }
 
-    // ---- dirty set (same algorithm as the engine's DirtySet) ------
+    // ---- dirty set ------------------------------------------------
 
     #[inline]
     fn dirty_next_at_or_after(&self, from: usize) -> Option<usize> {
@@ -1033,8 +1092,7 @@ impl<'a> Stepper<'a> {
         let p = place as usize;
         self.places[p].reserved -= 1;
         if plan.sink[p] {
-            let t = self.arena.take(tok);
-            self.completions.push(t);
+            self.retire(tok);
             // A bounded sink converts the released reservation into
             // free capacity for its producers.
             if plan.cap[p] != u32::MAX {
@@ -1044,6 +1102,15 @@ impl<'a> Stepper<'a> {
             self.deposit(p, tok);
             self.apply_mask(&plan.wake_deposit[p]);
         }
+    }
+
+    /// Moves a token that reached a sink into the completion list.
+    fn retire(&mut self, tok: u32) {
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.trace.completion_src.push(tr.src[tok as usize]);
+        }
+        let t = self.arena.take(tok);
+        self.completions.push(t);
     }
 
     // ---- firing ---------------------------------------------------
@@ -1208,13 +1275,14 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// Attempts a single firing of transition `ti` at `now`; mirrors
-    /// the engine's `try_fire_fast` exactly (check order, consumption,
-    /// counters, wakes).
+    /// Attempts a single firing of transition `ti` at `now`: the
+    /// reference's check order and FIFO consumption, then this
+    /// firing's counters and wakes. Traced runs take this general path
+    /// even for chain-shaped transitions.
     fn try_fire(&mut self, ti: usize, now: u64) -> Result<bool, PetriError> {
         let plan = self.plan;
         let c = plan.chain[ti];
-        if c.core.servers != 0 {
+        if c.core.servers != 0 && self.tracer.is_none() {
             return Ok(self.chain_fire(ti, c, now));
         }
         self.enablement_checks += 1;
@@ -1304,10 +1372,14 @@ impl<'a> Stepper<'a> {
                     }
                 };
                 let done = now + d;
+                self.trace_firing(ti, now, d, done);
                 if *reuse {
                     // Re-stamp the consumed handle; zero payload moves.
                     let tok = self.sel[0];
                     self.arena.arrived[tok as usize] = done;
+                    if let Some(tr) = self.tracer.as_mut() {
+                        tr.stamp_output(tok);
+                    }
                     let arc = &plan.out_arcs[os as usize];
                     self.places[arc.place as usize].reserved += 1;
                     self.push_event(
@@ -1332,6 +1404,7 @@ impl<'a> Stepper<'a> {
                 let behavior = &self.net.transitions()[ti].behavior;
                 let firing = behavior.fire(&self.toks, n_outputs)?;
                 let done = now + firing.delay;
+                self.trace_firing(ti, now, firing.delay, done);
                 self.emit_payloads(ti, os, firing.outputs, born, done);
                 for k in 0..self.sel.len() {
                     self.arena.release(self.sel[k]);
@@ -1346,6 +1419,25 @@ impl<'a> Stepper<'a> {
         // bounded input places.
         self.apply_mask(&plan.wake_fire[ti]);
         Ok(true)
+    }
+
+    /// Records the firing whose consumed handles are in `sel` and sets
+    /// the source its outputs carry (traced runs only).
+    fn trace_firing(&mut self, ti: usize, now: u64, delay: u64, done: u64) {
+        let Some(tr) = self.tracer.as_mut() else {
+            return;
+        };
+        let parents = self.sel.iter().map(|&i| tr.src[i as usize]).collect();
+        let t = &self.net.transitions()[ti];
+        let tokens_in = t.inputs.iter().map(|&(_, w)| w as u32).sum();
+        let tokens_out = t.outputs.iter().map(|&(_, w)| w as u32).sum();
+        let fseq = tr
+            .trace
+            .push(now, ti, delay, tokens_in, tokens_out, parents);
+        tr.firing = TokenSrc {
+            producer: Some(fseq),
+            arrived: done,
+        };
     }
 
     /// Specialized emission: evaluates per-arc emit plans and schedules
@@ -1395,7 +1487,7 @@ impl<'a> Stepper<'a> {
             // arcs are rejected by the builder).
             let arc = &plan.out_arcs[os as usize];
             let payload = payloads.into_iter().next().expect("one output");
-            let tok = self.arena.alloc(payload, born, done);
+            let tok = self.alloc_output(payload, born, done);
             self.places[arc.place as usize].reserved += 1;
             self.push_event(
                 done,
@@ -1418,13 +1510,13 @@ impl<'a> Stepper<'a> {
         for (j, payload) in payloads.into_iter().enumerate() {
             let arc = &plan.out_arcs[os as usize + j];
             self.places[arc.place as usize].reserved += arc.weight;
-            // Like the engine: `weight - 1` clones, then the final
-            // token moves the payload.
+            // `weight - 1` clones, then the final token moves the
+            // payload.
             for _ in 1..arc.weight {
-                let tok = self.arena.alloc(payload.clone(), born, done);
+                let tok = self.alloc_output(payload.clone(), born, done);
                 outs.push((arc.place, tok));
             }
-            let tok = self.arena.alloc(payload, born, done);
+            let tok = self.alloc_output(payload, born, done);
             outs.push((arc.place, tok));
         }
         self.spill[idx] = outs;
@@ -1437,16 +1529,30 @@ impl<'a> Stepper<'a> {
         );
     }
 
-    /// Fires until fixpoint with the engine's pass-structured dirty
-    /// worklist (identical cursor semantics → identical firing
-    /// sequence and `enablement_checks`).
+    /// Allocates one output token of the firing being emitted.
+    fn alloc_output(&mut self, payload: Value, born: u64, done: u64) -> u32 {
+        let tok = self.arena.alloc(payload, born, done);
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.stamp_output(tok);
+        }
+        tok
+    }
+
+    /// Fires until fixpoint with a pass-structured dirty worklist:
+    /// each pass walks the dirty set in rank order, and a transition
+    /// dirtied at a rank the cursor already passed waits for the next
+    /// pass (where the reference scan would also revisit it). A
+    /// transition that is not dirty cannot fire — nothing that enables
+    /// it changed since it last failed — so skipping it leaves the
+    /// firing sequence, and hence every event, identical.
     fn fire_enabled(&mut self, now: u64) -> Result<(), PetriError> {
         // Single-word dirty set (nets of at most 64 transitions, i.e.
-        // every shipped accelerator net): the same pass-cursor
-        // algorithm as the general loop below, with the word re-read
-        // live after each candidate exactly as `dirty_next_at_or_after`
-        // would — firings OR new bits in mid-pass.
-        if self.dirty.len() == 1 {
+        // every shipped accelerator net), untraced: the same
+        // pass-cursor algorithm as the general loop below, with the
+        // word re-read live after each candidate exactly as
+        // `dirty_next_at_or_after` would — firings OR new bits in
+        // mid-pass.
+        if self.dirty.len() == 1 && self.tracer.is_none() {
             loop {
                 let mut fired_any = false;
                 let mut cursor = 0u32;
@@ -1499,27 +1605,19 @@ impl<'a> Stepper<'a> {
     // ---- run ------------------------------------------------------
 
     /// Runs until quiescence and returns the result (observably
-    /// identical to [`Engine::run`] on the same net and injections).
+    /// identical to [`crate::reference::run`] on the same net and
+    /// injections).
     ///
-    /// When [`Options::trace`] is set, the run delegates to the
-    /// interpreted engine, which carries the provenance machinery the
-    /// specialized hot path omits.
+    /// Untraced runs of an all-chain net take the register-resident
+    /// `run_chain` kernel; traced runs always take the
+    /// general loop below.
     pub fn run(mut self) -> Result<SimResult, PetriError> {
-        if self.opts.trace.is_some() {
-            let mut e = Engine::new(self.net, self.opts);
-            let injects = core::mem::take(&mut self.injects);
-            for (place, tok) in injects {
-                let t = self.arena.take(tok);
-                e.inject(PlaceId(place as usize), t);
-            }
-            return e.run();
-        }
         let plan = self.plan;
-        if let Some(r1) = &plan.rank1 {
+        if let (Some(r1), None) = (&plan.rank1, &self.tracer) {
             return self.run_chain(r1);
         }
         // Stage injections in order: identical (time, seq) schedule to
-        // the engine's inject-time heap pushes.
+        // the reference's heap pushes.
         let injects = core::mem::take(&mut self.injects);
         self.completions.reserve(injects.len());
         for &(place, tok) in &injects {
@@ -1541,8 +1639,7 @@ impl<'a> Stepper<'a> {
                     let plan = self.plan;
                     let p = place as usize;
                     if plan.sink[p] {
-                        let t = self.arena.take(tok);
-                        self.completions.push(t);
+                        self.retire(tok);
                     } else {
                         self.deposit(p, tok);
                         self.apply_mask(&plan.wake_deposit[p]);
@@ -1701,58 +1798,43 @@ impl<'a> Stepper<'a> {
             high_water: self.places.iter().map(|p| p.high_water as usize).collect(),
             stranded,
             enablement_checks: self.enablement_checks,
-            trace: None,
+            trace: self.tracer.map(|t| t.trace),
         })
     }
 }
 
-/// A net paired with (optionally) its compiled plan: the engine-choice
-/// façade the accelerator adapters hold.
+/// A net paired with its compiled plan: what the accelerator adapters
+/// hold.
 ///
 /// Interfaces that evaluate the same immutable net many times pay the
-/// [`CompiledNet::compile`] cost once and open a fresh evaluation
-/// session per query. The session API is engine-agnostic, so an
-/// adapter's hot path is identical whichever substrate answers it.
+/// [`CompiledNet::compile`] cost once and open a fresh [`Stepper`] per
+/// query.
 ///
 /// # Examples
 ///
 /// ```
-/// use perf_petri::stepper::NetExec;
-/// use perf_petri::{NetBuilder, Options, Token};
+/// use perf_petri::{NetBuilder, NetExec, Options, Token};
 /// use perf_iface_lang::Value;
 ///
 /// let mut b = NetBuilder::new("n");
 /// let a = b.place("a", None);
 /// let z = b.sink("z");
 /// b.transition("t", &[a], &[z], |_| 3, |ts| vec![ts[0].data.clone()]);
-/// let exec = NetExec::compiled(b.build().unwrap());
+/// let exec = NetExec::new(b.build().unwrap());
 /// let mut s = exec.session(Options::default());
 /// s.inject(a, Token::at(Value::num(1.0), 0));
 /// assert_eq!(s.run().unwrap().makespan, 3);
 /// ```
 pub struct NetExec {
     net: Net,
-    plan: Option<CompiledNet>,
+    plan: CompiledNet,
 }
 
 impl NetExec {
-    /// Wraps a net for interpreted evaluation ([`Engine`]).
-    pub fn interpreted(net: Net) -> NetExec {
-        NetExec { net, plan: None }
-    }
-
-    /// Compiles the net once; sessions run the [`Stepper`].
-    pub fn compiled(net: Net) -> NetExec {
+    /// Compiles the net once.
+    pub fn new(net: Net) -> NetExec {
         let plan = CompiledNet::compile(&net);
-        NetExec {
-            net,
-            plan: Some(plan),
-        }
-    }
-
-    /// Whether sessions run the compiled stepper.
-    pub fn is_compiled(&self) -> bool {
-        self.plan.is_some()
+        NetExec { net, plan }
     }
 
     /// The wrapped net.
@@ -1761,47 +1843,8 @@ impl NetExec {
     }
 
     /// Opens one evaluation session (inject, then run).
-    pub fn session(&self, opts: Options) -> ExecSession<'_> {
-        match &self.plan {
-            Some(plan) => ExecSession::Compiled(plan.stepper(&self.net, opts)),
-            None => ExecSession::Interpreted(Engine::new(&self.net, opts)),
-        }
-    }
-}
-
-/// One evaluation session over a [`NetExec`]: either an interpreted
-/// [`Engine`] or a compiled [`Stepper`], behind one API.
-pub enum ExecSession<'a> {
-    /// Generic event-driven interpreter.
-    Interpreted(Engine<'a>),
-    /// Compiled static-topology stepper.
-    Compiled(Stepper<'a>),
-}
-
-impl ExecSession<'_> {
-    /// Schedules an external token arrival at `token.arrived`.
-    pub fn inject(&mut self, place: PlaceId, token: Token) {
-        match self {
-            ExecSession::Interpreted(e) => e.inject(place, token),
-            ExecSession::Compiled(s) => s.inject(place, token),
-        }
-    }
-
-    /// Fingerprint of the injected workload; identical across both
-    /// substrates so cache keys are engine-independent.
-    pub fn marking_fingerprint(&self) -> u64 {
-        match self {
-            ExecSession::Interpreted(e) => e.marking_fingerprint(),
-            ExecSession::Compiled(s) => s.marking_fingerprint(),
-        }
-    }
-
-    /// Runs to quiescence.
-    pub fn run(self) -> Result<SimResult, PetriError> {
-        match self {
-            ExecSession::Interpreted(e) => e.run(),
-            ExecSession::Compiled(s) => s.run(),
-        }
+    pub fn session(&self, opts: Options) -> Stepper<'_> {
+        self.plan.stepper(&self.net, opts)
     }
 }
 
@@ -1815,17 +1858,32 @@ mod tests {
         move |ts: &[Token]| vec![ts[0].data.clone(); n]
     }
 
-    fn run_both(net: &Net, injects: &[(PlaceId, Token)]) -> (SimResult, SimResult) {
-        let mut e = Engine::new(net, Options::default());
-        for (p, t) in injects {
-            e.inject(*p, t.clone());
-        }
+    fn run_with(
+        net: &Net,
+        injects: &[(PlaceId, Token)],
+        opts: Options,
+    ) -> Result<SimResult, PetriError> {
         let plan = CompiledNet::compile(net);
-        let mut s = plan.stepper(net, Options::default());
+        let mut s = plan.stepper(net, opts);
         for (p, t) in injects {
             s.inject(*p, t.clone());
         }
-        (e.run().unwrap(), s.run().unwrap())
+        s.run()
+    }
+
+    fn run(net: &Net, injects: &[(PlaceId, Token)]) -> SimResult {
+        run_with(net, injects, Options::default()).unwrap()
+    }
+
+    /// `n` zero payloads injected into `p` at cycle 0.
+    fn zeros(p: PlaceId, n: usize) -> Vec<(PlaceId, Token)> {
+        (0..n).map(|_| (p, Token::at(Value::num(0.0), 0))).collect()
+    }
+
+    /// (reference, stepper) results of one workload.
+    fn run_both(net: &Net, injects: &[(PlaceId, Token)]) -> (SimResult, SimResult) {
+        let refr = crate::reference::run(net, injects.iter().cloned(), Options::default());
+        (refr.unwrap(), run(net, injects))
     }
 
     fn assert_equiv(a: &SimResult, b: &SimResult) {
@@ -1836,11 +1894,295 @@ mod tests {
         assert_eq!(a.busy, b.busy);
         assert_eq!(a.high_water, b.high_water);
         assert_eq!(a.stranded, b.stranded);
-        assert_eq!(a.enablement_checks, b.enablement_checks);
     }
 
     #[test]
-    fn native_pipeline_matches_engine() {
+    fn marking_fingerprint_tracks_injections_not_order_noise() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.transition("t", &[a], &[z], |_| 7, passthrough(1));
+        let net = NetExec::new(b.build().unwrap());
+
+        let fp = |injects: &[Token]| {
+            let mut s = net.session(Options::default());
+            for t in injects {
+                s.inject(a, t.clone());
+            }
+            s.marking_fingerprint()
+        };
+        let one = fp(&[Token::at(Value::num(1.0), 0)]);
+        assert_ne!(fp(&[]), one, "injection must change the fingerprint");
+        // Identical injections give identical fingerprints.
+        assert_eq!(one, fp(&[Token::at(Value::num(1.0), 0)]));
+        // A different payload gives a different fingerprint.
+        assert_ne!(one, fp(&[Token::at(Value::num(2.0), 0)]));
+
+        // A structurally different net (distinct transition name)
+        // shifts every fingerprint. Native closure *bodies* are
+        // opaque and intentionally do not contribute.
+        let mut b2 = NetBuilder::new("n");
+        let a2 = b2.place("a", None);
+        let z2 = b2.sink("z");
+        b2.transition("u", &[a2], &[z2], |_| 7, passthrough(1));
+        let net2 = NetExec::new(b2.build().unwrap());
+        assert_ne!(net.net().fingerprint(), net2.net().fingerprint());
+        let mut s4 = net2.session(Options::default());
+        s4.inject(a2, Token::at(Value::num(1.0), 0));
+        assert_ne!(one, s4.marking_fingerprint());
+    }
+
+    #[test]
+    fn single_transition_latency() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.transition("t", &[a], &[z], |_| 7, passthrough(1));
+        let net = b.build().unwrap();
+        let r = run(&net, &[(a, Token::at(Value::num(1.0), 0))]);
+        assert_eq!(r.completions.len(), 1);
+        assert_eq!(r.latencies(), vec![7]);
+        assert_eq!(r.makespan, 7);
+        assert!(!r.deadlocked());
+    }
+
+    #[test]
+    fn single_server_serializes() {
+        // 10 tokens through a 5-cycle single-server transition: the
+        // last completes at 50.
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.transition("t", &[a], &[z], |_| 5, passthrough(1));
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(a, 10));
+        assert_eq!(r.completions.len(), 10);
+        assert_eq!(r.makespan, 50);
+        assert!((r.throughput() - 0.2).abs() < 1e-12);
+        assert_eq!(r.firings[0], 10);
+        assert_eq!(r.busy[0], 50);
+    }
+
+    #[test]
+    fn infinite_server_runs_in_parallel() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.add_transition(Transition {
+            name: "t".into(),
+            inputs: vec![(a, 1)],
+            outputs: vec![(z, 1)],
+            behavior: crate::behavior::fixed_delay(5, 1),
+            servers: 0,
+            priority: 0,
+        });
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(a, 10));
+        assert_eq!(r.makespan, 5); // All ten fire concurrently.
+    }
+
+    #[test]
+    fn pipeline_throughput_set_by_bottleneck() {
+        let mut b = NetBuilder::new("pipe");
+        let src = b.place("src", None);
+        let mid = b.place("mid", Some(2));
+        let z = b.sink("z");
+        b.transition("fast", &[src], &[mid], |_| 1, passthrough(1));
+        b.transition("slow", &[mid], &[z], |_| 4, passthrough(1));
+        let net = b.build().unwrap();
+        let n = 100;
+        let r = run(&net, &zeros(src, n));
+        assert_eq!(r.completions.len(), n);
+        // Steady state: one completion per 4 cycles.
+        let per_item = r.makespan as f64 / n as f64;
+        assert!((4.0..4.2).contains(&per_item), "per_item = {per_item}");
+        // The bounded mid place forces backpressure on `fast`: its
+        // firings track the slow stage rather than racing ahead.
+        assert_eq!(r.high_water[mid.index()], 2);
+    }
+
+    #[test]
+    fn capacity_reservation_prevents_overflow() {
+        // Transition with delay writes into a cap-1 place; a second
+        // firing must wait until the in-flight token is consumed.
+        let mut b = NetBuilder::new("n");
+        let src = b.place("src", None);
+        let tiny = b.place("tiny", Some(1));
+        let z = b.sink("z");
+        b.transition("prod", &[src], &[tiny], |_| 1, passthrough(1));
+        b.transition("cons", &[tiny], &[z], |_| 10, passthrough(1));
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(src, 3));
+        assert_eq!(r.completions.len(), 3);
+        assert_eq!(r.high_water[tiny.index()], 1);
+        // Serialized by the consumer: ~30 cycles.
+        assert!(r.makespan >= 30);
+    }
+
+    #[test]
+    fn join_waits_for_both_inputs() {
+        let mut b = NetBuilder::new("n");
+        let l = b.place("l", None);
+        let rp = b.place("r", None);
+        let z = b.sink("z");
+        b.transition("join", &[l, rp], &[z], |_| 2, passthrough(1));
+        let net = b.build().unwrap();
+        let r = run(
+            &net,
+            &[
+                (l, Token::at(Value::num(1.0), 0)),
+                (rp, Token::at(Value::num(2.0), 40)), // Late arrival.
+            ],
+        );
+        assert_eq!(r.completions.len(), 1);
+        assert_eq!(r.makespan, 42);
+        // Latency measured from the earliest ancestor.
+        assert_eq!(r.latencies(), vec![42]);
+    }
+
+    #[test]
+    fn fork_duplicates_tokens() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z1 = b.sink("z1");
+        let z2 = b.sink("z2");
+        b.transition("fork", &[a], &[z1, z2], |_| 1, passthrough(2));
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(a, 1));
+        assert_eq!(r.completions.len(), 2);
+    }
+
+    #[test]
+    fn weighted_arcs_batch_tokens() {
+        // Consume 4 tokens per firing (e.g. a 4-wide SIMD unit).
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.add_transition(Transition {
+            name: "batch".into(),
+            inputs: vec![(a, 4)],
+            outputs: vec![(z, 1)],
+            behavior: crate::behavior::fixed_delay(3, 1),
+            servers: 1,
+            priority: 0,
+        });
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(a, 8));
+        assert_eq!(r.completions.len(), 2);
+        assert_eq!(r.makespan, 6);
+    }
+
+    #[test]
+    fn leftover_tokens_reported_as_stranded() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.add_transition(Transition {
+            name: "batch".into(),
+            inputs: vec![(a, 2)],
+            outputs: vec![(z, 1)],
+            behavior: crate::behavior::fixed_delay(1, 1),
+            servers: 1,
+            priority: 0,
+        });
+        let net = b.build().unwrap();
+        let r = run(&net, &zeros(a, 3));
+        assert_eq!(r.completions.len(), 1);
+        assert_eq!(r.stranded, vec![("a".to_string(), 1)]);
+        assert!(r.deadlocked());
+    }
+
+    #[test]
+    fn fail_on_deadlock_option() {
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.add_transition(Transition {
+            name: "two".into(),
+            inputs: vec![(a, 2)],
+            outputs: vec![(z, 1)],
+            behavior: crate::behavior::fixed_delay(1, 1),
+            servers: 1,
+            priority: 0,
+        });
+        let net = b.build().unwrap();
+        let opts = Options {
+            fail_on_deadlock: true,
+            ..Options::default()
+        };
+        let r = run_with(&net, &zeros(a, 1), opts);
+        assert!(matches!(r, Err(PetriError::Deadlock { .. })));
+    }
+
+    #[test]
+    fn guard_selects_path_by_priority() {
+        // Two transitions compete for the same place; the guarded
+        // high-priority one takes small tokens, the fallback the rest.
+        let mut b = NetBuilder::new("n");
+        let a = b.place("a", None);
+        let small = b.sink("small");
+        let big = b.sink("big");
+        b.add_transition(Transition {
+            name: "small_path".into(),
+            inputs: vec![(a, 1)],
+            outputs: vec![(small, 1)],
+            behavior: Behavior::Native {
+                guard: Some(Box::new(|ts: &[Token]| ts[0].data.as_num().unwrap() < 10.0)),
+                delay: Box::new(|_| 1),
+                transform: Box::new(|ts: &[Token]| vec![ts[0].data.clone()]),
+            },
+            servers: 1,
+            priority: 1,
+        });
+        b.transition("big_path", &[a], &[big], |_| 1, passthrough(1));
+        let net = b.build().unwrap();
+        let r = run(
+            &net,
+            &[
+                (a, Token::at(Value::num(5.0), 0)),
+                (a, Token::at(Value::num(50.0), 1)),
+            ],
+        );
+        assert_eq!(r.completions.len(), 2);
+        let small_fired = r.firings[net.trans_id("small_path").unwrap().index()];
+        let big_fired = r.firings[net.trans_id("big_path").unwrap().index()];
+        assert_eq!(small_fired, 1);
+        assert_eq!(big_fired, 1);
+    }
+
+    #[test]
+    fn deterministic_replay() {
+        let build = || {
+            let mut b = NetBuilder::new("n");
+            let src = b.place("src", None);
+            let mid = b.place("mid", Some(3));
+            let z = b.sink("z");
+            b.transition(
+                "s1",
+                &[src],
+                &[mid],
+                |ts| ts[0].data.as_num().unwrap() as u64 % 7 + 1,
+                |ts| vec![ts[0].data.clone()],
+            );
+            b.transition("s2", &[mid], &[z], |_| 3, |ts| vec![ts[0].data.clone()]);
+            b.build().unwrap()
+        };
+        let replay = |net: &Net| {
+            let src = net.place_id("src").unwrap();
+            let injects: Vec<_> = (0..50)
+                .map(|i| (src, Token::at(Value::num(i as f64), i)))
+                .collect();
+            run(net, &injects)
+        };
+        let r1 = replay(&build());
+        let r2 = replay(&build());
+        assert_eq!(r1.makespan, r2.makespan);
+        assert_eq!(r1.latencies(), r2.latencies());
+        assert_eq!(r1.events, r2.events);
+    }
+
+    #[test]
+    fn native_pipeline_matches_reference() {
         let mut b = NetBuilder::new("pipe");
         let src = b.place("src", None);
         let mid = b.place("mid", Some(2));
@@ -2067,42 +2409,42 @@ mod tests {
     }
 
     #[test]
-    fn marking_fingerprint_matches_engine() {
+    fn traced_chain_net_records_what_the_reference_records() {
+        // An all-chain net (the rank-1 kernel's shape when untraced):
+        // tracing must take the general path and record every firing.
         let mut b = NetBuilder::new("n");
         let a = b.place("a", None);
+        let m = b.place("m", Some(1));
         let z = b.sink("z");
-        b.transition("t", &[a], &[z], |_| 7, passthrough(1));
+        b.add_transition(Transition {
+            name: "s0".into(),
+            inputs: vec![(a, 1)],
+            outputs: vec![(m, 1)],
+            behavior: Behavior::Expr(ExprBehavior::compile("", "2", None, &[None]).unwrap()),
+            servers: 1,
+            priority: 0,
+        });
+        b.add_transition(Transition {
+            name: "s1".into(),
+            inputs: vec![(m, 1)],
+            outputs: vec![(z, 1)],
+            behavior: Behavior::Expr(ExprBehavior::compile("", "3", None, &[None]).unwrap()),
+            servers: 1,
+            priority: 0,
+        });
         let net = b.build().unwrap();
-        let plan = CompiledNet::compile(&net);
-
-        let mut e = Engine::new(&net, Options::default());
-        let mut s = plan.stepper(&net, Options::default());
-        for i in 0..5 {
-            let t = Token::at(Value::num(i as f64), i);
-            e.inject(a, t.clone());
-            s.inject(a, t);
-        }
-        assert_eq!(e.marking_fingerprint(), s.marking_fingerprint());
-    }
-
-    #[test]
-    fn trace_request_falls_back_to_engine() {
-        let mut b = NetBuilder::new("n");
-        let a = b.place("a", None);
-        let z = b.sink("z");
-        b.transition("t", &[a], &[z], |_| 2, passthrough(1));
-        let net = b.build().unwrap();
-        let plan = CompiledNet::compile(&net);
-        let mut s = plan.stepper(
-            &net,
-            Options {
-                trace: Some(64),
-                ..Options::default()
-            },
-        );
-        s.inject(a, Token::at(Value::num(1.0), 0));
-        let r = s.run().unwrap();
-        assert!(r.trace.is_some());
-        assert_eq!(r.completions.len(), 1);
+        assert!(CompiledNet::compile(&net).rank1.is_some());
+        let opts = Options {
+            trace: Some(64),
+            ..Options::default()
+        };
+        let injects = zeros(a, 4);
+        let st = run_with(&net, &injects, opts).unwrap();
+        let refr = crate::reference::run(&net, injects.iter().cloned(), opts).unwrap();
+        assert_equiv(&refr, &st);
+        let (ts, tr) = (st.trace.unwrap(), refr.trace.unwrap());
+        assert_eq!(ts.len(), 8);
+        assert!(ts.records().eq(tr.records()));
+        assert_eq!(ts.completion_sources(), tr.completion_sources());
     }
 }

@@ -280,8 +280,8 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Options};
     use crate::token::Token;
+    use crate::{CompiledNet, Options};
     use perf_iface_lang::Value;
 
     const PIPE: &str = "
@@ -311,7 +311,8 @@ trans s2
         assert_eq!(net.places().len(), 3);
         assert_eq!(net.transitions().len(), 2);
         let src = net.place_id("in_q").unwrap();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         for _ in 0..5 {
             e.inject(
                 src,
@@ -345,7 +346,8 @@ trans fallback
 ";
         let net = parse(src).unwrap();
         let a = net.place_id("a").unwrap();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         e.inject(a, Token::at(Value::record([("v", Value::num(3.0))]), 0));
         e.inject(a, Token::at(Value::record([("v", Value::num(30.0))]), 1));
         let r = e.run().unwrap();
@@ -372,7 +374,8 @@ trans batch
 ";
         let net = parse(src).unwrap();
         let a = net.place_id("a").unwrap();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         for _ in 0..9 {
             e.inject(a, Token::at(Value::num(0.0), 0));
         }

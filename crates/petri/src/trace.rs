@@ -1,8 +1,8 @@
-//! Firing traces and cycle attribution for the Petri-net engine.
+//! Firing traces and cycle attribution for Petri-net runs.
 //!
 //! A performance IR is only half useful if it answers "how many
 //! cycles?" without answering "*where did they go?*". With tracing
-//! enabled (see [`crate::engine::Options::trace`]) the engine records
+//! enabled (see [`crate::Options::trace`]) the evaluator records
 //! every firing — time, transition, tokens moved, service delay — plus
 //! the *provenance* of each consumed token: which earlier firing (or
 //! external injection) produced it. That lineage is what the
@@ -14,8 +14,8 @@
 //! exhaust memory; a walk that reaches an evicted record ends in an
 //! explicit [`SegmentKind::Truncated`] segment rather than failing.
 
-use crate::engine::SimResult;
 use crate::net::Net;
+use crate::SimResult;
 use perf_core::trace::{json_escape, ChromeTrace};
 use std::collections::VecDeque;
 
@@ -36,7 +36,7 @@ pub struct TokenSrc {
 /// One firing of one transition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FiringRecord {
-    /// Monotonic firing sequence number (engine-wide).
+    /// Monotonic firing sequence number (run-wide).
     pub seq: u64,
     /// Simulation time at which the firing started.
     pub time: u64,
@@ -471,9 +471,9 @@ pub fn chrome_trace_json(net: &Net, res: &SimResult, path: Option<&CriticalPath>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Options};
     use crate::net::NetBuilder;
     use crate::token::Token;
+    use crate::{CompiledNet, Options};
     use perf_iface_lang::Value;
 
     fn passthrough(n: usize) -> impl Fn(&[Token]) -> Vec<Value> {
@@ -515,7 +515,8 @@ mod tests {
         b.transition("s1", &[m1], &[m2], |_| 5, passthrough(1));
         b.transition("s2", &[m2], &[z], |_| 7, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, traced_opts());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, traced_opts());
         e.inject(a, Token::at(Value::num(0.0), 0));
         let r = e.run().unwrap();
         assert_eq!(r.makespan, 15);
@@ -540,7 +541,8 @@ mod tests {
         let z = b.sink("z");
         b.transition("t", &[a], &[z], |_| 5, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, traced_opts());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, traced_opts());
         for _ in 0..4 {
             e.inject(a, Token::at(Value::num(0.0), 0));
         }
@@ -560,7 +562,8 @@ mod tests {
         let z = b.sink("z");
         b.transition("join", &[l, rp], &[z], |_| 2, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, traced_opts());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, traced_opts());
         e.inject(l, Token::at(Value::num(1.0), 0));
         e.inject(rp, Token::at(Value::num(2.0), 40));
         let r = e.run().unwrap();
@@ -586,7 +589,8 @@ mod tests {
         b.transition("s0", &[a], &[m], |_| 3, passthrough(1));
         b.transition("s1", &[m], &[z], |_| 4, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(
             &net,
             Options {
                 trace: Some(1),
@@ -609,7 +613,8 @@ mod tests {
         let z = b.sink("z");
         b.transition("t", &[a], &[z], |_| 1, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         e.inject(a, Token::at(Value::num(0.0), 0));
         let r = e.run().unwrap();
         assert!(r.trace.is_none());
@@ -627,7 +632,8 @@ mod tests {
         b.transition("s0", &[a], &[m], |_| 2, passthrough(1));
         b.transition("s1", &[m], &[z], |_| 7, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, traced_opts());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, traced_opts());
         for _ in 0..5 {
             e.inject(a, Token::at(Value::num(0.0), 0));
         }
@@ -656,7 +662,8 @@ mod tests {
         let z = b.sink("z");
         b.transition("t", &[a], &[z], |_| 1, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, Options::default());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, Options::default());
         e.inject(a, Token::at(Value::num(0.0), 0));
         let r = e.run().unwrap();
         let mut ct = ChromeTrace::new();
@@ -672,7 +679,8 @@ mod tests {
         let z = b.sink("z");
         b.transition("t", &[a], &[z], |_| 2, passthrough(1));
         let net = b.build().unwrap();
-        let mut e = Engine::new(&net, traced_opts());
+        let plan = CompiledNet::compile(&net);
+        let mut e = plan.stepper(&net, traced_opts());
         e.inject(a, Token::at(Value::num(0.0), 0));
         let r = e.run().unwrap();
         let cp = critical_path(&r);

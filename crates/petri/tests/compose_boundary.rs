@@ -11,12 +11,11 @@
 use perf_iface_lang::Value;
 use perf_petri::behavior::Behavior;
 use perf_petri::compose::compose;
-use perf_petri::engine::{Engine, Options, SimResult};
 use perf_petri::lint::lint;
 use perf_petri::net::{Net, NetBuilder, Transition};
 use perf_petri::text::parse;
 use perf_petri::token::Token;
-use perf_petri::CompiledNet;
+use perf_petri::{reference, CompiledNet, Options, SimResult};
 
 fn net(src: &str) -> perf_petri::Net {
     parse(src).expect("component net parses")
@@ -136,8 +135,7 @@ fn double_glue_is_rejected() {
 // ---------------------------------------------------------------------
 // Differential: a fan-out/fan-in diamond built by gluing four component
 // nets must be observably identical to the same diamond hand-built as
-// one monolithic net — on the incremental engine, the reference scan,
-// and the compiled stepper. This is the semantic half of the aliasing
+// one monolithic net — on the reference scan and the compiled stepper. This is the semantic half of the aliasing
 // story above: the *legal* way to express fan-out (explicit guarded
 // router transitions, distinct 1-to-1 glue pairs) must cost nothing.
 // ---------------------------------------------------------------------
@@ -249,7 +247,7 @@ fn monolithic_diamond() -> Net {
     b.build().unwrap()
 }
 
-fn run_diamond(n: &Net, compiled: bool, reference: bool) -> SimResult {
+fn run_diamond(n: &Net, compiled: bool) -> SimResult {
     let opts = Options {
         max_events: 10_000,
         fail_on_deadlock: false,
@@ -259,41 +257,30 @@ fn run_diamond(n: &Net, compiled: bool, reference: bool) -> SimResult {
     let inject: Vec<Token> = (0..8)
         .map(|i| Token::at(Value::num(i as f64), i / 2))
         .collect();
-    if compiled {
+    let res = if compiled {
         let plan = CompiledNet::compile(n);
         let mut s = plan.stepper(n, opts);
         for t in inject {
             s.inject(entry, t);
         }
-        s.run().expect("diamond runs to completion")
+        s.run()
     } else {
-        let mut e = Engine::new(n, opts);
-        for t in inject {
-            e.inject(entry, t);
-        }
-        if reference {
-            e.run_reference().expect("diamond runs to completion")
-        } else {
-            e.run().expect("diamond runs to completion")
-        }
-    }
+        reference::run(n, inject.into_iter().map(|t| (entry, t)), opts)
+    };
+    res.expect("diamond runs to completion")
 }
 
 /// The glued diamond and its hand-built monolithic twin agree on
 /// makespan, completion stream, per-transition firing counts and
-/// high-water marks — under all three evaluators.
+/// high-water marks — under both evaluators.
 #[test]
 fn glued_diamond_matches_monolithic_equivalent_on_all_evaluators() {
     let glued = glued_diamond();
     let mono = monolithic_diamond();
     assert_eq!(glued.places().len(), mono.places().len());
-    for (label, compiled, reference) in [
-        ("incremental", false, false),
-        ("reference", false, true),
-        ("compiled", true, false),
-    ] {
-        let rg = run_diamond(&glued, compiled, reference);
-        let rm = run_diamond(&mono, compiled, reference);
+    for (label, compiled) in [("reference", false), ("compiled", true)] {
+        let rg = run_diamond(&glued, compiled);
+        let rm = run_diamond(&mono, compiled);
         assert_eq!(rg.makespan, rm.makespan, "{label}: makespan");
         assert_eq!(rg.completions, rm.completions, "{label}: completions");
         assert_eq!(rg.firings, rm.firings, "{label}: firings");

@@ -1,16 +1,15 @@
-//! Differential suite: the incremental worklist engine ([`Engine::run`])
-//! must produce results byte-identical to the reference full-net
-//! fixpoint scan ([`Engine::run_reference`]) on randomly generated
-//! nets — same makespan, same completions (payload, birth and arrival
-//! of every token), same event and firing counts, same high-water
-//! marks, same stranded report, and the same error on pathological
-//! nets (event-budget blowups, deadlocks).
+//! Differential suite over native-closure nets with near-simultaneous
+//! arrivals: the compiled stepper ([`perf_petri::NetExec`]) must
+//! produce results byte-identical to the reference full-net fixpoint
+//! scan ([`reference::run`]) — same makespan, same completions
+//! (payload, birth and arrival of every token), same event, firing and
+//! busy counts, same high-water marks, same stranded report, and the
+//! same error on pathological nets (event-budget blowups, deadlocks).
 
 use perf_iface_lang::Value;
-use perf_petri::engine::{Engine, Options, SimResult};
 use perf_petri::net::{Net, NetBuilder, Transition};
 use perf_petri::token::Token;
-use perf_petri::PetriError;
+use perf_petri::{reference, NetExec, Options, PetriError, SimResult};
 use proptest::prelude::*;
 
 /// A randomly drawn net + workload, as plain data so the same spec can
@@ -131,28 +130,42 @@ fn build(spec: &NetSpec) -> Net {
     b.build().expect("spec-built nets are structurally valid")
 }
 
-fn run(spec: &NetSpec, net: &Net, incremental: bool) -> Result<SimResult, PetriError> {
-    let n_total = spec.places.len() + spec.sinks;
-    let mut e = Engine::new(
-        net,
-        Options {
-            // Tight budget so cyclic nets terminate quickly; both
-            // engines must hit it at the same event count.
-            max_events: 5_000,
-            ..Options::default()
-        },
-    );
-    for &(p, v, at) in &spec.injections {
-        e.inject(
-            net.place_id(&place_name(spec, p % n_total)).unwrap(),
-            Token::at(Value::num(v as f64), at),
-        );
-    }
-    if incremental {
-        e.run()
+/// Runs `injects` on the stepper (`compiled`) or the reference.
+fn run_on(
+    net: Net,
+    injects: Vec<(perf_petri::PlaceId, Token)>,
+    opts: Options,
+    compiled: bool,
+) -> Result<SimResult, PetriError> {
+    if compiled {
+        let exec = NetExec::new(net);
+        let mut s = exec.session(opts);
+        for (p, t) in injects {
+            s.inject(p, t);
+        }
+        s.run()
     } else {
-        e.run_reference()
+        reference::run(&net, injects, opts)
     }
+}
+
+fn run(spec: &NetSpec, net: Net, compiled: bool) -> Result<SimResult, PetriError> {
+    let n_total = spec.places.len() + spec.sinks;
+    let injects = spec
+        .injections
+        .iter()
+        .map(|&(p, v, at)| {
+            let pid = net.place_id(&place_name(spec, p % n_total)).unwrap();
+            (pid, Token::at(Value::num(v as f64), at))
+        })
+        .collect();
+    let opts = Options {
+        // Tight budget so cyclic nets terminate quickly; both
+        // evaluators must hit it at the same event count.
+        max_events: 5_000,
+        ..Options::default()
+    };
+    run_on(net, injects, opts, compiled)
 }
 
 fn place_name(spec: &NetSpec, idx: usize) -> String {
@@ -176,7 +189,7 @@ fn assert_identical(a: &Result<SimResult, PetriError>, b: &Result<SimResult, Pet
         }
         (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors differ"),
         (a, b) => panic!(
-            "one engine errored, the other did not:\n  incremental: {a:?}\n  reference: {b:?}"
+            "one evaluator errored, the other did not:\n  stepper: {a:?}\n  reference: {b:?}"
         ),
     }
 }
@@ -185,16 +198,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn incremental_engine_matches_reference_scan(spec in spec_strategy()) {
-        let net_a = build(&spec);
-        let net_b = build(&spec);
-        let inc = run(&spec, &net_a, true);
-        let refr = run(&spec, &net_b, false);
-        assert_identical(&inc, &refr);
+    fn stepper_matches_reference_scan(spec in spec_strategy()) {
+        let stepper = run(&spec, build(&spec), true);
+        let refr = run(&spec, build(&spec), false);
+        assert_identical(&stepper, &refr);
     }
 }
 
-/// Deterministic shapes that stress the worklist's pass semantics:
+/// Deterministic shapes that stress the stepper's pass semantics:
 /// priorities, guards competing for one place, bounded-capacity
 /// backpressure, joins, forks and self-loops.
 #[test]
@@ -244,20 +255,13 @@ fn handcrafted_shapes_match() {
         });
         b.build().unwrap()
     };
-    let run = |incremental: bool| {
+    let run = |compiled: bool| {
         let net = build();
-        let mut e = Engine::new(&net, Options::default());
-        for i in 0..40u64 {
-            e.inject(
-                net.place_id("src").unwrap(),
-                Token::at(Value::num((i % 9) as f64), i / 3),
-            );
-        }
-        if incremental {
-            e.run()
-        } else {
-            e.run_reference()
-        }
+        let src = net.place_id("src").unwrap();
+        let injects = (0..40u64)
+            .map(|i| (src, Token::at(Value::num((i % 9) as f64), i / 3)))
+            .collect();
+        run_on(net, injects, Options::default(), compiled)
     };
     assert_identical(&run(true), &run(false));
 }

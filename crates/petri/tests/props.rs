@@ -1,10 +1,10 @@
-//! Property tests for the Petri-net engine: token conservation,
+//! Property tests for the Petri-net stepper: token conservation,
 //! determinism, and throughput bounds on randomly shaped pipelines.
 
 use perf_iface_lang::Value;
-use perf_petri::engine::{Engine, Options};
 use perf_petri::net::{Net, NetBuilder};
 use perf_petri::token::Token;
+use perf_petri::{CompiledNet, Options, SimResult};
 use proptest::prelude::*;
 
 /// Builds a linear pipeline with the given stage delays and queue caps.
@@ -35,9 +35,10 @@ fn pipeline(delays: &[u64], caps: &[usize]) -> Net {
     b.build().expect("valid pipeline")
 }
 
-fn run(net: &Net, n: usize) -> perf_petri::engine::SimResult {
+fn run(net: &Net, n: usize) -> SimResult {
     let src = net.place_id("src").expect("src exists");
-    let mut e = Engine::new(net, Options::default());
+    let plan = CompiledNet::compile(net);
+    let mut e = plan.stepper(net, Options::default());
     for i in 0..n {
         e.inject(src, Token::at(Value::num(i as f64), 0));
     }

@@ -1,13 +1,12 @@
-//! Three-way differential suite: the compiled static-topology stepper
+//! Differential suite: the compiled static-topology stepper
 //! ([`perf_petri::CompiledNet`]) must be observably identical to the
-//! incremental worklist engine ([`Engine::run`]), which in turn must
-//! match the reference full-net fixpoint scan
-//! ([`Engine::run_reference`]), on randomly generated nets — same
-//! makespan, same completions (payload, birth, arrival, order), same
-//! event and firing counts, same high-water marks, same stranded
-//! report, and the same error on pathological nets. The stepper must
-//! additionally match the incremental engine's `enablement_checks`
-//! (it runs the same worklist algorithm on specialized data).
+//! reference full-net fixpoint scan ([`reference::run`]) on randomly
+//! generated nets — same makespan, same completions (payload, birth,
+//! arrival, order), same event, firing and busy counts, same
+//! high-water marks, same stranded report, and the same error on
+//! pathological nets. Traced runs must also record the same firings,
+//! completion provenance and critical path. `enablement_checks` is a
+//! cost counter and stays out of the contract.
 //!
 //! Nets mix `Native` closures (forcing the stepper's dynamic fallback)
 //! with compiled `Expr` behaviors (exercising the specialized
@@ -16,10 +15,10 @@
 
 use perf_iface_lang::Value;
 use perf_petri::behavior::{Behavior, ExprBehavior};
-use perf_petri::engine::{Engine, Options, SimResult};
 use perf_petri::net::{Net, NetBuilder, Transition};
 use perf_petri::token::Token;
-use perf_petri::{CompiledNet, PetriError};
+use perf_petri::trace::{critical_path, DEFAULT_TRACE_CAPACITY};
+use perf_petri::{reference, CompiledNet, Options, PetriError, PlaceId, SimResult};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -179,42 +178,35 @@ const OPTS: Options = Options {
     trace: None,
 };
 
-fn run_engine(spec: &NetSpec, net: &Net, incremental: bool) -> Result<SimResult, PetriError> {
+/// The spec's injections, resolved against `net`.
+fn injections(spec: &NetSpec, net: &Net) -> Vec<(PlaceId, Token)> {
     let n_total = spec.places.len() + spec.sinks;
-    let mut e = Engine::new(net, OPTS);
-    for &(p, v, at) in &spec.injections {
-        e.inject(
-            net.place_id(&place_name(spec, p % n_total)).unwrap(),
-            Token::at(Value::num(v as f64), at),
-        );
-    }
-    if incremental {
-        e.run()
-    } else {
-        e.run_reference()
-    }
+    spec.injections
+        .iter()
+        .map(|&(p, v, at)| {
+            let pid = net.place_id(&place_name(spec, p % n_total)).unwrap();
+            (pid, Token::at(Value::num(v as f64), at))
+        })
+        .collect()
 }
 
-fn run_compiled(spec: &NetSpec, net: &Net) -> Result<SimResult, PetriError> {
-    let n_total = spec.places.len() + spec.sinks;
+fn run_reference(spec: &NetSpec, net: &Net, opts: Options) -> Result<SimResult, PetriError> {
+    reference::run(net, injections(spec, net), opts)
+}
+
+fn run_compiled(spec: &NetSpec, net: &Net, opts: Options) -> Result<SimResult, PetriError> {
     let plan = CompiledNet::compile(net);
-    let mut s = plan.stepper(net, OPTS);
-    for &(p, v, at) in &spec.injections {
-        s.inject(
-            net.place_id(&place_name(spec, p % n_total)).unwrap(),
-            Token::at(Value::num(v as f64), at),
-        );
+    let mut s = plan.stepper(net, opts);
+    for (p, t) in injections(spec, net) {
+        s.inject(p, t);
     }
     s.run()
 }
 
-/// `check_enablement`: the reference scan re-checks far more often, so
-/// only compiled-vs-incremental compares that counter.
 fn assert_identical(
     label: &str,
     a: &Result<SimResult, PetriError>,
     b: &Result<SimResult, PetriError>,
-    check_enablement: bool,
 ) {
     match (a, b) {
         (Ok(ra), Ok(rb)) => {
@@ -225,22 +217,34 @@ fn assert_identical(
             assert_eq!(ra.high_water, rb.high_water, "{label}: high-water marks");
             assert_eq!(ra.stranded, rb.stranded, "{label}: stranded report");
             assert_eq!(ra.completions, rb.completions, "{label}: completions");
-            if check_enablement {
-                assert_eq!(
-                    ra.enablement_checks, rb.enablement_checks,
-                    "{label}: enablement checks"
-                );
-            }
         }
         (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{label}: errors differ"),
         (a, b) => panic!("{label}: one evaluator errored, the other did not:\n  {a:?}\n  {b:?}"),
     }
 }
 
+/// Traced runs agree on the contract above and on every firing
+/// record, every completion's provenance and the critical path.
+fn assert_same_trace(a: &Result<SimResult, PetriError>, b: &Result<SimResult, PetriError>) {
+    assert_identical("traced stepper vs reference", a, b);
+    let (Ok(ra), Ok(rb)) = (a, b) else {
+        return;
+    };
+    let (ta, tb) = (ra.trace.as_ref().unwrap(), rb.trace.as_ref().unwrap());
+    assert!(ta.records().eq(tb.records()), "firing records differ");
+    assert_eq!(ta.dropped(), tb.dropped(), "evicted records");
+    assert_eq!(
+        ta.completion_sources(),
+        tb.completion_sources(),
+        "completion sources"
+    );
+    assert_eq!(critical_path(ra), critical_path(rb), "critical path");
+}
+
 /// Deterministic branched regression: a fan-out/fan-in diamond whose
 /// routers guard on a token *field* (the shape `perf-compose` emits
 /// for round-robin DAG stages: record payloads, `r`-field dispatch,
-/// multi-server serve, delay-0 merge) must agree across all three
+/// multi-server serve, delay-0 merge) must agree across both
 /// evaluators. The random corpus above reaches branched topologies but
 /// only number payloads; this pins the record/field path.
 #[test]
@@ -286,43 +290,31 @@ fn field_routed_diamond_matches_across_evaluators() {
     b.add_transition(tr("ser", acc, out, passthrough(1, None), 1));
     let net = b.build().unwrap();
 
-    let run = |mode: usize| -> Result<SimResult, PetriError> {
+    let run = |compiled: bool| -> Result<SimResult, PetriError> {
         let opts = Options {
             max_events: 10_000,
             fail_on_deadlock: false,
             trace: None,
         };
         let entry = net.place_id("in").unwrap();
-        let tokens = (0..10).map(|i| {
+        let tokens = (0..10).map(move |i| {
             let fields = [
                 ("r".to_string(), Value::num((i % 2) as f64)),
                 ("v".to_string(), Value::num(i as f64)),
             ];
             Token::at(Value::record_owned(fields), i)
         });
-        match mode {
-            0 => {
-                let plan = CompiledNet::compile(&net);
-                let mut s = plan.stepper(&net, opts);
-                tokens.for_each(|t| s.inject(entry, t));
-                s.run()
-            }
-            _ => {
-                let mut e = Engine::new(&net, opts);
-                tokens.for_each(|t| e.inject(entry, t));
-                if mode == 1 {
-                    e.run()
-                } else {
-                    e.run_reference()
-                }
-            }
+        if compiled {
+            let plan = CompiledNet::compile(&net);
+            let mut s = plan.stepper(&net, opts);
+            tokens.for_each(|t| s.inject(entry, t));
+            s.run()
+        } else {
+            reference::run(&net, tokens.map(|t| (entry, t)), opts)
         }
     };
-    let compiled = run(0);
-    let inc = run(1);
-    let refr = run(2);
-    assert_identical("compiled vs incremental", &compiled, &inc, true);
-    assert_identical("compiled vs reference", &compiled, &refr, false);
+    let compiled = run(true);
+    assert_identical("compiled vs reference", &compiled, &run(false));
     let r = compiled.expect("diamond completes");
     assert_eq!(
         r.completions.len(),
@@ -340,28 +332,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn compiled_stepper_matches_both_engines(spec in spec_strategy()) {
+    fn compiled_stepper_matches_reference(spec in spec_strategy()) {
         let net = build(&spec);
-        let compiled = run_compiled(&spec, &net);
-        let inc = run_engine(&spec, &net, true);
-        let refr = run_engine(&spec, &net, false);
-        assert_identical("compiled vs incremental", &compiled, &inc, true);
-        assert_identical("compiled vs reference", &compiled, &refr, false);
+        let compiled = run_compiled(&spec, &net, OPTS);
+        let refr = run_reference(&spec, &net, OPTS);
+        assert_identical("compiled vs reference", &compiled, &refr);
     }
 
     #[test]
-    fn marking_fingerprints_agree(spec in spec_strategy()) {
+    fn traced_stepper_matches_traced_reference(spec in spec_strategy()) {
         let net = build(&spec);
-        let n_total = spec.places.len() + spec.sinks;
-        let plan = CompiledNet::compile(&net);
-        let mut s = plan.stepper(&net, Options::default());
-        let mut e = Engine::new(&net, Options::default());
-        for &(p, v, at) in &spec.injections {
-            let pid = net.place_id(&place_name(&spec, p % n_total)).unwrap();
-            let tok = Token::at(Value::num(v as f64), at);
-            s.inject(pid, tok.clone());
-            e.inject(pid, tok);
-        }
-        prop_assert_eq!(s.marking_fingerprint(), e.marking_fingerprint());
+        let opts = Options {
+            trace: Some(DEFAULT_TRACE_CAPACITY),
+            ..OPTS
+        };
+        assert_same_trace(&run_compiled(&spec, &net, opts), &run_reference(&spec, &net, opts));
+    }
+
+    #[test]
+    fn evicting_trace_rings_agree(spec in spec_strategy()) {
+        // A ring too small for the run: both evaluators evict the same
+        // records and truncate the critical path at the same point.
+        let net = build(&spec);
+        let opts = Options {
+            trace: Some(3),
+            ..OPTS
+        };
+        assert_same_trace(&run_compiled(&spec, &net, opts), &run_reference(&spec, &net, opts));
+    }
+
+    #[test]
+    fn marking_fingerprints_are_build_independent(spec in spec_strategy()) {
+        // Two builds and compiles of one spec fingerprint identically
+        // (cache keys must not depend on allocation or plan identity).
+        let fp = |net: &Net| {
+            let plan = CompiledNet::compile(net);
+            let mut s = plan.stepper(net, Options::default());
+            for (p, t) in injections(&spec, net) {
+                s.inject(p, t);
+            }
+            s.marking_fingerprint()
+        };
+        prop_assert_eq!(fp(&build(&spec)), fp(&build(&spec)));
     }
 }

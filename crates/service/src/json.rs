@@ -23,6 +23,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of repeated
+/// `[` overflows the stack; protocol values nest three levels deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -64,6 +69,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -118,6 +124,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -149,8 +157,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -236,6 +244,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut v = Vec::new();
@@ -310,6 +333,18 @@ mod tests {
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

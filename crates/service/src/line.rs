@@ -139,6 +139,33 @@ not json\n\
         }
     }
 
+    /// Regression: a too-deeply nested line is answered with an error
+    /// line, and the session goes on serving the next line (it used to
+    /// overflow the stack and abort the process).
+    #[test]
+    fn deeply_nested_line_is_an_error_and_serving_continues() {
+        let input = format!(
+            "{}\n{{\"id\":1,\"accel\":\"vta\",\"metric\":\"latency\",\"spec\":{{\"kind\":\"finish_only\"}}}}\n\n",
+            "[".repeat(200_000)
+        );
+        let mut out = Vec::new();
+        let served = serve_lines(
+            std::io::BufReader::new(input.as_bytes()),
+            &mut out,
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(served, 1);
+        let text = String::from_utf8(out).unwrap();
+        let first = text.lines().next().unwrap();
+        assert!(first.contains("\"status\":\"error\""), "{text}");
+        assert!(first.contains("nesting"), "{text}");
+        assert_eq!(text.matches("\"status\":\"ok\"").count(), 1, "{text}");
+    }
+
     /// Regression: an oversize stream request must come back as a
     /// rendered protocol error, not a silently clamped-to-4096 answer
     /// labeled as if it covered the full request.

@@ -15,7 +15,6 @@
 //! ```json
 //! {"id": 1, "accel": "jpeg-decoder", "metric": "latency", "status": "ok",
 //!  "repr_used": "petri", "degraded": false, "cache_hit": false,
-//!  "engine": "compiled",
 //!  "prediction": {"lo": 12733.0, "hi": 12733.0},
 //!  "budget": {"avg": 0.01, "max": 0.05, "atol": 8.0},
 //!  "queue_us": 13.0, "service_us": 480.0}
@@ -26,7 +25,7 @@
 
 use crate::json::Json;
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::query::{EngineChoice, WorkloadSpec};
+use perf_core::query::WorkloadSpec;
 use perf_core::trace::json_escape;
 use perf_core::{Budget, Prediction};
 
@@ -73,11 +72,6 @@ pub enum Outcome {
         budget: Budget,
         /// Whether the answer came from the result cache.
         cache_hit: bool,
-        /// Which evaluation substrate the serving backend runs on
-        /// (also reported for cache hits: the cached entry was
-        /// produced by a backend of this service's configured
-        /// engine).
-        engine: EngineChoice,
         /// Microseconds spent queued before a worker picked it up.
         queue_us: f64,
         /// Microseconds of evaluation (0 for cache hits).
@@ -255,7 +249,6 @@ impl Response {
                 degraded,
                 budget,
                 cache_hit,
-                engine,
                 queue_us,
                 service_us,
             } => {
@@ -265,12 +258,11 @@ impl Response {
                 };
                 format!(
                     "{head},\"status\":\"ok\",\"repr_used\":\"{}\",\"degraded\":{degraded},\
-                     \"cache_hit\":{cache_hit},\"engine\":\"{}\",\
+                     \"cache_hit\":{cache_hit},\
                      \"prediction\":{{\"lo\":{lo},\"hi\":{hi}}},\
                      \"budget\":{{\"avg\":{},\"max\":{},\"atol\":{}}},\
                      \"queue_us\":{queue_us:.1},\"service_us\":{service_us:.1}}}",
                     repr_name(*repr_used),
-                    engine.name(),
                     budget.avg,
                     budget.max,
                     budget.atol,
@@ -331,6 +323,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_errors() {
+        // Regression: one line of 200,000 `[` used to overflow the
+        // parser's stack and abort the server.
+        let err = Request::batch_from_line(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn response_json_mentions_budget_and_repr() {
         let r = Response {
             id: 9,
@@ -342,14 +342,12 @@ mod tests {
                 degraded: true,
                 budget: Budget::new(0.8, 3.0).with_atol(32.0),
                 cache_hit: false,
-                engine: EngineChoice::Compiled,
                 queue_us: 5.0,
                 service_us: 1.0,
             },
         };
         let s = r.to_json();
         assert!(s.contains("\"repr_used\":\"nl\""));
-        assert!(s.contains("\"engine\":\"compiled\""));
         assert!(s.contains("\"degraded\":true"));
         assert!(s.contains("\"atol\":32"));
         // The line must itself be valid JSON.

@@ -6,7 +6,7 @@
 //! keeps it for the thread's lifetime.
 
 use perf_compose::PipelineBackend;
-use perf_core::query::{EngineChoice, QueryBackend};
+use perf_core::query::QueryBackend;
 use perf_core::CoreError;
 
 /// Names of every single accelerator the service can answer for.
@@ -16,26 +16,15 @@ pub fn accelerators() -> &'static [&'static str] {
     &["jpeg-decoder", "bitcoin-miner", "protoacc", "vta"]
 }
 
-/// Builds the backend for one accelerator name on the compiled
-/// evaluation substrate (the service default).
+/// Builds the backend for one accelerator name.
 pub fn backend(accel: &str) -> Result<Box<dyn QueryBackend>, CoreError> {
-    backend_with_engine(accel, EngineChoice::Compiled)
-}
-
-/// Builds the backend for one accelerator name with an explicit
-/// evaluation substrate (`ServiceConfig::engine` threads through
-/// here, so A/B runs and the interpreted fallback stay one flag away).
-pub fn backend_with_engine(
-    accel: &str,
-    engine: EngineChoice,
-) -> Result<Box<dyn QueryBackend>, CoreError> {
     if let Some(chain) = accel.strip_prefix("pipe:") {
-        return Ok(Box::new(PipelineBackend::from_chain(chain, engine)?));
+        return Ok(Box::new(PipelineBackend::from_chain(chain)?));
     }
     // The single-accelerator constructor table lives in `perf-compose`
     // (which needs it to build pipeline stages without a dependency
     // cycle back into this crate).
-    perf_compose::accel_backend(accel, engine)
+    perf_compose::accel_backend(accel)
 }
 
 #[cfg(test)]
@@ -47,7 +36,6 @@ mod tests {
         for name in accelerators() {
             let b = backend(name).unwrap();
             assert_eq!(&b.accel(), name);
-            assert_eq!(b.engine(), EngineChoice::Compiled);
             assert!(!b.spec_kinds().is_empty());
         }
         assert!(backend("nope").is_err());
@@ -68,15 +56,5 @@ mod tests {
             .unwrap();
         assert!(p.is_finite());
         assert!(backend("pipe:warp-drive:2").is_err());
-    }
-
-    #[test]
-    fn explicit_engine_is_reported_by_every_backend() {
-        for name in accelerators() {
-            for engine in [EngineChoice::Interpreted, EngineChoice::Compiled] {
-                let b = backend_with_engine(name, engine).unwrap();
-                assert_eq!(b.engine(), engine, "{name}");
-            }
-        }
     }
 }

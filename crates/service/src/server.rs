@@ -36,7 +36,7 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{Outcome, ReprChoice, Request, Response};
 use crate::registry;
 use perf_core::iface::InterfaceKind;
-use perf_core::query::{EngineChoice, Fnv1a, QueryBackend};
+use perf_core::query::{Fnv1a, QueryBackend};
 use perf_core::{Budget, Prediction};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,16 +57,14 @@ pub struct ServiceConfig {
     pub cache_cap: usize,
     /// Deadline applied to requests that carry none, in microseconds.
     pub default_deadline_us: Option<u64>,
-    /// Which evaluation substrate worker backends run on. The
-    /// compiled substrate (static-topology Petri steppers plus the
-    /// `.pi` bytecode VM) is the default; `Interpreted` keeps the
-    /// generic engine and tree-walker for A/B runs and as a fallback.
-    pub engine: EngineChoice,
     /// Result-cache shard count; `0` picks one automatically from the
     /// worker count. Shard selection masks the fingerprint's low bits,
     /// so any requested count is **rounded up to a power of two** at
     /// construction — a non-power-of-two count would alias distinct
     /// shards through the mask and silently concentrate contention.
+    /// It is also capped at the largest power of two not above
+    /// `cache_cap`, so every shard holds at least one entry and the
+    /// per-shard caps sum to at most `cache_cap`.
     pub cache_shards: usize,
 }
 
@@ -77,31 +75,17 @@ impl Default for ServiceConfig {
             queue_cap: 256,
             cache_cap: 4096,
             default_deadline_us: None,
-            engine: EngineChoice::Compiled,
             cache_shards: 0,
         }
     }
 }
 
 /// Cold-start cost priors (microseconds) for the degradation ladder,
-/// indexed `[engine][nl / program / petri]` (see [`eidx`]). Replaced
-/// by per-accelerator EWMA after the first evaluation of each rung.
-/// The compiled substrate's rungs are roughly an order of magnitude
-/// cheaper, so a deadline that used to force degradation to the NL
-/// bound often affords the Petri rung when `engine` is `Compiled` —
-/// the priors must reflect that or cold deadlines degrade spuriously.
-const COST_PRIOR_US: [[f64; 3]; 2] = [
-    [5.0, 300.0, 5_000.0], // interpreted
-    [5.0, 60.0, 800.0],    // compiled
-];
-
-/// Index of an engine in [`COST_PRIOR_US`].
-fn eidx(engine: EngineChoice) -> usize {
-    match engine {
-        EngineChoice::Interpreted => 0,
-        EngineChoice::Compiled => 1,
-    }
-}
+/// indexed `[nl / program / petri]`. Replaced by per-accelerator EWMA
+/// after the first evaluation of each rung. They describe the
+/// compiled evaluators (the `.pi` bytecode VM and the Petri stepper);
+/// priors that are too high make cold deadlines degrade spuriously.
+const COST_PRIOR_US: [f64; 3] = [5.0, 60.0, 800.0];
 
 /// EWMA smoothing factor for cost estimates.
 const EWMA_ALPHA: f64 = 0.3;
@@ -139,7 +123,8 @@ struct Shared {
     /// shard's read lock, only misses write, and concurrent misses on
     /// different shards do not contend.
     cache: Vec<RwLock<HashMap<u64, (Prediction, InterfaceKind)>>>,
-    /// Per-shard entry cap (`cache_cap / shards`, at least 1).
+    /// Per-shard entry cap (`cache_cap / shards`; the shard count
+    /// never exceeds `cache_cap`, so this is at least 1).
     shard_cap: usize,
     /// Admission-side counters kept out of the metrics mutex: the
     /// submit path used to take the metrics lock *while holding the
@@ -216,7 +201,8 @@ impl Service {
             (cfg.workers * 4).next_power_of_two().clamp(8, 64)
         } else {
             cfg.cache_shards.next_power_of_two()
-        };
+        }
+        .min(1 << cfg.cache_cap.ilog2());
         debug_assert!(shards.is_power_of_two());
         let shared = Arc::new(Shared {
             cfg,
@@ -227,7 +213,7 @@ impl Service {
             available: Condvar::new(),
             space: Condvar::new(),
             cache: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            shard_cap: cfg.cache_cap.div_ceil(shards).max(1),
+            shard_cap: cfg.cache_cap / shards,
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             queue_high_water: AtomicUsize::new(0),
@@ -446,6 +432,17 @@ fn shard(shared: &Shared, key: u64) -> &RwLock<HashMap<u64, (Prediction, Interfa
     &shared.cache[(key as usize) & (shared.cache.len() - 1)]
 }
 
+/// Caches one answer. A full shard is emptied before the insert: the
+/// simplest eviction that provably keeps every shard at or below
+/// `shard_cap`, whatever the keys.
+fn cache_insert(shared: &Shared, key: u64, value: (Prediction, InterfaceKind)) {
+    let mut cache = shard(shared, key).write().expect("cache lock");
+    if cache.len() >= shared.shard_cap && !cache.contains_key(&key) {
+        cache.clear();
+    }
+    cache.insert(key, value);
+}
+
 /// The ladder from a requested ceiling, most precise first.
 fn ladder(ceiling: InterfaceKind) -> &'static [InterfaceKind] {
     match ceiling {
@@ -564,7 +561,7 @@ fn serve(shared: &Shared, state: &mut WorkerState, job: Job, metrics: &mut Servi
         }
     }
     if !state.backends.contains_key(&job.req.accel) {
-        match registry::backend_with_engine(&job.req.accel, shared.cfg.engine) {
+        match registry::backend(&job.req.accel) {
             Ok(b) => {
                 state.backends.insert(job.req.accel.clone(), b);
             }
@@ -601,7 +598,7 @@ fn serve(shared: &Shared, state: &mut WorkerState, job: Job, metrics: &mut Servi
                     .lock()
                     .expect("costs lock")
                     .get(&(job.req.accel.clone(), ridx(rung)))
-                    .unwrap_or(&COST_PRIOR_US[eidx(shared.cfg.engine)][ridx(rung)]);
+                    .unwrap_or(&COST_PRIOR_US[ridx(rung)]);
                 est * EST_MARGIN <= remaining_us
             }
         };
@@ -631,16 +628,7 @@ fn serve(shared: &Shared, state: &mut WorkerState, job: Job, metrics: &mut Servi
                     *slot = (1.0 - EWMA_ALPHA) * *slot + EWMA_ALPHA * service_us;
                     drop(costs);
                     let key = cache_key(state, &job.req, chosen);
-                    let mut cache = shard(shared, key).write().expect("cache lock");
-                    if cache.len() >= shared.shard_cap {
-                        // Simple pressure valve: drop half the shard.
-                        // Keys within a shard share their low bits, so
-                        // test a bit above the shard mask; fingerprints
-                        // are uniform there, keeping an unbiased
-                        // sample.
-                        cache.retain(|k, _| (k >> 32) & 1 == 0);
-                    }
-                    cache.insert(key, (p, chosen));
+                    cache_insert(shared, key, (p, chosen));
                     (p, false, service_us)
                 }
                 Err(err) => {
@@ -660,7 +648,6 @@ fn serve(shared: &Shared, state: &mut WorkerState, job: Job, metrics: &mut Servi
             degraded,
             budget,
             cache_hit,
-            engine: shared.cfg.engine,
             queue_us,
             service_us,
         },
@@ -756,6 +743,44 @@ mod tests {
         }
         assert!(svc.cache_len() > 0);
         svc.shutdown();
+    }
+
+    #[test]
+    fn cache_stays_within_its_capacity() {
+        // Regression: eviction used to keep every key with bit 32
+        // clear, so such keys grew a full shard without bound (and
+        // every further miss rescanned it).
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            cache_cap: 64,
+            ..Default::default()
+        });
+        for key in 0..10_000u64 {
+            assert_eq!((key >> 32) & 1, 0);
+            cache_insert(
+                &svc.shared,
+                key,
+                (Prediction::point(key as f64), InterfaceKind::PetriNet),
+            );
+            assert!(svc.cache_len() <= 64, "cache grew past its cap");
+        }
+        // A tiny cap still bounds a many-shard cache.
+        let svc1 = Service::start(ServiceConfig {
+            workers: 4,
+            cache_cap: 3,
+            cache_shards: 64,
+            ..Default::default()
+        });
+        for key in 0..1_000u64 {
+            cache_insert(
+                &svc1.shared,
+                key,
+                (Prediction::point(0.0), InterfaceKind::NaturalLanguage),
+            );
+        }
+        assert!(svc1.cache_len() <= 3);
+        svc.shutdown();
+        svc1.shutdown();
     }
 
     #[test]

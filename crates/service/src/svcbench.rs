@@ -24,7 +24,7 @@
 use crate::protocol::{Outcome, ReprChoice, Request, Response};
 use crate::server::{Service, ServiceConfig};
 use perf_core::iface::Metric;
-use perf_core::query::{EngineChoice, WorkloadSpec};
+use perf_core::query::WorkloadSpec;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -40,8 +40,6 @@ pub struct BenchPoint {
     /// cold (every query pays full evaluation, like the one-shot CLI
     /// regime the service replaces).
     pub warm: bool,
-    /// Which evaluation substrate the point's workers ran on.
-    pub engine: EngineChoice,
     /// Which workload topology the point drove: `"mixed-4"` for the
     /// standard four-accelerator corpus, or a pipeline chain spec
     /// (e.g. `"jpeg-decoder:4>protoacc:8"`) for composite rows.
@@ -78,7 +76,7 @@ impl BenchPoint {
     /// Renders the point as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"workers\":{},\"batch\":{},\"warm\":{},\"engine\":\"{}\",\
+            "{{\"workers\":{},\"batch\":{},\"warm\":{},\
              \"topology\":\"{}\",\
              \"offered\":{},\"completed\":{},\
              \"cache_hits\":{},\"wall_us\":{:.1},\"qps\":{:.1},\
@@ -88,7 +86,6 @@ impl BenchPoint {
             self.workers,
             self.batch,
             self.warm,
-            self.engine.name(),
             perf_core::trace::json_escape(&self.topology),
             self.offered,
             self.completed,
@@ -236,13 +233,12 @@ impl ServiceBenchReport {
     pub fn render(&self) -> String {
         let mut s = String::from(
             "service load sweep (identical request sequence per point)\n\
-             phase  engine       topology                 workers  batch  offered     qps  cache_hits  queue_p99_us  service_p99_us\n",
+             phase  topology                 workers  batch  offered     qps  cache_hits  queue_p99_us  service_p99_us\n",
         );
         for p in &self.points {
             s.push_str(&format!(
-                "{:5}  {:11}  {:23}  {:7}  {:5}  {:7}  {:6.0}  {:10}  {:12.1}  {:14.1}\n",
+                "{:5}  {:23}  {:7}  {:5}  {:7}  {:6.0}  {:10}  {:12.1}  {:14.1}\n",
                 if p.warm { "warm" } else { "cold" },
-                p.engine.name(),
                 p.topology,
                 p.workers,
                 p.batch,
@@ -441,7 +437,6 @@ pub fn run_point_on(
         cache_cap: reqs.len().max(64) * 2,
         ..Default::default()
     };
-    let engine = cfg.engine;
     let svc = Service::start(cfg);
     if warm {
         drive(&svc, batch.max(64), reqs);
@@ -472,7 +467,6 @@ pub fn run_point_on(
         workers,
         batch,
         warm,
-        engine,
         topology: topology.to_string(),
         offered: reqs.len() as u64,
         completed: snap.completed,

@@ -5,9 +5,9 @@
 //! simulators standing in for the RTL the paper measured. This crate is
 //! their shared substrate: bounded FIFOs with backpressure ([`fifo`]),
 //! an in-order multi-stage pipeline model ([`pipeline`]), its fan-out/
-//! fan-in DAG generalization ([`dag`]), DRAM and TLB models ([`mem`]), statistics counters ([`stats`]), a bounded event
-//! trace ([`trace`]) and deterministic fault injection ([`fault`]) for
-//! probing interface contracts outside nominal operation.
+//! fan-in DAG generalization ([`dag`]), DRAM and TLB models ([`mem`])
+//! and deterministic fault injection ([`fault`]) for probing interface
+//! contracts outside nominal operation.
 //!
 //! All of these are *tick-accurate*: state advances one clock cycle at a
 //! time, which is deliberately detailed and deliberately slow — the
@@ -20,18 +20,14 @@ pub mod fault;
 pub mod fifo;
 pub mod mem;
 pub mod pipeline;
-pub mod stats;
-pub mod trace;
 
 pub use dag::{DagNodeSpec, DagNodeStats, DagPipeline, Route};
 pub use fault::{FaultInjector, FaultPlan};
 pub use fifo::Fifo;
 pub use mem::{DramModel, Tlb};
 pub use pipeline::{Pipeline, StageSpec};
-pub use stats::Counter;
-pub use trace::{Trace, TraceEvent};
 // The sink interface lives in `perf-core` so non-sim crates (the
-// autotuner, the Petri engine's consumers) can emit into the same
+// autotuner, the Petri stepper's consumers) can emit into the same
 // sinks; re-exported here because the cycle-level models are its main
 // producers.
 pub use perf_core::trace::{MemorySink, NullSink, StageCycles, TraceSink};

@@ -14,10 +14,10 @@ use perf_core::CoreError;
 use perf_iface_lang::Value;
 use perf_petri::components;
 use perf_petri::compose::compose;
-use perf_petri::engine::{Engine, Options};
 use perf_petri::net::Net;
 use perf_petri::text;
 use perf_petri::token::Token;
+use perf_petri::{CompiledNet, Options};
 
 /// Per-message engine cost: setup plus per-byte work.
 const ENGINE_SETUP: u64 = 40;
@@ -56,7 +56,8 @@ pub fn cycles_per_message(net: &Net, bytes: u64, n: usize) -> Result<f64, CoreEr
     let src = net
         .place_id("msgs")
         .ok_or_else(|| CoreError::Artifact("net lacks msgs".into()))?;
-    let mut e = Engine::new(net, Options::default());
+    let plan = CompiledNet::compile(net);
+    let mut e = plan.stepper(net, Options::default());
     for _ in 0..n {
         e.inject(
             src,

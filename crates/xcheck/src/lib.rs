@@ -31,7 +31,6 @@
 
 use perf_core::diag::{Diagnostic, Diagnostics};
 use perf_core::nl::{Claim, NlInterface, Quantity};
-use perf_core::query::EngineChoice;
 use perf_core::CoreError;
 use perf_iface_lang::lint::{bound_fn, BoxVal};
 use perf_iface_lang::{Program, Value};
@@ -635,7 +634,7 @@ fn run_spec(accel: &str, spec: &AccelSpec) -> Diagnostics {
 pub fn xcheck_topology(topo: &perf_compose::Topology) -> Diagnostics {
     let mut ds = perf_compose::lint::lint(topo);
     let origin = format!("composite `{}`", topo.name);
-    match perf_compose::Composite::new(topo.clone(), EngineChoice::Compiled) {
+    match perf_compose::Composite::new(topo.clone()) {
         Err(e) => ds.push(
             Diagnostic::error("XT001", format!("composite does not build: {e}"))
                 .with_origin(origin),

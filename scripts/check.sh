@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-stop pre-merge gate: build, tests, docs, lints, and bench
-# compilation. `--quick` runs the fast subset (build, tests, doc gate,
+# One-stop pre-merge gate: build, tests, docs, lints and the repro
+# audits. `--quick` runs the fast subset (build, tests, doc gate,
 # service saturation smoke) for inner-loop use.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,14 +49,7 @@ cargo run --release -p perf-bench --bin repro -- --xcheck
 cargo run --release -p perf-bench --bin repro -- --conformance --quick
 # Composite-pipeline smoke: parse both demo TOML topologies (linear
 # chain and fan-out/fan-in DAG), lint the configs and glued nets,
-# require interpreted/compiled agreement on the composite makespans,
-# and run quick composite conformance for both subjects. Exits nonzero
-# on any budget violation or engine divergence.
+# require the stepper to agree with the reference evaluator on the
+# composite makespans, and run quick composite conformance for both
+# subjects. Exits nonzero on any budget violation or divergence.
 cargo run --release -p perf-bench --bin repro -- --compose --quick
-# Engine fast-path smoke: the compiled stepper must beat the
-# incremental engine on both stress shapes (repro exits nonzero
-# otherwise). Quick scale; the throwaway artifact is discarded.
-engine_tmp="$(mktemp)"
-cargo run --release -p perf-bench --bin repro -- --bench-engine "$engine_tmp" --quick >/dev/null
-rm -f "$engine_tmp"
-cargo bench --no-run

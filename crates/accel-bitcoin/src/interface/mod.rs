@@ -6,7 +6,8 @@ pub mod program;
 pub mod service;
 
 use crate::miner::{MineJob, MinerConfig};
-use perf_core::{Diagnostics, InterfaceBundle};
+use perf_core::iface::{InterfaceKind, Metric};
+use perf_core::{Budget, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
 /// Builds the miner's vendor-shipped interface bundle for a given
@@ -43,31 +44,26 @@ pub fn token_box() -> BoxVal {
     BoxVal::record([("golden", BoxVal::num(0.0, 1.0))])
 }
 
-/// Statically audits the miner's shipped interface artifacts with the
-/// `perf-lint` analyses. The net is generated per configuration, so
-/// the audit covers the default-configuration instance; nonces enter
-/// at `nonces`.
-pub fn lint() -> Diagnostics {
-    let mut ds = perf_iface_lang::lint::lint_src("bitcoin.pi", program::BITCOIN_PI_SRC);
-    ds.merge(perf_petri::lint::lint_pnet_src(
-        "bitcoin.pnet",
-        &petri::pnet_source(&MinerConfig::default()),
-        &["nonces"],
-    ));
-    ds
+/// The miner's error budget per interface tier — one table for the
+/// query service and the conformance harness.
+pub fn budget(repr: InterfaceKind, _metric: Metric) -> Budget {
+    match repr {
+        // The NL bounds are provably containing, so even their budget
+        // stays tight.
+        InterfaceKind::NaturalLanguage => Budget::new(0.05, 0.5).with_atol(4.0),
+        // Deterministic hardware: exhaustive scans are predicted
+        // exactly and stochastic ones via bounds, so the budget is
+        // essentially numerical slack. The 2-cycle deadband absorbs
+        // fault-injected stalls on single-nonce scans without masking
+        // the (4-cycle) report-amortization divergence the conformance
+        // harness once caught here.
+        _ => Budget::new(0.002, 0.01).with_atol(2.0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perf_core::InterfaceKind;
-
-    #[test]
-    fn shipped_artifacts_lint_clean() {
-        let ds = lint();
-        assert_eq!(ds.count(perf_core::Severity::Error), 0, "{}", ds.render());
-        assert_eq!(ds.count(perf_core::Severity::Warning), 0, "{}", ds.render());
-    }
 
     #[test]
     fn bundle_complete() {

@@ -105,14 +105,8 @@ impl QueryBackend for BitcoinService {
         }
     }
 
-    fn budget(&self, repr: InterfaceKind, _metric: Metric) -> Budget {
-        // Deterministic hardware: the executable tiers are essentially
-        // exact (conformance budget), and the NL bounds are provably
-        // containing, so even its budget stays tight.
-        match repr {
-            InterfaceKind::NaturalLanguage => Budget::new(0.05, 0.5).with_atol(4.0),
-            _ => Budget::new(0.002, 0.01).with_atol(2.0),
-        }
+    fn budget(&self, repr: InterfaceKind, metric: Metric) -> Budget {
+        crate::interface::budget(repr, metric)
     }
 
     fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {

@@ -6,7 +6,8 @@ pub mod program;
 pub mod service;
 
 use crate::workload::Image;
-use perf_core::{Diagnostics, InterfaceBundle};
+use perf_core::iface::{InterfaceKind, Metric};
+use perf_core::{Budget, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
 /// Builds the full vendor-shipped interface bundle for the JPEG
@@ -46,30 +47,25 @@ pub fn token_box() -> BoxVal {
     ])
 }
 
-/// Statically audits the decoder's shipped interface artifacts (the
-/// `.pi` program and the `.pnet` net) with the `perf-lint` analyses.
-/// Tokens enter the net at `blocks_in`, one per 8×8 block.
-pub fn lint() -> Diagnostics {
-    let mut ds = perf_iface_lang::lint::lint_src("jpeg.pi", program::JPEG_PI_SRC);
-    ds.merge(perf_petri::lint::lint_pnet_src(
-        "jpeg.pnet",
-        petri::JPEG_PNET_SRC,
-        &["blocks_in"],
-    ));
-    ds
+/// The decoder's error budget per interface tier — one table for the
+/// query service and the conformance harness.
+pub fn budget(repr: InterfaceKind, _metric: Metric) -> Budget {
+    match repr {
+        // The NL bound is accountable only to containment plus slack.
+        InterfaceKind::NaturalLanguage => Budget::new(0.80, 3.0).with_atol(32.0),
+        // Aggregate-statistics program: a few percent typical, up to
+        // ~1/3 on degenerate single-block images.
+        InterfaceKind::Program => Budget::new(0.10, 0.35),
+        // Per-block Petri net: sub-1% mean (Table 1). The deadband
+        // covers the pipeline's per-stage handoff cycles the
+        // event-driven net does not tick through.
+        InterfaceKind::PetriNet => Budget::new(0.01, 0.05).with_atol(8.0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perf_core::InterfaceKind;
-
-    #[test]
-    fn shipped_artifacts_lint_clean() {
-        let ds = lint();
-        assert_eq!(ds.count(perf_core::Severity::Error), 0, "{}", ds.render());
-        assert_eq!(ds.count(perf_core::Severity::Warning), 0, "{}", ds.render());
-    }
 
     #[test]
     fn bundle_has_all_three_representations() {

@@ -3,9 +3,10 @@
 //! Implements [`perf_core::query::QueryBackend`] so the `perf-service`
 //! server can answer latency/throughput queries for decoder workloads
 //! from any of the three interface representations. The spec kinds
-//! mirror the conformance harness's generator-level specs, so service
-//! answers are accountable to the same budgets `BENCH_conformance.json`
-//! reports.
+//! follow the conformance harness's generator-level specs, and both
+//! read their error budgets from [`crate::interface::budget`], so
+//! service answers are accountable to the budgets
+//! `BENCH_conformance.json` reports.
 
 use crate::cycle::JpegCycleSim;
 use crate::huffman::BlockCost;
@@ -141,14 +142,8 @@ impl QueryBackend for JpegService {
         }
     }
 
-    fn budget(&self, repr: InterfaceKind, _metric: Metric) -> Budget {
-        // Program and Petri budgets mirror the conformance subject;
-        // the NL bound is accountable only to containment plus slack.
-        match repr {
-            InterfaceKind::NaturalLanguage => Budget::new(0.80, 3.0).with_atol(32.0),
-            InterfaceKind::Program => Budget::new(0.10, 0.35),
-            InterfaceKind::PetriNet => Budget::new(0.01, 0.05).with_atol(8.0),
-        }
+    fn budget(&self, repr: InterfaceKind, metric: Metric) -> Budget {
+        crate::interface::budget(repr, metric)
     }
 
     fn fingerprint(&mut self, spec: &WorkloadSpec, repr: InterfaceKind) -> u64 {

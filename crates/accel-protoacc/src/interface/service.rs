@@ -1,7 +1,7 @@
 //! Query-service adapter for the Protoacc serializer.
 //!
 //! Implements [`perf_core::query::QueryBackend`] for `perf-service`.
-//! Spec kinds mirror the conformance harness: `format` picks one of
+//! Spec kinds follow the conformance harness: `format` picks one of
 //! the 32 suite formats, `nested` builds a pointer-chase-heavy
 //! wrap-chain of the given depth.
 
@@ -187,14 +187,7 @@ impl QueryBackend for ProtoaccService {
     }
 
     fn budget(&self, repr: InterfaceKind, metric: Metric) -> Budget {
-        // Program and Petri budgets mirror the conformance subject.
-        match (repr, metric) {
-            (InterfaceKind::NaturalLanguage, _) => Budget::new(0.80, 3.0).with_atol(100.0),
-            (InterfaceKind::Program, Metric::Latency) => Budget::new(0.01, 0.02),
-            (InterfaceKind::Program, Metric::Throughput) => Budget::new(0.15, 0.45),
-            (_, Metric::Latency) => Budget::new(0.10, 0.30),
-            (_, Metric::Throughput) => Budget::new(0.15, 0.45),
-        }
+        crate::interface::budget(repr, metric)
     }
 
     fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {

@@ -6,7 +6,8 @@ pub mod program;
 pub mod service;
 
 use crate::isa::Program;
-use perf_core::{Diagnostics, InterfaceBundle};
+use perf_core::iface::{InterfaceKind, Metric};
+use perf_core::{Budget, InterfaceBundle};
 use perf_iface_lang::lint::BoxVal;
 
 /// Places the simulation harness injects tokens into: the instruction
@@ -56,35 +57,24 @@ pub fn workload_box() -> BoxVal {
     BoxVal::record([("insns", BoxVal::list(token_box(), 1.0, 64.0))])
 }
 
-/// Statically audits VTA's shipped interface artifacts — the `.pi`
-/// program and both the full and corner-cut (`lite`) nets — with the
-/// `perf-lint` analyses.
-pub fn lint() -> Diagnostics {
-    let mut ds = perf_iface_lang::lint::lint_src("vta.pi", program::VTA_PI_SRC);
-    ds.merge(perf_petri::lint::lint_pnet_src(
-        "vta_full.pnet",
-        petri::VTA_FULL_PNET_SRC,
-        &ENTRY_PLACES,
-    ));
-    ds.merge(perf_petri::lint::lint_pnet_src(
-        "vta_lite.pnet",
-        petri::VTA_LITE_PNET_SRC,
-        &ENTRY_PLACES,
-    ));
-    ds
+/// VTA's error budget per interface tier — one table for the query
+/// service and the conformance harness. The 4-cycle deadband keeps the
+/// finish-only degenerate case (1 hardware cycle) from inflating
+/// relative errors; every genuine divergence found so far was tens of
+/// cycles off.
+pub fn budget(repr: InterfaceKind, _metric: Metric) -> Budget {
+    match repr {
+        InterfaceKind::NaturalLanguage => Budget::new(0.90, 4.0).with_atol(16.0),
+        // The closed-form program interface ignores inter-engine
+        // overlap; the paper reports tens of percent for VTA too.
+        InterfaceKind::Program => Budget::new(0.60, 2.5).with_atol(4.0),
+        InterfaceKind::PetriNet => Budget::new(0.05, 0.25).with_atol(4.0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perf_core::InterfaceKind;
-
-    #[test]
-    fn shipped_artifacts_lint_clean() {
-        let ds = lint();
-        assert_eq!(ds.count(perf_core::Severity::Error), 0, "{}", ds.render());
-        assert_eq!(ds.count(perf_core::Severity::Warning), 0, "{}", ds.render());
-    }
 
     #[test]
     fn bundle_complete() {

@@ -1,7 +1,7 @@
 //! Query-service adapter for the VTA tensor accelerator.
 //!
 //! Implements [`perf_core::query::QueryBackend`] for `perf-service`.
-//! Spec kinds mirror the conformance harness's generator-level specs;
+//! Spec kinds follow the conformance harness's generator-level specs;
 //! the cache fingerprint hashes the realized instruction stream
 //! ([`Program::fingerprint`]), so different generator seeds that emit
 //! the same program share a cache slot.
@@ -169,13 +169,8 @@ impl QueryBackend for VtaService {
         }
     }
 
-    fn budget(&self, repr: InterfaceKind, _metric: Metric) -> Budget {
-        // Program and Petri budgets mirror the conformance subject.
-        match repr {
-            InterfaceKind::NaturalLanguage => Budget::new(0.90, 4.0).with_atol(16.0),
-            InterfaceKind::Program => Budget::new(0.60, 2.5).with_atol(4.0),
-            InterfaceKind::PetriNet => Budget::new(0.05, 0.25).with_atol(4.0),
-        }
+    fn budget(&self, repr: InterfaceKind, metric: Metric) -> Budget {
+        crate::interface::budget(repr, metric)
     }
 
     fn fingerprint(&mut self, spec: &WorkloadSpec, repr: InterfaceKind) -> u64 {

@@ -1,14 +1,12 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro                 # run everything at paper-scale sample sizes
-//! repro --quick         # smaller samples (seconds instead of minutes)
-//! repro --exp e4        # a single experiment (legacy direct path)
-//! repro --markdown OUT  # also write a measured-values report
 //! repro --experiments   # the declarative spec-driven runner: every
 //!                       # experiment from crates/bench/specs/
 //!                       # experiments.toml, criteria checked, exit 1
 //!                       # on any failure.
+//!                       #   --quick       smaller samples (seconds
+//!                       #                 instead of minutes)
 //!                       #   --only E4     one experiment
 //!                       #   --json        machine-readable results
 //!                       #   --write PATH  regenerate EXPERIMENTS.md
@@ -48,20 +46,17 @@
 //! ```
 
 use perf_bench::exp;
-use perf_bench::experiments::{self, ExperimentOutput};
 
 const HELP: &str = "\
 repro — regenerate the paper's tables and figures
 
-usage: repro [--quick] [--exp eN] [--markdown PATH]
-       repro --experiments [--quick] [--only EID] [--json]
+usage: repro --experiments [--quick] [--only EID] [--json]
                            [--write PATH] [--check PATH]
        repro --trace PATH [--perfetto OUT] [--quick]
        repro --lint-all | --xcheck [--json] | --conformance [--json] | --compose
        repro --serve [--workers N] [--tcp ADDR]
 
 modes:
-  (default)       run experiment runners directly and print their tables
   --experiments   the declarative runner: executes every spec in
                   crates/bench/specs/experiments.toml (one table row per
                   variant-axis point, fixed seeds), evaluates each spec's
@@ -91,10 +86,10 @@ flags:
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--exp eN] [--markdown PATH] \
-         [--trace PATH [--perfetto OUT]] [--experiments [--only EID] [--json] \
-         [--write PATH] [--check PATH]] [--lint-all] [--xcheck [--json]] \
-         [--conformance [--json]] [--compose] [--serve [--workers N] [--tcp ADDR]]"
+        "usage: repro [--quick] [--trace PATH [--perfetto OUT]] \
+         [--experiments [--only EID] [--json] [--write PATH] [--check PATH]] \
+         [--lint-all] [--xcheck [--json]] [--conformance [--json]] [--compose] \
+         [--serve [--workers N] [--tcp ADDR]]"
     );
     std::process::exit(2);
 }
@@ -108,8 +103,6 @@ fn io_fail(what: &str, path: &str, err: std::io::Error) -> ! {
 
 fn main() {
     let mut quick = false;
-    let mut only: Option<String> = None;
-    let mut markdown: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut perfetto_out: Option<String> = None;
     let mut experiments_mode = false;
@@ -128,8 +121,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--exp" => only = Some(args.next().unwrap_or_else(|| usage()).to_lowercase()),
-            "--markdown" => markdown = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--perfetto" => perfetto_out = Some(args.next().unwrap_or_else(|| usage())),
             "--experiments" => experiments_mode = true,
@@ -286,59 +277,5 @@ fn main() {
         return;
     }
 
-    let run_one = |id: &str| -> Result<ExperimentOutput, perf_core::CoreError> {
-        match id {
-            "e1" => experiments::e1_nl_interfaces(),
-            "e2" => experiments::e2_jpeg_program(if quick { 120 } else { 1500 }),
-            "e3" => experiments::e3_protoacc_program(if quick { 12 } else { 40 }),
-            "e4" => {
-                experiments::e4_table1(if quick { 25 } else { 50 }, if quick { 80 } else { 1500 })
-            }
-            "e5" => experiments::e5_profiling_speedup(if quick { 40 } else { 1500 }),
-            "e6" => experiments::e6_crossover(),
-            "e7" => experiments::e7_soc_design(),
-            "e8" => experiments::e8_offload(if quick { 40 } else { 200 }),
-            "e9" => experiments::e9_petri_ablation(if quick { 60 } else { 300 }),
-            "e10" => experiments::e10_autotune_quality(),
-            "e11" => experiments::e11_noc_composition(),
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                std::process::exit(2);
-            }
-        }
-    };
-
-    let outputs: Vec<ExperimentOutput> = match only {
-        Some(id) => vec![run_one(&id).unwrap_or_else(|e| {
-            eprintln!("experiment failed: {e}");
-            std::process::exit(1);
-        })],
-        None => experiments::run_all(quick).unwrap_or_else(|e| {
-            eprintln!("experiments failed: {e}");
-            std::process::exit(1);
-        }),
-    };
-
-    for out in &outputs {
-        println!("{}", out.render());
-    }
-
-    if let Some(path) = markdown {
-        let mut doc = String::from("# Measured values\n\n");
-        for out in &outputs {
-            doc.push_str(&format!("## {} — {}\n\n", out.id, out.title));
-            doc.push_str(&format!("{}\n", out.table.to_markdown()));
-            for n in &out.notes {
-                doc.push_str(&format!("> {n}\n\n"));
-            }
-            for (k, v) in &out.values {
-                doc.push_str(&format!("- `{k}` = {v:.6}\n"));
-            }
-            doc.push('\n');
-        }
-        if let Err(e) = std::fs::write(&path, doc) {
-            io_fail("cannot write markdown report", &path, e);
-        }
-        eprintln!("wrote {path}");
-    }
+    usage();
 }

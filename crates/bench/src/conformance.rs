@@ -5,7 +5,7 @@
 
 use perf_conformance::ConformanceReport;
 
-/// Runs the harness over all four accelerators.
+/// Runs the harness over every subject in [`perf_conformance::SUBJECTS`].
 pub fn run(quick: bool) -> ConformanceReport {
     perf_conformance::run_all(quick)
 }

@@ -16,7 +16,6 @@ pub mod spec;
 
 use crate::composedemo;
 use crate::experiments::{self, ExperimentOutput, E4_HEADERS, E9_HEADERS};
-use perf_conformance::harness::run_subject;
 use perf_core::report::{pct, Table};
 use perf_core::trace::json_escape;
 use perf_core::CoreError;
@@ -240,20 +239,8 @@ pub fn run_variant(
 
 /// E12: one conformance subject as a fixed-column table row.
 fn conformance_variant(subject: &str, quick: bool) -> Result<VariantOutput, CoreError> {
-    use perf_conformance::subjects;
-    let r = match subject {
-        "jpeg-decoder" => run_subject(&mut subjects::jpeg::JpegSubject::new(), quick),
-        "bitcoin-miner" => run_subject(&mut subjects::bitcoin::BitcoinSubject::new(), quick),
-        "protoacc" => run_subject(&mut subjects::protoacc::ProtoaccSubject::new(), quick),
-        "vta" => run_subject(&mut subjects::vta::VtaSubject::new(), quick),
-        "pipeline" => run_subject(&mut subjects::pipeline::PipelineSubject::new(), quick),
-        "pipeline-dag" => run_subject(&mut subjects::dag::DagSubject::new(), quick),
-        other => {
-            return Err(CoreError::Artifact(format!(
-                "conformance has no subject `{other}`"
-            )))
-        }
-    };
+    let r = perf_conformance::run_named(subject, quick)
+        .ok_or_else(|| CoreError::Artifact(format!("conformance has no subject `{subject}`")))?;
     let worst_avg = r.nominal.iter().map(|c| c.avg).fold(0.0, f64::max);
     let worst_max = r.nominal.iter().map(|c| c.max).fold(0.0, f64::max);
     let bounds_n: usize = r.nominal.iter().map(|c| c.bounds_n).sum();
@@ -663,8 +650,8 @@ impl RunResults {
              cargo run --release -p perf-bench --bin repro -- --experiments --quick --json\n\
              ```\n\n\
              Each invocation exits nonzero if any pass criterion fails. The\n\
-             other `repro` modes (`--conformance`, `--compose`, `--trace`,\n\
-             the legacy `--exp <id>`) are unchanged; Chrome\n\
+             other `repro` modes (`--conformance`, `--compose`, `--trace`)\n\
+             run outside this framework; Chrome\n\
              traces for ui.perfetto.dev come from `repro --trace --perfetto\n\
              <out.json>` (see README).\n",
         );

@@ -8,29 +8,15 @@ use perf_core::validate::validate;
 use perf_core::{CoreError, GroundTruth};
 use std::time::Instant;
 
-/// One experiment's rendered output plus machine-readable numbers.
+/// One experiment's table plus machine-readable numbers; the id and
+/// title come from its spec in `specs/experiments.toml`.
 pub struct ExperimentOutput {
-    /// Experiment id (`"E1"` ...).
-    pub id: &'static str,
-    /// Paper artifact it regenerates.
-    pub title: &'static str,
     /// The rendered table.
     pub table: Table,
     /// Free-form notes (paper-vs-measured commentary).
     pub notes: Vec<String>,
     /// Named measured values for EXPERIMENTS.md.
     pub values: Vec<(String, f64)>,
-}
-
-impl ExperimentOutput {
-    /// Renders the experiment as text.
-    pub fn render(&self) -> String {
-        let mut out = format!("== {} — {} ==\n{}", self.id, self.title, self.table);
-        for n in &self.notes {
-            out.push_str(&format!("note: {n}\n"));
-        }
-        out
-    }
 }
 
 /// E1 — Fig. 1: natural-language interfaces, printed and checked.
@@ -129,8 +115,6 @@ pub fn e1_nl_interfaces() -> Result<ExperimentOutput, CoreError> {
         values.push(("e1_protoacc_claims_hold".into(), f64::from(u8::from(holds))));
     }
     Ok(ExperimentOutput {
-        id: "E1",
-        title: "Fig. 1 — natural-language interfaces (checked against the models)",
         table,
         notes: vec![
             "The paper ships these as prose; here each statement also carries \
@@ -163,8 +147,6 @@ pub fn e2_jpeg_program(n_images: usize) -> Result<ExperimentOutput, CoreError> {
         format!("{n_images}"),
     ]);
     Ok(ExperimentOutput {
-        id: "E2",
-        title: "Fig. 2 / §3 — JPEG program-interface prediction error",
         table,
         notes: vec!["Shape target: low-single-digit average, low-teens maximum.".into()],
         values: vec![
@@ -203,8 +185,6 @@ pub fn e3_protoacc_program(instances: usize) -> Result<ExperimentOutput, CoreErr
         format!("{}/32", lat.bounds.within),
     ]);
     Ok(ExperimentOutput {
-        id: "E3",
-        title: "Fig. 3 / §3 — Protoacc program-interface accuracy (32 formats)",
         table,
         notes: vec![format!(
             "bounds coverage {} with mean relative width {:.1}",
@@ -317,8 +297,6 @@ pub fn e4_table1(n_jpeg: usize, n_vta: usize) -> Result<ExperimentOutput, CoreEr
         values.extend(vals);
     }
     Ok(ExperimentOutput {
-        id: "E4",
-        title: "Table 1 — Petri-net prediction accuracy and complexity",
         table,
         notes: vec![
             "Complexity = LoC(.pnet) / LoC(cycle-accurate implementation); our \
@@ -367,8 +345,6 @@ pub fn e5_profiling_speedup(n_progs: usize) -> Result<ExperimentOutput, CoreErro
         format!("{total_sim:.2}s vs {total_petri:.2}s"),
     ]);
     Ok(ExperimentOutput {
-        id: "E5",
-        title: "§3 — TVM-style profiling: Petri net vs cycle-accurate simulation",
         table,
         notes: vec![
             "Our cycle model evaluates the datapath every cycle (Verilator-class \
@@ -402,8 +378,6 @@ pub fn e6_crossover() -> Result<ExperimentOutput, CoreError> {
     let small = sweep.iter().find(|c| c.bytes >= 100).expect("covered");
     let large = sweep.iter().find(|c| c.bytes >= 8192).expect("covered");
     Ok(ExperimentOutput {
-        id: "E6",
-        title: "§2 Ex.2 / §4 — serialization backend crossover",
         table,
         notes: vec![
             format!(
@@ -454,8 +428,6 @@ pub fn e7_soc_design() -> Result<ExperimentOutput, CoreError> {
     }
     let pick = perf_workloads::soc::pick_within_area(300.0)?.expect("budget feasible");
     Ok(ExperimentOutput {
-        id: "E7",
-        title: "§2 Ex.1 — SoC sizing of the Bitcoin miner from its interface",
         table,
         notes: vec![
             format!(
@@ -493,8 +465,6 @@ pub fn e8_offload(n_requests: usize) -> Result<ExperimentOutput, CoreError> {
         format!("{}", s.actual_offload),
     ]);
     Ok(ExperimentOutput {
-        id: "E8",
-        title: "§5 — record/replay end-to-end offload prediction",
         table,
         notes: vec![format!(
             "prediction error {}; speedup predicted {:.2}x vs measured {:.2}x",
@@ -564,8 +534,6 @@ pub fn e9_petri_ablation(n_progs: usize) -> Result<ExperimentOutput, CoreError> 
         values.extend(vals);
     }
     Ok(ExperimentOutput {
-        id: "E9",
-        title: "Ablation — corner-cutting the VTA Petri net (§3/§5)",
         table,
         notes: vec![
             "Dropping the dependency-token places makes the net smaller and \
@@ -636,8 +604,6 @@ pub fn e10_autotune_quality() -> Result<ExperimentOutput, CoreError> {
         ),
     ]);
     Ok(ExperimentOutput {
-        id: "E10",
-        title: "Autotuner quality — Petri-net costing matches cycle-accurate tuning",
         table,
         notes: vec![
             "The IR is useful for tuning if it ranks candidates like the ground \
@@ -669,8 +635,6 @@ pub fn e11_noc_composition() -> Result<ExperimentOutput, CoreError> {
     let small = rows.first().expect("sweep nonempty").optimism();
     let large = rows.last().expect("sweep nonempty").optimism();
     Ok(ExperimentOutput {
-        id: "E11",
-        title: "§5 — accelerator net composed with a reusable interconnect component",
         table,
         notes: vec![format!(
             "engine-only and composed nets agree for small messages ({small:.2}x) and              diverge once the shared channel saturates ({large:.2}x at 4 KB) — the              component-reuse answer to §5's SmartNIC question"
@@ -680,29 +644,6 @@ pub fn e11_noc_composition() -> Result<ExperimentOutput, CoreError> {
             ("e11_large_optimism".into(), large),
         ],
     })
-}
-
-/// Runs every experiment. `quick` trims sample counts for CI-scale
-/// runs; the full configuration matches the paper's sample sizes.
-pub fn run_all(quick: bool) -> Result<Vec<ExperimentOutput>, CoreError> {
-    let (n_jpeg_e2, n_jpeg_e4, n_vta_e4, n_e5, n_e8, n_e9) = if quick {
-        (120, 25, 80, 40, 40, 60)
-    } else {
-        (1500, 50, 1500, 1500, 200, 300)
-    };
-    Ok(vec![
-        e1_nl_interfaces()?,
-        e2_jpeg_program(n_jpeg_e2)?,
-        e3_protoacc_program(if quick { 12 } else { 40 })?,
-        e4_table1(n_jpeg_e4, n_vta_e4)?,
-        e5_profiling_speedup(n_e5)?,
-        e6_crossover()?,
-        e7_soc_design()?,
-        e8_offload(n_e8)?,
-        e9_petri_ablation(n_e9)?,
-        e10_autotune_quality()?,
-        e11_noc_composition()?,
-    ])
 }
 
 #[cfg(test)]
@@ -753,8 +694,6 @@ mod tests {
     #[test]
     fn outputs_render() {
         let out = e7_soc_design().unwrap();
-        let text = out.render();
-        assert!(text.contains("E7"));
-        assert!(text.contains("Loop"));
+        assert!(out.table.to_string().contains("Loop"));
     }
 }

@@ -1,8 +1,9 @@
 //! The benchmark harness: one runner per paper table/figure.
 //!
 //! Every artifact in the paper's evaluation maps to a function here
-//! (see `DESIGN.md`'s experiment index). The `repro` binary prints them
-//! all; integration tests assert the headline shapes.
+//! (see `DESIGN.md`'s experiment index). `repro --experiments` runs
+//! them from the declarative specs; integration tests assert the
+//! headline shapes.
 
 pub mod composedemo;
 pub mod conformance;
@@ -12,4 +13,4 @@ pub mod lintall;
 pub mod tracedemo;
 pub mod xcheckall;
 
-pub use experiments::{run_all, ExperimentOutput};
+pub use experiments::ExperimentOutput;

@@ -1,19 +1,19 @@
 //! The repo-wide `perf-lint` audit behind `repro --lint-all`.
 //!
-//! Every accelerator crate exposes `interface::lint()`, which runs the
-//! static analyses over its shipped artifacts — the `.pi` interface
-//! program and the `.pnet` performance IR (for the miner, the net
-//! generated from the default configuration). This module aggregates
-//! the four audits into one report so CI can gate merges on it: a
+//! Every row of [`perf_compose::ACCELS`] has [`perf_compose::Accel::lint`],
+//! which runs the static analyses over its shipped artifacts — the `.pi`
+//! interface program and the `.pnet` performance IR (for the miner, the
+//! net generated from the default configuration). This module aggregates
+//! the audits into one report so CI can gate merges on it: a
 //! performance interface that does not survive its own lint is not an
 //! artifact a tool can reason about.
 
-use perf_compose::{Composite, Topology};
+use perf_compose::{Composite, Topology, ACCELS};
 use perf_core::{Diagnostic, Diagnostics, Severity};
 
 /// One accelerator's audit result.
 pub struct AccelLint {
-    /// Accelerator name as used in the paper's tables.
+    /// Registry name of the accelerator, or `compose-demo`.
     pub name: &'static str,
     /// All findings over the accelerator's shipped artifacts.
     pub diagnostics: Diagnostics,
@@ -41,28 +41,18 @@ fn demo_composite_lint() -> Diagnostics {
 /// Lints every accelerator's shipped interface artifacts, plus the
 /// glued net of the demo composite pipeline.
 pub fn lint_all() -> Vec<AccelLint> {
-    vec![
-        AccelLint {
-            name: "jpeg",
-            diagnostics: accel_jpeg::interface::lint(),
-        },
-        AccelLint {
-            name: "bitcoin",
-            diagnostics: accel_bitcoin::interface::lint(),
-        },
-        AccelLint {
-            name: "protoacc",
-            diagnostics: accel_protoacc::interface::lint(),
-        },
-        AccelLint {
-            name: "vta",
-            diagnostics: accel_vta::interface::lint(),
-        },
-        AccelLint {
-            name: "compose-demo",
-            diagnostics: demo_composite_lint(),
-        },
-    ]
+    let mut out: Vec<AccelLint> = ACCELS
+        .iter()
+        .map(|a| AccelLint {
+            name: a.name,
+            diagnostics: a.lint(),
+        })
+        .collect();
+    out.push(AccelLint {
+        name: "compose-demo",
+        diagnostics: demo_composite_lint(),
+    });
+    out
 }
 
 /// Renders the combined audit. Returns `(report, clean)` where `clean`

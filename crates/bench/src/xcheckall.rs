@@ -46,11 +46,11 @@ fn xcheck_demo_config(out: &mut Vec<XcheckResult>, src: &str) {
 /// the static Petri bound extractor over a *branched* glued net).
 pub fn xcheck_all() -> Vec<XcheckResult> {
     let mut out = Vec::new();
-    for accel in perf_xcheck::accels() {
+    for a in &perf_compose::ACCELS {
         out.push(XcheckResult {
-            name: accel.to_string(),
-            diagnostics: perf_xcheck::xcheck_accel(accel)
-                .expect("shipped accelerator names are registered"),
+            name: a.name.to_string(),
+            diagnostics: perf_xcheck::xcheck_accel(a.name)
+                .expect("every registry row is checkable"),
         });
     }
     xcheck_demo_config(&mut out, crate::composedemo::DEMO_TOPOLOGY);

@@ -24,17 +24,21 @@
 //!    program / Petri-net representation ladder as single
 //!    accelerators.
 //!
+//! Stages name accelerators from [`ACCELS`], the registry of
+//! per-accelerator facts that the lints, the cross-tier checker, the
+//! query service and `repro --lint-all` read as well.
+//!
 //! [`QueryBackend`]: perf_core::query::QueryBackend
 
 #![deny(missing_docs)]
 
+pub mod accels;
 pub mod backend;
 pub mod lint;
 pub mod model;
 pub mod topology;
 
+pub use accels::{accel, Accel, ShippedNet, ACCELS};
 pub use backend::PipelineBackend;
-pub use model::{
-    accel_backend, dag_makespan, pipeline_makespan, Composite, DagPlan, Job, StreamParams,
-};
+pub use model::{dag_makespan, pipeline_makespan, Composite, DagPlan, Job, StreamParams};
 pub use topology::{EdgeCfg, Policy, StageCfg, Topology};

@@ -15,9 +15,10 @@
 //! pipeline (backpressure), so `PC001`/`PC002` surface structure
 //! without failing `repro --xcheck`.
 
-use crate::model::accel_backend;
-use crate::topology::{default_template, GraphIssue, Policy, StageCfg, Topology, MAX_ITEMS};
+use crate::accels::{accel, Accel};
+use crate::topology::{GraphIssue, Policy, StageCfg, Topology, MAX_ITEMS};
 use perf_core::diag::{Diagnostic, Diagnostics};
+use perf_core::CoreError;
 use perf_iface_lang::lint::{bound_src, BoxVal};
 
 /// The topology lint catalog: code, summary.
@@ -60,50 +61,29 @@ pub const TOPOLOGY_CODES: &[(&str, &str)] = &[
 
 /// The stage's throughput ceiling from its accelerator's *program*
 /// interface: the upper end of the interval the bound analyzer
-/// guarantees for the accel's throughput function over its declared
-/// workload box, narrowed by the stage's fixed spec fields where they
-/// map onto program-input features. `None` when the accelerator is
-/// unknown or the extracted ceiling is unbounded.
-fn stage_tput_ceiling(st: &StageCfg) -> Option<f64> {
-    // (program source, throughput fn, workload box, spec→box field map)
-    let (src, fname, mut bx, map): (&str, &str, BoxVal, &[(&str, &str)]) = match st.accel.as_str() {
-        "jpeg-decoder" => (
-            accel_jpeg::interface::program::JPEG_PI_SRC,
-            "tput_jpeg_decode",
-            accel_jpeg::interface::workload_box(),
-            &[],
-        ),
-        "bitcoin-miner" => (
-            accel_bitcoin::interface::program::BITCOIN_PI_SRC,
-            "max_tput_job",
-            accel_bitcoin::interface::workload_box(),
-            &[
-                ("loop", "loop"),
-                ("nonce_count", "nonce_count"),
-                ("difficulty", "difficulty_bits"),
-            ],
-        ),
-        "protoacc" => (
-            accel_protoacc::interface::program::PROTOACC_PI_SRC,
-            "tput_protoacc_ser",
-            accel_protoacc::interface::workload_box(),
-            &[],
-        ),
-        "vta" => (
-            accel_vta::interface::program::VTA_PI_SRC,
-            "tput_vta",
-            accel_vta::interface::workload_box(),
-            &[],
-        ),
-        _ => return None,
-    };
-    for (spec_field, box_field) in map {
+/// guarantees for the row's `tput_fn` over its declared workload box,
+/// narrowed by the stage's fixed spec fields where `tput_map` maps them
+/// onto program-input features. `None` when the extracted ceiling is
+/// unbounded.
+fn stage_tput_ceiling(a: &Accel, st: &StageCfg) -> Option<f64> {
+    let mut bx = (a.workload_box)();
+    for (spec_field, box_field) in a.tput_map {
         if let Some(&(_, v)) = st.fields.iter().find(|(k, _)| k == spec_field) {
             bx = bx.with_field(box_field, BoxVal::point(v));
         }
     }
-    let iv = bound_src(src, fname, &bx).ok()?;
+    let iv = bound_src(a.pi_src, a.tput_fn, &bx).ok()?;
     iv.hi.is_finite().then_some(iv.hi)
+}
+
+/// `PC004` from [`accel`]'s lookup error, which names every registered
+/// accelerator.
+fn unknown_accel(e: CoreError) -> Diagnostic {
+    let msg = match e {
+        CoreError::Artifact(m) => m,
+        other => other.to_string(),
+    };
+    Diagnostic::error("PC004", msg)
 }
 
 /// Maps a structural edge-graph issue to its catalog diagnostic,
@@ -158,25 +138,15 @@ pub fn lint(topo: &Topology) -> Diagnostics {
     };
     let mut ceilings: Vec<Option<f64>> = Vec::with_capacity(topo.stages.len());
     for (i, st) in topo.stages.iter().enumerate() {
-        match accel_backend(&st.accel) {
-            Err(_) => {
-                ds.push(at(
-                    i,
-                    st,
-                    Diagnostic::error(
-                        "PC004",
-                        format!(
-                            "unknown accelerator `{}` (have: jpeg-decoder, bitcoin-miner, \
-                             protoacc, vta)",
-                            st.accel
-                        ),
-                    ),
-                ));
+        match accel(&st.accel) {
+            Err(e) => {
+                ds.push(at(i, st, unknown_accel(e)));
                 ceilings.push(None);
                 continue;
             }
-            Ok(b) => {
-                if !b.spec_kinds().contains(&st.kind.as_str()) {
+            Ok(a) => {
+                let kinds = (a.backend)().map(|b| b.spec_kinds()).unwrap_or(&[]);
+                if !kinds.contains(&st.kind.as_str()) {
                     ds.push(at(
                         i,
                         st,
@@ -186,7 +156,7 @@ pub fn lint(topo: &Topology) -> Diagnostics {
                                 "accelerator `{}` does not accept spec kind `{}` (accepts: {})",
                                 st.accel,
                                 st.kind,
-                                b.spec_kinds().join(", ")
+                                kinds.join(", ")
                             ),
                         ),
                     ));
@@ -210,7 +180,7 @@ pub fn lint(topo: &Topology) -> Diagnostics {
                         ),
                     ));
                 }
-                ceilings.push(stage_tput_ceiling(st));
+                ceilings.push(stage_tput_ceiling(a, st));
             }
         }
         if st.queue >= MAX_ITEMS {
@@ -315,18 +285,8 @@ pub fn lint_toml(origin: &str, src: &str) -> Diagnostics {
                     .with_pos(raw.stage_lines[i] as u32, 1),
             );
             blocked = true;
-        } else if default_template(&st.accel).is_none() {
-            ds.push(
-                Diagnostic::error(
-                    "PC004",
-                    format!(
-                        "unknown accelerator `{}` (have: jpeg-decoder, bitcoin-miner, \
-                         protoacc, vta)",
-                        st.accel
-                    ),
-                )
-                .with_pos(raw.stage_lines[i] as u32, 1),
-            );
+        } else if let Err(e) = accel(&st.accel) {
+            ds.push(unknown_accel(e).with_pos(raw.stage_lines[i] as u32, 1));
             blocked = true;
         }
     }

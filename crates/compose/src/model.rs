@@ -50,28 +50,8 @@ use perf_petri::{reference, CompiledNet, Net, NetBuilder, Options, SimResult, To
 use perf_sim::{DagNodeSpec, DagPipeline, FaultPlan, Pipeline, Route, StageSpec};
 use std::collections::HashMap;
 
+use crate::accels::accel;
 use crate::topology::{Policy, Topology, MAX_ITEMS};
-
-use accel_bitcoin::interface::service::BitcoinService;
-use accel_jpeg::interface::service::JpegService;
-use accel_protoacc::interface::service::ProtoaccService;
-use accel_vta::interface::service::VtaService;
-
-/// Builds the query backend for one shipped accelerator. This is the
-/// canonical constructor table —
-/// `perf-service`'s registry delegates here (the dependency points this
-/// way so composite backends never need the service crate).
-pub fn accel_backend(accel: &str) -> Result<Box<dyn QueryBackend>, CoreError> {
-    match accel {
-        "jpeg-decoder" => Ok(Box::new(JpegService::new()?)),
-        "bitcoin-miner" => Ok(Box::new(BitcoinService::new())),
-        "protoacc" => Ok(Box::new(ProtoaccService::new())),
-        "vta" => Ok(Box::new(VtaService::new())),
-        other => Err(CoreError::Artifact(format!(
-            "unknown accelerator `{other}` (have: jpeg-decoder, bitcoin-miner, protoacc, vta)"
-        ))),
-    }
-}
 
 /// Parameters of one `stream` workload: `items` independent workloads
 /// flowing through the pipeline, derived from `seed`.
@@ -140,7 +120,7 @@ impl Composite {
         topo.validate()?;
         let mut backends = Vec::new();
         for st in &topo.stages {
-            let b = accel_backend(&st.accel)?;
+            let b = (accel(&st.accel)?.backend)()?;
             if !b.spec_kinds().contains(&st.kind.as_str()) {
                 return Err(CoreError::Artifact(format!(
                     "stage `{}`: accelerator `{}` does not accept spec kind `{}` (accepts: {})",

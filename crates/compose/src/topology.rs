@@ -80,8 +80,7 @@ pub struct StageCfg {
     /// Unique instance name; becomes the stage's Petri component name
     /// and place-name prefix. Derived from the accelerator when unset.
     pub instance: String,
-    /// Accelerator model: one of the shipped backends
-    /// (`jpeg-decoder`, `bitcoin-miner`, `protoacc`, `vta`).
+    /// Accelerator model: a name in [`crate::ACCELS`].
     pub accel: String,
     /// Depth of the bounded queue feeding this stage. For the source
     /// stage this is the pipeline's input-queue capacity; elsewhere it
@@ -92,7 +91,7 @@ pub struct StageCfg {
     /// concurrent servers in the ground-truth simulator.
     pub replicas: usize,
     /// Per-item workload-spec kind submitted to this stage's backend;
-    /// defaults to an accelerator-specific template.
+    /// defaults to the accelerator's [`crate::Accel::template`].
     pub kind: String,
     /// Fixed spec fields (the template's knobs).
     pub fields: Vec<(String, f64)>,
@@ -218,34 +217,6 @@ pub struct Topology {
     /// chain shorthand has no line structure), so topology lints can
     /// point at the offending stanza when one exists.
     pub stage_lines: Vec<usize>,
-}
-
-/// The per-accelerator default workload template: spec kind, fixed
-/// fields, and which field to vary per item. Chosen so per-item cost is
-/// data-dependent but bounded (e.g. the bitcoin stage scans a fixed
-/// nonce window instead of mining to an unbounded first hit).
-pub(crate) fn default_template(accel: &str) -> Option<(&'static str, Vec<(String, f64)>)> {
-    let f = |pairs: &[(&str, f64)]| {
-        pairs
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v))
-            .collect::<Vec<_>>()
-    };
-    match accel {
-        "jpeg-decoder" => Some(("random", f(&[("seed", 1.0)]))),
-        "bitcoin-miner" => Some((
-            "scan",
-            f(&[
-                ("loop", 4.0),
-                ("seed", 1.0),
-                ("nonce_count", 12.0),
-                ("difficulty", 16.0),
-            ]),
-        )),
-        "protoacc" => Some(("format", f(&[("idx", 1.0), ("n", 6.0), ("seed", 1.0)]))),
-        "vta" => Some(("random", f(&[("seed", 1.0), ("max_blocks", 6.0)]))),
-        _ => None,
-    }
 }
 
 fn err(line: usize, msg: impl std::fmt::Display) -> CoreError {
@@ -576,16 +547,10 @@ impl Topology {
                 st.replicas = 1;
             }
             if st.kind.is_empty() {
-                let (kind, fields) = default_template(&st.accel).ok_or_else(|| {
-                    CoreError::Artifact(format!(
-                        "stage `{}`: no default workload template for accelerator `{}`; \
-                         set `kind` and `fields` explicitly",
-                        st.instance, st.accel
-                    ))
-                })?;
-                st.kind = kind.to_string();
+                let t = crate::accels::accel(&st.accel)?.template;
+                st.kind = t.kind.to_string();
                 if st.fields.is_empty() {
-                    st.fields = fields;
+                    st.fields = t.fields.iter().map(|&(k, v)| (k.to_string(), v)).collect();
                 }
             }
             if st.vary.is_empty() {

@@ -31,19 +31,40 @@ pub use budget::{Budget, Contract};
 pub use harness::{relative_error, run_subject, CaseSpec, Subject, CHANNELS};
 pub use report::{AccelReport, ChannelReport, ConformanceReport, Counterexample, NlResult};
 
-/// Runs the conformance harness over all four accelerators plus the
-/// two composite pipeline subjects (composed simulators vs composed
-/// interfaces, over a linear chain and a fan-out/fan-in DAG).
+use subjects::{bitcoin::BitcoinSubject, dag::DagSubject, jpeg::JpegSubject};
+use subjects::{pipeline::PipelineSubject, protoacc::ProtoaccSubject, vta::VtaSubject};
+
+/// Runs one subject's harness; the flag is `quick`.
+pub type RunSubject = fn(bool) -> AccelReport;
+
+/// Every conformance subject by report name: the four shipped
+/// accelerators (named as in `perf_compose::ACCELS`), then the two
+/// composite pipelines — composed simulators vs composed interfaces,
+/// over a linear chain and a fan-out/fan-in DAG.
+pub static SUBJECTS: [(&str, RunSubject); 6] = [
+    ("jpeg-decoder", |q| run_subject(&mut JpegSubject::new(), q)),
+    ("bitcoin-miner", |q| {
+        run_subject(&mut BitcoinSubject::new(), q)
+    }),
+    ("protoacc", |q| run_subject(&mut ProtoaccSubject::new(), q)),
+    ("vta", |q| run_subject(&mut VtaSubject::new(), q)),
+    ("pipeline", |q| run_subject(&mut PipelineSubject::new(), q)),
+    ("pipeline-dag", |q| run_subject(&mut DagSubject::new(), q)),
+];
+
+/// Runs one subject from [`SUBJECTS`]; `None` if no subject has that
+/// name.
+pub fn run_named(name: &str, quick: bool) -> Option<AccelReport> {
+    SUBJECTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, run)| run(quick))
+}
+
+/// Runs the conformance harness over every subject in [`SUBJECTS`].
 pub fn run_all(quick: bool) -> ConformanceReport {
     ConformanceReport {
         quick,
-        accels: vec![
-            run_subject(&mut subjects::jpeg::JpegSubject::new(), quick),
-            run_subject(&mut subjects::bitcoin::BitcoinSubject::new(), quick),
-            run_subject(&mut subjects::protoacc::ProtoaccSubject::new(), quick),
-            run_subject(&mut subjects::vta::VtaSubject::new(), quick),
-            run_subject(&mut subjects::pipeline::PipelineSubject::new(), quick),
-            run_subject(&mut subjects::dag::DagSubject::new(), quick),
-        ],
+        accels: SUBJECTS.iter().map(|(_, run)| run(quick)).collect(),
     }
 }

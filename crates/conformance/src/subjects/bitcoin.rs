@@ -198,14 +198,8 @@ impl Subject for BitcoinSubject {
             .predict(&w.1, metric)
     }
 
-    fn budget(&self, _kind: InterfaceKind, _metric: Metric) -> Budget {
-        // The miner is deterministic hardware: exhaustive scans are
-        // predicted exactly and stochastic ones via bounds, so the
-        // budget is essentially numerical slack. The 2-cycle deadband
-        // absorbs fault-injected stalls on single-nonce scans without
-        // masking the (4-cycle) report-amortization divergence this
-        // harness once caught here.
-        Budget::new(0.002, 0.01).with_atol(2.0)
+    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
+        accel_bitcoin::interface::budget(kind, metric)
     }
 
     fn contract(&self) -> Contract {

@@ -340,16 +340,8 @@ impl Subject for JpegSubject {
             .predict(w, metric)
     }
 
-    fn budget(&self, kind: InterfaceKind, _metric: Metric) -> Budget {
-        match kind {
-            // Aggregate-statistics program: a few percent typical,
-            // up to ~1/3 on degenerate single-block images.
-            InterfaceKind::Program => Budget::new(0.10, 0.35),
-            // Per-block Petri net: sub-1% mean (Table 1). The
-            // deadband covers the pipeline's per-stage handoff cycles
-            // the event-driven net does not tick through.
-            _ => Budget::new(0.01, 0.05).with_atol(8.0),
-        }
+    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
+        interface::budget(kind, metric)
     }
 
     fn contract(&self) -> Contract {

@@ -206,14 +206,7 @@ impl Subject for ProtoaccSubject {
     }
 
     fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        match (kind, metric) {
-            // Latency is predicted as bounds (Fig. 3): containment
-            // with small numeric slack.
-            (InterfaceKind::Program, Metric::Latency) => Budget::new(0.01, 0.02),
-            (InterfaceKind::Program, Metric::Throughput) => Budget::new(0.15, 0.45),
-            (_, Metric::Latency) => Budget::new(0.10, 0.30),
-            (_, Metric::Throughput) => Budget::new(0.15, 0.45),
-        }
+        accel_protoacc::interface::budget(kind, metric)
     }
 
     fn contract(&self) -> Contract {

@@ -152,16 +152,8 @@ impl Subject for VtaSubject {
             .predict(w, metric)
     }
 
-    fn budget(&self, kind: InterfaceKind, _metric: Metric) -> Budget {
-        // The 4-cycle deadband keeps the finish-only degenerate case
-        // (1 hardware cycle) from inflating relative errors; every
-        // genuine divergence found so far was tens of cycles off.
-        match kind {
-            // The closed-form program interface ignores inter-engine
-            // overlap; the paper reports tens of percent for VTA too.
-            InterfaceKind::Program => Budget::new(0.60, 2.5).with_atol(4.0),
-            _ => Budget::new(0.05, 0.25).with_atol(4.0),
-        }
+    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
+        interface::budget(kind, metric)
     }
 
     fn contract(&self) -> Contract {

@@ -94,8 +94,8 @@ const FIXED_FIELD: f64 = 64.0;
 /// `PIL012` diagnostic, and a well-formed program goes through both the
 /// accumulating checker ([`crate::check::diagnostics`]) and the
 /// analyses in [`lint`]. Every finding carries `origin` as its file
-/// label. This is the one-call entry point used by the accelerator
-/// crates' `interface::lint()` audits.
+/// label. This is the one-call entry point `perf_compose::Accel::lint`
+/// uses to audit each shipped program.
 pub fn lint_src(origin: &str, src: &str) -> Diagnostics {
     let mut out = Diagnostics::new();
     let ast = match crate::lexer::lex(src).and_then(|t| crate::parser::parse(&t)) {

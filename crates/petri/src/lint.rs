@@ -87,8 +87,8 @@ const FARKAS_ROW_CAP: usize = 4096;
 /// Lints `.pnet` source text end to end: parse failures become `PN002`
 /// / `PN003` diagnostics, unknown entry names become `PN003`, and a
 /// well-formed net goes through [`lint`]. Every finding carries
-/// `origin` as its file label. This is the one-call entry point used by
-/// the accelerator crates' `interface::lint()` audits.
+/// `origin` as its file label. This is the one-call entry point
+/// `perf_compose::Accel::lint` uses to audit each shipped net.
 pub fn lint_pnet_src(origin: &str, src: &str, entries: &[&str]) -> Diagnostics {
     let mut out = Diagnostics::new();
     let net = match crate::text::parse(src) {

@@ -4,12 +4,55 @@
 //! each request yields one JSON response line. Responses stream in
 //! completion order (correlate by `id`). An empty line or EOF shuts
 //! the service down cleanly, draining in-flight queries first; a final
-//! stats line (`{"stats": ...}`) closes the session.
+//! stats line (`{"stats": ...}`) closes the session. A line longer than
+//! [`MAX_LINE_BYTES`] or not valid UTF-8 gets an error line, and the
+//! session goes on.
 
 use crate::protocol::{Request, Response};
 use crate::server::{Service, ServiceConfig};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
+
+/// Longest input line accepted, in bytes (a 64-request batch line is
+/// about 10 KB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line into `buf`: `None` at EOF, else the line's text
+/// or the error to answer it with. An over-long line is consumed up to
+/// its newline, at most `MAX_LINE_BYTES + 1` bytes at a time.
+fn read_line<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<Result<String, String>>> {
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    buf.clear();
+    if reader.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+        while !buf.ends_with(b"\n") {
+            buf.clear();
+            if reader.take(limit).read_until(b'\n', buf)? == 0 {
+                break;
+            }
+        }
+        return Ok(Some(Err(format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(text) => Ok(text.to_string()),
+        Err(_) => Err("request line is not valid UTF-8".to_string()),
+    }))
+}
+
+/// The response line for an input line that is not a request.
+fn error_line(msg: &str) -> String {
+    format!(
+        "{{\"status\":\"error\",\"message\":\"{}\"}}",
+        perf_core::trace::json_escape(msg)
+    )
+}
 
 /// Serves the line protocol over any reader/writer pair until EOF or
 /// an empty line; returns the number of requests served.
@@ -17,7 +60,7 @@ use std::sync::mpsc;
 /// Blocking `submit` is used, so a saturated queue exerts backpressure
 /// on the input stream instead of dropping requests.
 pub fn serve_lines<R: BufRead, W: Write>(
-    reader: R,
+    mut reader: R,
     writer: &mut W,
     cfg: ServiceConfig,
 ) -> std::io::Result<u64> {
@@ -38,8 +81,16 @@ pub fn serve_lines<R: BufRead, W: Write>(
         lines
     });
     let mut served = 0u64;
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line(&mut reader, &mut buf)? {
+            None => break,
+            Some(Ok(line)) => line,
+            Some(Err(msg)) => {
+                writeln!(writer, "{}", error_line(&msg))?;
+                continue;
+            }
+        };
         // Drain any completed responses opportunistically.
         while let Ok(l) = out_rx.try_recv() {
             writeln!(writer, "{l}")?;
@@ -55,13 +106,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
                     svc.submit(req, tx.clone());
                 }
             }
-            Err(msg) => {
-                writeln!(
-                    writer,
-                    "{{\"status\":\"error\",\"message\":\"{}\"}}",
-                    perf_core::trace::json_escape(&msg)
-                )?;
-            }
+            Err(msg) => writeln!(writer, "{}", error_line(&msg))?,
         }
     }
     drop(tx);
@@ -164,6 +209,44 @@ not json\n\
         assert!(first.contains("\"status\":\"error\""), "{text}");
         assert!(first.contains("nesting"), "{text}");
         assert_eq!(text.matches("\"status\":\"ok\"").count(), 1, "{text}");
+    }
+
+    /// Regression: a non-UTF-8 line used to end the session with an
+    /// I/O error and no responses at all, and one huge line was
+    /// buffered whole before any parsing (a 300 MB line drove the
+    /// server to ~300 MB RSS). The huge line is streamed from a
+    /// generator, so only a reader that buffers it holds it in memory.
+    #[test]
+    fn bad_lines_are_errors_and_serving_continues() {
+        use std::io::Read;
+        let req = "{\"id\":1,\"accel\":\"vta\",\"metric\":\"latency\",\"spec\":{\"kind\":\"finish_only\"}}\n";
+        let huge = std::io::repeat(b'[').take(8 * MAX_LINE_BYTES as u64);
+        let input = req
+            .as_bytes()
+            .chain(&b"\xff\xfe\n"[..])
+            .chain(req.as_bytes())
+            .chain(huge)
+            .chain(&b"\n"[..])
+            .chain(req.as_bytes());
+        let mut out = Vec::new();
+        let served = serve_lines(
+            std::io::BufReader::new(input),
+            &mut out,
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(served, 3);
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("\"status\":\"ok\"").count(), 3, "{text}");
+        assert_eq!(text.matches("\"status\":\"error\"").count(), 2, "{text}");
+        assert!(text.contains("not valid UTF-8"), "{text}");
+        assert!(
+            text.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+            "{text}"
+        );
     }
 
     /// Regression: an oversize stream request must come back as a

@@ -45,7 +45,8 @@ pub enum ReprChoice {
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// Accelerator name (see [`crate::registry::accelerators`]).
+    /// Accelerator name: a row of [`perf_compose::ACCELS`] or a
+    /// `pipe:<chain>` composite (see [`crate::registry::backend`]).
     pub accel: String,
     /// The workload description.
     pub spec: WorkloadSpec,

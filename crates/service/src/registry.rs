@@ -9,37 +9,19 @@ use perf_compose::PipelineBackend;
 use perf_core::query::QueryBackend;
 use perf_core::CoreError;
 
-/// Names of every single accelerator the service can answer for.
-/// Composite pipelines are additionally served under dynamic
-/// `pipe:<chain>` names (e.g. `pipe:jpeg-decoder:4>protoacc:8`).
-pub fn accelerators() -> &'static [&'static str] {
-    &["jpeg-decoder", "bitcoin-miner", "protoacc", "vta"]
-}
-
-/// Builds the backend for one accelerator name.
+/// Builds the backend for one accelerator name: a row of
+/// [`perf_compose::ACCELS`], or a composite pipeline under a dynamic
+/// `pipe:<chain>` name (e.g. `pipe:jpeg-decoder:4>protoacc:8`).
 pub fn backend(accel: &str) -> Result<Box<dyn QueryBackend>, CoreError> {
     if let Some(chain) = accel.strip_prefix("pipe:") {
         return Ok(Box::new(PipelineBackend::from_chain(chain)?));
     }
-    // The single-accelerator constructor table lives in `perf-compose`
-    // (which needs it to build pipeline stages without a dependency
-    // cycle back into this crate).
-    perf_compose::accel_backend(accel)
+    (perf_compose::accel(accel)?.backend)()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_listed_accelerator_constructs() {
-        for name in accelerators() {
-            let b = backend(name).unwrap();
-            assert_eq!(&b.accel(), name);
-            assert!(!b.spec_kinds().is_empty());
-        }
-        assert!(backend("nope").is_err());
-    }
 
     #[test]
     fn pipe_prefix_builds_a_composite_backend() {

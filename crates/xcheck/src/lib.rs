@@ -29,6 +29,7 @@
 
 #![deny(missing_docs)]
 
+use perf_compose::ShippedNet;
 use perf_core::diag::{Diagnostic, Diagnostics};
 use perf_core::nl::{Claim, NlInterface, Quantity};
 use perf_core::CoreError;
@@ -93,15 +94,8 @@ struct ClaimProbe {
     eval: ProbeFn,
 }
 
-/// One Petri net to extract structural bounds from.
-struct NetSpec {
-    origin: &'static str,
-    src: String,
-    entries: Vec<&'static str>,
-    token_box: BoxVal,
-}
-
-/// Everything the checker knows about one accelerator's shipped tiers.
+/// Everything the checker knows about one accelerator's shipped tiers:
+/// the registry row's artifacts plus the checker-only inputs.
 struct AccelSpec {
     pi_origin: &'static str,
     pi_src: String,
@@ -112,7 +106,9 @@ struct AccelSpec {
     /// Throughput-valued functions; no ceiling may exceed any net's
     /// structural ceiling (`XT102`).
     tput_fns: Vec<(&'static str, BoxVal)>,
-    nets: Vec<NetSpec>,
+    nets: Vec<ShippedNet>,
+    /// Feature box of every net's tokens.
+    token_box: BoxVal,
     nl: NlInterface,
     probes: Vec<ClaimProbe>,
 }
@@ -183,30 +179,18 @@ fn vta_block(macs: f64, load_bytes: f64) -> Value {
     )])
 }
 
-/// The names `xcheck_accel` accepts.
-pub fn accels() -> &'static [&'static str] {
-    &["jpeg-decoder", "bitcoin-miner", "protoacc", "vta"]
-}
-
-fn spec(accel: &str) -> Option<AccelSpec> {
-    use accel_bitcoin::interface as btc;
-    use accel_jpeg::interface as jpeg;
-    use accel_protoacc::interface as pacc;
-    use accel_vta::interface as vta;
-    match accel {
-        "jpeg-decoder" => Some(AccelSpec {
-            pi_origin: "jpeg.pi",
-            pi_src: jpeg::program::JPEG_PI_SRC.to_string(),
-            latency_fns: vec![("latency_jpeg_decode", jpeg::workload_box())],
-            tput_fns: vec![("tput_jpeg_decode", jpeg::workload_box())],
-            nets: vec![NetSpec {
-                origin: "jpeg.pnet",
-                src: jpeg::petri::JPEG_PNET_SRC.to_string(),
-                entries: vec!["blocks_in"],
-                token_box: jpeg::token_box(),
-            }],
-            nl: jpeg::nl::interface(),
-            probes: vec![
+/// Assembles the checker's view of a registered accelerator: the
+/// registry row's artifacts, plus the function lists and claim probes
+/// kept here by name. A row with no entry in this table has no probes,
+/// so each of its NL claims reports `XT105`.
+fn spec(accel: &str) -> Result<AccelSpec, CoreError> {
+    let a = perf_compose::accel(accel)?;
+    let (w, t) = ((a.workload_box)(), (a.token_box)());
+    let (latency_fns, tput_fns, probes) = match a.name {
+        "jpeg-decoder" => (
+            vec![("latency_jpeg_decode", w.clone())],
+            vec![("tput_jpeg_decode", w)],
+            vec![
                 ClaimProbe {
                     metric: Quantity::Latency,
                     axis: "compress_rate",
@@ -229,29 +213,20 @@ fn spec(accel: &str) -> Option<AccelSpec> {
                     eval: |p, x| call_num(p, "tput_jpeg_decode", jpeg_img(512.0 * 512.0, x)),
                 },
             ],
-        }),
-        "bitcoin-miner" => Some(AccelSpec {
-            pi_origin: "bitcoin.pi",
-            pi_src: btc::program::BITCOIN_PI_SRC.to_string(),
-            latency_fns: vec![
-                ("latency_hash", btc::workload_box()),
-                ("latency_scan", btc::workload_box()),
-                ("min_latency_job", btc::workload_box()),
-                ("max_latency_job", btc::workload_box()),
+        ),
+        "bitcoin-miner" => (
+            vec![
+                ("latency_hash", w.clone()),
+                ("latency_scan", w.clone()),
+                ("min_latency_job", w.clone()),
+                ("max_latency_job", w.clone()),
             ],
-            tput_fns: vec![
-                ("tput_hash", btc::workload_box()),
-                ("min_tput_job", btc::workload_box()),
-                ("max_tput_job", btc::workload_box()),
+            vec![
+                ("tput_hash", w.clone()),
+                ("min_tput_job", w.clone()),
+                ("max_tput_job", w),
             ],
-            nets: vec![NetSpec {
-                origin: "bitcoin.pnet",
-                src: btc::petri::pnet_source(&Default::default()),
-                entries: vec!["nonces"],
-                token_box: btc::token_box(),
-            }],
-            nl: btc::nl::interface(),
-            probes: vec![
+            vec![
                 ClaimProbe {
                     metric: Quantity::Latency,
                     axis: "loop",
@@ -282,25 +257,16 @@ fn spec(accel: &str) -> Option<AccelSpec> {
                     },
                 },
             ],
-        }),
-        "protoacc" => Some(AccelSpec {
-            pi_origin: "protoacc.pi",
-            pi_src: pacc::program::PROTOACC_PI_SRC.to_string(),
-            latency_fns: vec![
-                ("min_latency_protoacc_ser", pacc::workload_box()),
-                ("max_latency_protoacc_ser", pacc::workload_box()),
-                ("read_cost", pacc::workload_box()),
-                ("read_cost_worst", pacc::workload_box()),
+        ),
+        "protoacc" => (
+            vec![
+                ("min_latency_protoacc_ser", w.clone()),
+                ("max_latency_protoacc_ser", w.clone()),
+                ("read_cost", w.clone()),
+                ("read_cost_worst", w.clone()),
             ],
-            tput_fns: vec![("tput_protoacc_ser", pacc::workload_box())],
-            nets: vec![NetSpec {
-                origin: "protoacc.pnet",
-                src: pacc::petri::PROTOACC_PNET_SRC.to_string(),
-                entries: vec!["msgs_in"],
-                token_box: pacc::token_box(),
-            }],
-            nl: pacc::nl::interface(),
-            probes: vec![
+            vec![("tput_protoacc_ser", w)],
+            vec![
                 ClaimProbe {
                     metric: Quantity::Throughput,
                     axis: "nesting_depth",
@@ -322,31 +288,11 @@ fn spec(accel: &str) -> Option<AccelSpec> {
                     },
                 },
             ],
-        }),
-        "vta" => Some(AccelSpec {
-            pi_origin: "vta.pi",
-            pi_src: vta::program::VTA_PI_SRC.to_string(),
-            latency_fns: vec![
-                ("latency_vta", vta::workload_box()),
-                ("insn_cost", vta::token_box()),
-            ],
-            tput_fns: vec![("tput_vta", vta::workload_box())],
-            nets: vec![
-                NetSpec {
-                    origin: "vta_full.pnet",
-                    src: vta::petri::VTA_FULL_PNET_SRC.to_string(),
-                    entries: vta::ENTRY_PLACES.to_vec(),
-                    token_box: vta::token_box(),
-                },
-                NetSpec {
-                    origin: "vta_lite.pnet",
-                    src: vta::petri::VTA_LITE_PNET_SRC.to_string(),
-                    entries: vta::ENTRY_PLACES.to_vec(),
-                    token_box: vta::token_box(),
-                },
-            ],
-            nl: vta::nl::interface(),
-            probes: vec![
+        ),
+        "vta" => (
+            vec![("latency_vta", w.clone()), ("insn_cost", t.clone())],
+            vec![("tput_vta", w)],
+            vec![
                 ClaimProbe {
                     metric: Quantity::Latency,
                     axis: "total_macs",
@@ -362,9 +308,19 @@ fn spec(accel: &str) -> Option<AccelSpec> {
                     eval: |p, x| call_num(p, "latency_vta", vta_block(512.0, x)),
                 },
             ],
-        }),
-        _ => None,
-    }
+        ),
+        _ => (Vec::new(), Vec::new(), Vec::new()),
+    };
+    Ok(AccelSpec {
+        pi_origin: a.pi_origin,
+        pi_src: a.pi_src.to_string(),
+        latency_fns,
+        tput_fns,
+        nets: (a.nets)(),
+        token_box: t,
+        nl: (a.nl)(),
+        probes,
+    })
 }
 
 /// Extracted program-tier enclosure for one function.
@@ -444,13 +400,7 @@ fn resolve_entries(net: &Net, names: &[&str]) -> Result<Vec<PlaceId>, String> {
 /// Returns the (sorted) findings; an empty set is the proof that the
 /// tiers agree on every checked bound.
 pub fn xcheck_accel(accel: &str) -> Result<Diagnostics, CoreError> {
-    let spec = spec(accel).ok_or_else(|| {
-        CoreError::Artifact(format!(
-            "unknown accelerator `{accel}` (have: {})",
-            accels().join(", ")
-        ))
-    })?;
-    Ok(run_spec(accel, &spec))
+    Ok(run_spec(accel, &spec(accel)?))
 }
 
 /// The containment engine proper, separated from the spec lookup so the
@@ -479,7 +429,7 @@ fn run_spec(accel: &str, spec: &AccelSpec) -> Diagnostics {
             .map_err(|e| e.to_string())
             .and_then(|net| {
                 let entries = resolve_entries(&net, &ns.entries)?;
-                bounds(&net, Some(&entries), &ns.token_box)
+                bounds(&net, Some(&entries), &spec.token_box)
             });
         let nb = match nb {
             Ok(nb) => nb,
@@ -689,7 +639,8 @@ mod tests {
 
     #[test]
     fn all_shipped_accelerators_xcheck_clean() {
-        for accel in accels() {
+        for a in &perf_compose::ACCELS {
+            let accel = a.name;
             let ds = xcheck_accel(accel).unwrap();
             assert_eq!(ds.count(Severity::Error), 0, "{accel}:\n{}", ds.render());
             assert_eq!(ds.count(Severity::Warning), 0, "{accel}:\n{}", ds.render());
@@ -715,7 +666,8 @@ mod tests {
     #[test]
     fn verifier_accepts_all_shipped_programs() {
         use perf_iface_lang::vm::CompiledProgram;
-        for accel in accels() {
+        for a in &perf_compose::ACCELS {
+            let accel = a.name;
             let s = spec(accel).unwrap();
             let prog = Program::parse(&s.pi_src).unwrap();
             let ds = CompiledProgram::compile(&prog).unwrap().verify();

@@ -47,6 +47,9 @@ cargo run --release -p perf-bench --bin repro -- --xcheck
 # all four accelerators plus the chain and DAG composite subjects.
 # Exits nonzero past the recorded error budgets.
 cargo run --release -p perf-bench --bin repro -- --conformance --quick
+# The run above rewrites the tracked BENCH_conformance.json; the quick
+# harness is deterministic, so any difference is conformance drift.
+git diff --exit-code -- BENCH_conformance.json
 # Composite-pipeline smoke: parse both demo TOML topologies (linear
 # chain and fan-out/fan-in DAG), lint the configs and glued nets,
 # require the stepper to agree with the reference evaluator on the

@@ -79,13 +79,9 @@ fn bitcoin_bundle_exact() {
 #[test]
 fn every_shipped_artifact_parses_and_analyzes() {
     use perf_interfaces::petri::{analysis, text};
-    for (name, src) in [
-        ("jpeg", jpeg::interface::petri::JPEG_PNET_SRC),
-        ("protoacc", protoacc::interface::petri::PROTOACC_PNET_SRC),
-        ("vta_full", vta::interface::petri::VTA_FULL_PNET_SRC),
-        ("vta_lite", vta::interface::petri::VTA_LITE_PNET_SRC),
-    ] {
-        let net = text::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    for n in perf_compose::ACCELS.iter().flat_map(|a| (a.nets)()) {
+        let name = n.origin;
+        let net = text::parse(&n.src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let s = analysis::structure(&net);
         assert!(!s.sinks.is_empty(), "{name} needs a sink");
         assert!(
@@ -97,12 +93,8 @@ fn every_shipped_artifact_parses_and_analyzes() {
         let dot = perf_interfaces::petri::dot::to_dot(&net);
         assert!(dot.contains("digraph"), "{name} DOT export");
     }
-    for (name, src) in [
-        ("jpeg", jpeg::interface::program::JPEG_PI_SRC),
-        ("bitcoin", bitcoin::interface::program::BITCOIN_PI_SRC),
-        ("protoacc", protoacc::interface::program::PROTOACC_PI_SRC),
-        ("vta", vta::interface::program::VTA_PI_SRC),
-    ] {
-        perf_interfaces::lang::Program::parse(src).unwrap_or_else(|e| panic!("{name}.pi: {e}"));
+    for a in &perf_compose::ACCELS {
+        perf_interfaces::lang::Program::parse(a.pi_src)
+            .unwrap_or_else(|e| panic!("{}: {e}", a.pi_origin));
     }
 }

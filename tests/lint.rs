@@ -18,50 +18,27 @@ struct NetCase {
     src: String,
     entries: Vec<&'static str>,
     entry: &'static str,
-    sink: &'static str,
+    sink: String,
 }
 
+/// Every net in the accelerator registry; the sink is the net's one
+/// sink place.
 fn net_cases() -> Vec<NetCase> {
-    let vta_entries: Vec<&'static str> = accel_vta::interface::ENTRY_PLACES.to_vec();
-    vec![
-        NetCase {
-            name: "jpeg",
-            src: accel_jpeg::interface::petri::JPEG_PNET_SRC.to_string(),
-            entries: vec!["blocks_in"],
-            entry: "blocks_in",
-            sink: "decoded",
-        },
-        NetCase {
-            name: "protoacc",
-            src: accel_protoacc::interface::petri::PROTOACC_PNET_SRC.to_string(),
-            entries: vec!["msgs_in"],
-            entry: "msgs_in",
-            sink: "serialized",
-        },
-        NetCase {
-            name: "vta_full",
-            src: accel_vta::interface::petri::VTA_FULL_PNET_SRC.to_string(),
-            entries: vta_entries.clone(),
-            entry: "fetch_q",
-            sink: "retired",
-        },
-        NetCase {
-            name: "vta_lite",
-            src: accel_vta::interface::petri::VTA_LITE_PNET_SRC.to_string(),
-            entries: vta_entries,
-            entry: "fetch_q",
-            sink: "retired",
-        },
-        NetCase {
-            name: "bitcoin",
-            src: accel_bitcoin::interface::petri::pnet_source(
-                &accel_bitcoin::miner::MinerConfig::default(),
-            ),
-            entries: vec!["nonces"],
-            entry: "nonces",
-            sink: "reported",
-        },
-    ]
+    perf_compose::ACCELS
+        .iter()
+        .flat_map(|a| (a.nets)())
+        .map(|n| {
+            let net = perf_petri::text::parse(&n.src).expect("shipped net parses");
+            let sink = net.places().iter().find(|p| p.is_sink).expect("a sink");
+            NetCase {
+                name: n.origin,
+                sink: sink.name.clone(),
+                entry: n.entries[0],
+                entries: n.entries,
+                src: n.src,
+            }
+        })
+        .collect()
 }
 
 /// A defect to graft onto a net, and the lint code that must catch it.
@@ -132,24 +109,13 @@ struct ProgCase {
 }
 
 fn prog_cases() -> Vec<ProgCase> {
-    vec![
-        ProgCase {
-            name: "jpeg",
-            src: accel_jpeg::interface::program::JPEG_PI_SRC,
-        },
-        ProgCase {
-            name: "bitcoin",
-            src: accel_bitcoin::interface::program::BITCOIN_PI_SRC,
-        },
-        ProgCase {
-            name: "protoacc",
-            src: accel_protoacc::interface::program::PROTOACC_PI_SRC,
-        },
-        ProgCase {
-            name: "vta",
-            src: accel_vta::interface::program::VTA_PI_SRC,
-        },
-    ]
+    perf_compose::ACCELS
+        .iter()
+        .map(|a| ProgCase {
+            name: a.pi_origin,
+            src: a.pi_src,
+        })
+        .collect()
 }
 
 /// A defect appended to a program as a fresh function, and the lint

@@ -1,5 +1,5 @@
 //! Integration tests asserting the paper's headline result shapes at
-//! reduced scale (the `repro` binary runs them at paper scale).
+//! reduced scale (`repro --experiments` runs them at paper scale).
 
 use perf_bench::experiments;
 
@@ -7,7 +7,7 @@ fn value(out: &experiments::ExperimentOutput, key: &str) -> f64 {
     out.values
         .iter()
         .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("{} lacks {key}", out.id))
+        .unwrap_or_else(|| panic!("no measured value `{key}`"))
         .1
 }
 

@@ -1,4 +1,7 @@
-//! Regenerates every table and figure of the paper.
+//! Regenerates every table and figure of the paper, and is the one
+//! gate over them: conformance (E12), composition (E14) and the static
+//! lint and cross-tier audits (E15) are experiments like any other.
+//! The three modes are exclusive.
 //!
 //! ```text
 //! repro --experiments   # the declarative spec-driven runner: every
@@ -16,26 +19,6 @@
 //!                       # combined JSON report, prints folded stacks;
 //!                       # --perfetto also writes a Chrome JSON trace
 //!                       # loadable at ui.perfetto.dev
-//! repro --lint-all      # static perf-lint audit of every shipped
-//!                       # .pnet net and .pi program (plus the demo
-//!                       # composite's glued net); exit 1 on findings
-//! repro --xcheck        # cross-tier consistency audit: NL claims vs.
-//!                       # program-tier interval bounds vs. Petri-net
-//!                       # structural bounds for every accelerator and
-//!                       # the demo composite — no simulation; exit 1
-//!                       # on any error or warning. --json prints one
-//!                       # JSON object per target.
-//! repro --conformance   # differential conformance check of every
-//!                       # interface against its simulator (nominal +
-//!                       # fault-injected); writes BENCH_conformance.json,
-//!                       # exit 1 on any violation. --json prints the
-//!                       # JSON report instead of the summary.
-//! repro --compose       # composite-pipeline smoke: parse the demo
-//!                       # TOML topology, lint the glued net, check
-//!                       # that the stepper agrees with the reference
-//!                       # evaluator, run tier cross-checks,
-//!                       # run quick composite conformance; exit 1
-//!                       # on any budget violation.
 //! repro --serve         # performance-query server on stdin/stdout:
 //!                       # one JSON request (or array) per line, one
 //!                       # JSON response per line; empty line or EOF
@@ -53,10 +36,9 @@ repro — regenerate the paper's tables and figures
 usage: repro --experiments [--quick] [--only EID] [--json]
                            [--write PATH] [--check PATH]
        repro --trace PATH [--perfetto OUT] [--quick]
-       repro --lint-all | --xcheck [--json] | --conformance [--json] | --compose
        repro --serve [--workers N] [--tcp ADDR]
 
-modes:
+modes (exactly one):
   --experiments   the declarative runner: executes every spec in
                   crates/bench/specs/experiments.toml (one table row per
                   variant-axis point, fixed seeds), evaluates each spec's
@@ -77,21 +59,32 @@ modes:
                   = 1 us) with one process per substrate — open it at
                   ui.perfetto.dev; per-stage slice durations telescope
                   exactly to each reported makespan.
+  --serve         performance-query server on stdin/stdout, one JSON
+                  request per line; --workers N sets the pool size
+                  (default 4), --tcp ADDR serves ADDR instead of stdio.
 
 flags:
   --quick         smaller sample counts (seconds instead of minutes)
-  --json          machine-readable output where the mode supports it
+  --json          machine-readable results (--experiments)
   -h, --help      this text
 ";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--trace PATH [--perfetto OUT]] \
-         [--experiments [--only EID] [--json] [--write PATH] [--check PATH]] \
-         [--lint-all] [--xcheck [--json]] [--conformance [--json]] [--compose] \
-         [--serve [--workers N] [--tcp ADDR]]"
+        "usage: repro --experiments [--quick] [--only EID] [--json] [--write PATH] [--check PATH]\n\
+         \x20      repro --trace PATH [--perfetto OUT] [--quick]\n\
+         \x20      repro --serve [--workers N] [--tcp ADDR]"
     );
     std::process::exit(2);
+}
+
+/// Exits with usage when `flags` were given outside the `mode` they
+/// belong to, instead of silently ignoring them.
+fn require_mode(given: bool, flags: &str, mode: &str, active: bool) {
+    if given && !active {
+        eprintln!("{flags}: only valid with {mode}");
+        usage();
+    }
 }
 
 /// Reports an I/O failure and exits, instead of unwinding with a
@@ -109,13 +102,9 @@ fn main() {
     let mut only_spec: Option<String> = None;
     let mut write_doc: Option<String> = None;
     let mut check_doc_path: Option<String> = None;
-    let mut lint_all = false;
-    let mut xcheck = false;
-    let mut conformance = false;
-    let mut compose = false;
     let mut json = false;
     let mut serve = false;
-    let mut workers = 4usize;
+    let mut workers: Option<usize> = None;
     let mut tcp: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -127,17 +116,14 @@ fn main() {
             "--only" => only_spec = Some(args.next().unwrap_or_else(|| usage())),
             "--write" => write_doc = Some(args.next().unwrap_or_else(|| usage())),
             "--check" => check_doc_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--lint-all" => lint_all = true,
-            "--xcheck" => xcheck = true,
-            "--conformance" => conformance = true,
-            "--compose" => compose = true,
             "--json" => json = true,
             "--serve" => serve = true,
             "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or_else(|| usage())
+                workers = Some(
+                    args.next()
+                        .and_then(|w| w.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--tcp" => tcp = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => {
@@ -147,6 +133,30 @@ fn main() {
             _ => usage(),
         }
     }
+
+    let modes = [experiments_mode, trace_out.is_some(), serve];
+    if modes.iter().filter(|&&m| m).count() > 1 {
+        eprintln!("--experiments, --trace and --serve are separate modes; pick one");
+        usage();
+    }
+    require_mode(
+        only_spec.is_some() || write_doc.is_some() || check_doc_path.is_some() || json,
+        "--only/--write/--check/--json",
+        "--experiments",
+        experiments_mode,
+    );
+    require_mode(
+        perfetto_out.is_some(),
+        "--perfetto",
+        "--trace",
+        trace_out.is_some(),
+    );
+    require_mode(
+        workers.is_some() || tcp.is_some(),
+        "--workers/--tcp",
+        "--serve",
+        serve,
+    );
 
     if experiments_mode {
         let file = exp::load().unwrap_or_else(|e| {
@@ -191,16 +201,8 @@ fn main() {
         std::process::exit(if res.pass() { 0 } else { 1 });
     }
 
-    if only_spec.is_some() || write_doc.is_some() || check_doc_path.is_some() {
-        eprintln!("--only/--write/--check require --experiments");
-        usage();
-    }
-    if perfetto_out.is_some() && trace_out.is_none() {
-        eprintln!("--perfetto requires --trace");
-        usage();
-    }
-
     if serve {
+        let workers = workers.unwrap_or(4);
         let cfg = perf_service::ServiceConfig {
             workers,
             ..Default::default()
@@ -225,40 +227,6 @@ fn main() {
             std::process::exit(1);
         }
         return;
-    }
-
-    if compose {
-        let demo = perf_bench::composedemo::run(quick);
-        print!("{}", demo.report);
-        std::process::exit(if demo.pass { 0 } else { 1 });
-    }
-
-    if conformance {
-        let rep = perf_bench::conformance::run(quick);
-        let out = rep.to_json();
-        let path = "BENCH_conformance.json";
-        if let Err(e) = std::fs::write(path, &out) {
-            io_fail("cannot write conformance report", path, e);
-        }
-        if json {
-            print!("{out}");
-        } else {
-            print!("{}", rep.render());
-        }
-        eprintln!("wrote {path}");
-        std::process::exit(if rep.pass() { 0 } else { 1 });
-    }
-
-    if xcheck {
-        let (report, clean) = perf_bench::xcheckall::report(json);
-        print!("{report}");
-        std::process::exit(if clean { 0 } else { 1 });
-    }
-
-    if lint_all {
-        let (report, clean) = perf_bench::lintall::report();
-        print!("{report}");
-        std::process::exit(if clean { 0 } else { 1 });
     }
 
     if let Some(path) = trace_out {

@@ -1,17 +1,14 @@
-//! The `repro --compose` smoke: config-driven pipeline round-trip.
+//! The demo SoC topologies and the per-topology composition checks.
 //!
-//! Exercises the whole composition story end to end on a small demo
-//! topology: parse the TOML config, lint the glued Petri net, check
-//! that the compiled stepper agrees with the reference evaluator
-//! ([`perf_petri::reference`]) on the composite makespan, sanity-check the three composite interface tiers against
-//! each other, and finally run the quick composite conformance
-//! subject under the full Budget machinery (fault injection
-//! included). Any failure is a nonzero exit for `scripts/check.sh`.
+//! Two TOML configs — a linear chain and a fan-out/fan-in DAG — that
+//! E14, the static audits (E15), the trace demo and the trace parity
+//! suite all build from. [`topology_metrics`] runs E14's checks on
+//! one of them: parse, config lint, lint of the glued Petri net,
+//! stepper-vs-reference agreement ([`perf_petri::reference`]) on the
+//! composite makespan, and the three composite interface tiers against
+//! the composed simulators.
 
 use perf_compose::{Composite, StreamParams, Topology};
-use perf_conformance::harness::run_subject;
-use perf_conformance::subjects::dag::DagSubject;
-use perf_conformance::subjects::pipeline::PipelineSubject;
 
 /// The demo SoC config: a decode → compress-scan → serialize chain,
 /// written as the TOML the `perf-compose` parser accepts (headers,
@@ -88,118 +85,9 @@ from = "pack"
 to = "serialize"
 "#;
 
-/// Outcome of the compose smoke run.
-pub struct ComposeDemo {
-    /// Human-readable report, one line per check.
-    pub report: String,
-    /// Whether every check passed.
-    pub pass: bool,
-}
-
-fn check(report: &mut String, pass: &mut bool, ok: bool, line: &str) {
-    report.push_str(if ok { "  ok    " } else { "  FAIL  " });
-    report.push_str(line);
-    report.push('\n');
-    *pass &= ok;
-}
-
-/// Runs the shared per-topology checks — parse, config lint, net
-/// lint, stepper-vs-reference agreement, tier cross-check — appending one report
-/// line per check.
-fn smoke_topology(report: &mut String, pass: &mut bool, src: &str, quick: bool) {
-    let topo = match Topology::parse_toml(src) {
-        Ok(t) => t,
-        Err(e) => {
-            check(report, pass, false, &format!("parse demo topology: {e}"));
-            return;
-        }
-    };
-    report.push_str(&format!(
-        "  topology `{}`: {} ({} stages, {} edges)\n",
-        topo.name,
-        topo.chain_label(),
-        topo.stages.len(),
-        topo.edges.len()
-    ));
-
-    // Config-level lint catches graph pathologies (PC006 cycles,
-    // PC007 orphans, PC008 policy mismatches) before any net exists.
-    let cfg = perf_compose::lint::lint_toml("demo", src);
-    check(
-        report,
-        pass,
-        !cfg.has_errors(),
-        "config lint of the demo topology is clean",
-    );
-
-    let mut comp = match Composite::new(topo) {
-        Ok(c) => c,
-        Err(e) => {
-            check(report, pass, false, &format!("build composite: {e}"));
-            return;
-        }
-    };
-
-    match comp.lint_net() {
-        Ok(d) => check(
-            report,
-            pass,
-            !d.has_errors(),
-            "pnet lint of the glued net is clean",
-        ),
-        Err(e) => check(report, pass, false, &format!("lint: {e}")),
-    }
-
-    // The stepper must agree exactly with the reference evaluator on
-    // the composite net — same structure, same token costs.
-    let items = if quick { 5 } else { 12 };
-    let stream = StreamParams { items, seed: 7 };
-    match comp.petri_makespan_both(&stream) {
-        Ok((refr, stepper)) => check(
-            report,
-            pass,
-            refr == stepper,
-            &format!(
-                "stepper agrees with the reference on composite makespan: \
-                 reference {refr} == stepper {stepper}"
-            ),
-        ),
-        Err(e) => check(report, pass, false, &format!("makespan: {e}")),
-    }
-
-    // Tier cross-check: the ground-truth stream makespan must fall
-    // inside the composite NL bounds, and the program-tier recurrence
-    // must land in the same decade as the measurement.
-    let tiers = (|| -> Result<(f64, f64, f64, f64), perf_core::CoreError> {
-        let obs = comp.measure_stream(&stream)?;
-        let actual = obs.latency.0 as f64;
-        let (lo, hi) = comp.nl_bounds(&stream)?;
-        let prog = comp.program_makespan(&stream)?;
-        Ok((actual, lo, hi, prog))
-    })();
-    match tiers {
-        Ok((actual, lo, hi, prog)) => {
-            check(
-                report,
-                pass,
-                lo <= actual && actual <= hi,
-                &format!("NL bounds [{lo:.0}, {hi:.0}] contain measured makespan {actual:.0}"),
-            );
-            check(
-                report,
-                pass,
-                prog > 0.0 && (prog - actual).abs() / actual < 0.5,
-                &format!("program-tier recurrence {prog:.0} within 50% of measured {actual:.0}"),
-            );
-        }
-        Err(e) => check(report, pass, false, &format!("tiers: {e}")),
-    }
-}
-
 /// Structured results of the per-topology checks, for the E14
 /// experiment variant (`exp::run_variant` turns one of these into a
-/// table row; `smoke_topology` above renders the same checks as
-/// prose).
+/// table row).
 pub struct TopologyMetrics {
     /// `Topology::chain_label()` of the parsed config.
     pub label: String,
@@ -233,8 +121,8 @@ impl TopologyMetrics {
     }
 }
 
-/// Runs the shared per-topology checks and returns them as structured
-/// values instead of report lines.
+/// Runs the per-topology checks on one TOML config. `quick` shrinks
+/// the stream; the checks themselves are identical.
 pub fn topology_metrics(src: &str, quick: bool) -> Result<TopologyMetrics, perf_core::CoreError> {
     let topo = Topology::parse_toml(src)?;
     let label = topo.chain_label();
@@ -266,55 +154,6 @@ pub fn topology_metrics(src: &str, quick: bool) -> Result<TopologyMetrics, perf_
     })
 }
 
-/// Runs the compose smoke. `quick` shrinks stream lengths and the
-/// conformance sweep; the checks themselves are identical.
-pub fn run(quick: bool) -> ComposeDemo {
-    let mut report = String::from("repro --compose: composite pipeline smoke\n");
-    let mut pass = true;
-
-    smoke_topology(&mut report, &mut pass, DEMO_TOPOLOGY, quick);
-    smoke_topology(&mut report, &mut pass, DEMO_DAG_TOPOLOGY, quick);
-
-    // The composite conformance subjects under the full Budget
-    // machinery: nominal channels plus per-stage fault injection, over
-    // the linear chain and the branched DAG.
-    let accel = run_subject(&mut PipelineSubject::new(), true);
-    check(
-        &mut report,
-        &mut pass,
-        accel.pass(),
-        &format!(
-            "composite conformance (quick): {} cases, {} fault regions",
-            accel.cases,
-            accel.faults.len()
-        ),
-    );
-    if !accel.pass() {
-        report.push_str(&accel.diags.render());
-    }
-    let dag = run_subject(&mut DagSubject::new(), true);
-    check(
-        &mut report,
-        &mut pass,
-        dag.pass(),
-        &format!(
-            "DAG conformance (quick): {} cases, {} fault regions",
-            dag.cases,
-            dag.faults.len()
-        ),
-    );
-    if !dag.pass() {
-        report.push_str(&dag.diags.render());
-    }
-
-    report.push_str(if pass {
-        "PASS: composition round-trips both substrates within budget\n"
-    } else {
-        "FAIL: see lines above\n"
-    });
-    ComposeDemo { report, pass }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,14 +182,5 @@ mod tests {
         );
         t.validate()
             .expect("shipped DAG config must be well-formed");
-    }
-
-    #[test]
-    fn compose_smoke_passes_quick() {
-        let demo = run(true);
-        assert!(demo.pass, "{}", demo.report);
-        assert!(demo.report.contains("stepper agrees with the reference"));
-        assert!(demo.report.contains("demo-soc-dag"));
-        assert!(demo.report.contains("DAG conformance"));
     }
 }

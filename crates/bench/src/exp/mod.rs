@@ -14,11 +14,11 @@
 
 pub mod spec;
 
-use crate::composedemo;
 use crate::experiments::{self, ExperimentOutput, E4_HEADERS, E9_HEADERS};
+use crate::{audit, composedemo};
 use perf_core::report::{pct, Table};
 use perf_core::trace::json_escape;
-use perf_core::CoreError;
+use perf_core::{CoreError, Severity};
 use spec::{CmpOp, Criterion, ExpSpec, SpecFile};
 
 /// The shipped spec file, compiled in so `repro --experiments` needs
@@ -226,6 +226,12 @@ pub fn run_variant(
             })?;
             compose_variant(topology, quick)?
         }
+        "static-audit" => {
+            let name = axis_values.first().ok_or_else(|| {
+                CoreError::Artifact(format!("experiment {}: static-audit needs an axis", s.id))
+            })?;
+            audit_variant(name)?
+        }
         other => {
             return Err(CoreError::Artifact(format!(
                 "experiment {}: unknown runner `{other}`",
@@ -274,7 +280,12 @@ fn conformance_variant(subject: &str, quick: bool) -> Result<VariantOutput, Core
             format!("{} ({in_contract} in-contract)", r.faults.len()),
             if pass { "ok" } else { "FAIL" }.into(),
         ]],
-        notes: Vec::new(),
+        // A failing subject says why: its shrunk counterexamples.
+        notes: if pass {
+            Vec::new()
+        } else {
+            vec![format!("{subject}: {}", r.diags.render())]
+        },
         values: vec![("e12_pass".into(), f64::from(u8::from(pass)))],
     })
 }
@@ -383,6 +394,47 @@ fn compose_variant(topology: &str, quick: bool) -> Result<VariantOutput, CoreErr
             ("e14_nl_contains".into(), f64::from(u8::from(nl_contains))),
             ("e14_prog_rel_err".into(), m.prog_rel_err()),
         ],
+    })
+}
+
+/// E15: one static audit, one table row per target. A target with
+/// findings carries its rendered diagnostics in the notes.
+fn audit_variant(name: &str) -> Result<VariantOutput, CoreError> {
+    let targets = audit::run(name).ok_or_else(|| {
+        CoreError::Artifact(format!(
+            "static-audit has no audit `{name}` (have: lint, xcheck)"
+        ))
+    })?;
+    let mut rows = Vec::new();
+    let mut notes = Vec::new();
+    let mut values = Vec::new();
+    for (target, ds) in targets {
+        let [errors, warnings, infos] =
+            [Severity::Error, Severity::Warning, Severity::Info].map(|sev| ds.count(sev));
+        let clean = errors == 0 && warnings == 0;
+        rows.push(vec![
+            name.into(),
+            target.into(),
+            format!("{errors}"),
+            format!("{warnings}"),
+            format!("{infos}"),
+            if clean { "clean" } else { "FAIL" }.into(),
+        ]);
+        if !clean {
+            notes.push(format!("{name} {target}: {}", ds.render()));
+        }
+        values.push(("e15_clean".into(), f64::from(u8::from(clean))));
+    }
+    Ok(VariantOutput {
+        axis: Vec::new(),
+        samples: None,
+        headers: ["Audit", "Target", "Errors", "Warnings", "Infos", "Verdict"]
+            .iter()
+            .map(|h| h.to_string())
+            .collect(),
+        rows,
+        notes,
+        values,
     })
 }
 
@@ -649,11 +701,10 @@ impl RunResults {
              # machine-readable results\n\
              cargo run --release -p perf-bench --bin repro -- --experiments --quick --json\n\
              ```\n\n\
-             Each invocation exits nonzero if any pass criterion fails. The\n\
-             other `repro` modes (`--conformance`, `--compose`, `--trace`)\n\
-             run outside this framework; Chrome\n\
-             traces for ui.perfetto.dev come from `repro --trace --perfetto\n\
-             <out.json>` (see README).\n",
+             Each invocation exits nonzero if any pass criterion fails. This\n\
+             is the only gate `repro` runs: conformance is E12, composition\n\
+             E14, the static audits E15. Chrome traces for ui.perfetto.dev\n\
+             come from `repro --trace --perfetto <out.json>` (see README).\n",
         );
         out
     }

@@ -635,7 +635,7 @@ values = ["jpeg", "vta"]
     fn shipped_spec_file_parses() {
         let f = parse(crate::exp::SPEC_SRC).unwrap();
         assert_eq!(f.master_seed, 20230622);
-        assert_eq!(f.specs.len(), 14);
+        assert_eq!(f.specs.len(), 15);
         for (i, s) in f.specs.iter().enumerate() {
             assert_eq!(s.id, format!("E{}", i + 1));
             assert!(!s.hypothesis.is_empty(), "{} has no hypothesis", s.id);
@@ -643,6 +643,7 @@ values = ["jpeg", "vta"]
         }
         // The axes that drive multi-variant experiments.
         assert_eq!(f.find("E12").unwrap().variants().len(), 6);
+        assert_eq!(f.find("E15").unwrap().variants().len(), 2);
         assert_eq!(
             f.find("E4").unwrap().samples_for("full", &["vta".into()]),
             Some(1500)

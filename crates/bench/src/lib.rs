@@ -5,12 +5,10 @@
 //! them from the declarative specs; integration tests assert the
 //! headline shapes.
 
+pub mod audit;
 pub mod composedemo;
-pub mod conformance;
 pub mod exp;
 pub mod experiments;
-pub mod lintall;
 pub mod tracedemo;
-pub mod xcheckall;
 
 pub use experiments::ExperimentOutput;

@@ -49,8 +49,8 @@ fn shipped_specs_cover_the_whole_experiment_index() {
     let ids: Vec<&str> = file.specs.iter().map(|s| s.id.as_str()).collect();
     assert_eq!(
         ids,
-        (1..=14).map(|i| format!("E{i}")).collect::<Vec<_>>(),
-        "spec file must cover E1..E14 in order"
+        (1..=15).map(|i| format!("E{i}")).collect::<Vec<_>>(),
+        "spec file must cover E1..E15 in order"
     );
     // Quick-scale sample counts exist wherever full-scale ones do, so
     // the CI drift gate can run every experiment.

@@ -46,6 +46,7 @@ fn experiment_only_flags_require_experiments_mode() {
         ["--only", "E2"],
         ["--write", "OUT.md"],
         ["--check", "EXPERIMENTS.md"],
+        ["--json", "--quick"],
     ] {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -58,6 +59,43 @@ fn experiment_only_flags_require_experiments_mode() {
     let out = repro(&["--perfetto", "out.json"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--trace"));
+}
+
+#[test]
+fn serve_only_flags_and_two_modes_exit_2() {
+    for args in [&["--workers", "8"][..], &["--tcp", "127.0.0.1:0"][..]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--serve"), "args {args:?}: stderr was {err}");
+    }
+    // A second mode, or a flag of another mode, is a usage error
+    // rather than silently ignored.
+    for args in [
+        &["--experiments", "--only", "E7", "--trace", "t.json"][..],
+        &["--serve", "--trace", "t.json"][..],
+        &["--experiments", "--serve"][..],
+        &["--experiments", "--only", "E7", "--workers", "8"][..],
+        &["--serve", "--json"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "args {args:?}: stderr was {err}");
+    }
+}
+
+#[test]
+fn removed_gate_modes_exit_2() {
+    // Folded into `--experiments`: E12 (conformance), E14 (compose)
+    // and E15 (lint and xcheck).
+    for mode in ["lint-all", "xcheck", "conformance", "compose"] {
+        let flag = format!("--{mode}");
+        let out = repro(&[flag.as_str()]);
+        assert_eq!(out.status.code(), Some(2), "flag {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "flag {flag}: stderr was {err}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! function that bounds a stage's throughput. Every row is assembled
 //! from what the accelerator crate already exports; the consumers
 //! (pipeline composition and its lints, the cross-tier checker, the
-//! query service, `repro --lint-all`) look a name up with [`accel`]
+//! query service, the E15 lint audit) look a name up with [`accel`]
 //! instead of keeping their own tables.
 //!
 //! A field lives here only when two or more consumers read it.

@@ -26,7 +26,7 @@
 //!
 //! Stages name accelerators from [`ACCELS`], the registry of
 //! per-accelerator facts that the lints, the cross-tier checker, the
-//! query service and `repro --lint-all` read as well.
+//! query service and the E15 lint audit read as well.
 //!
 //! [`QueryBackend`]: perf_core::query::QueryBackend
 

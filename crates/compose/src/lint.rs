@@ -13,7 +13,7 @@
 //! not run as written); rate-structure findings are informational —
 //! a saturating inter-stage queue is often the *point* of a bounded
 //! pipeline (backpressure), so `PC001`/`PC002` surface structure
-//! without failing `repro --xcheck`.
+//! without failing the E15 xcheck audit.
 
 use crate::accels::{accel, Accel};
 use crate::topology::{GraphIssue, Policy, StageCfg, Topology, MAX_ITEMS};

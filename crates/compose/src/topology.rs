@@ -4,7 +4,7 @@
 //! inter-stage queues. It can be written two ways:
 //!
 //! * a TOML document ([`Topology::parse_toml`]) — the config format the
-//!   `repro --compose` driver and service accept from files. Stages are
+//!   demo SoC topologies (E14, E15) are written in. Stages are
 //!   `[[stage]]` tables; the edge graph is `[[edge]]` tables naming
 //!   `from`/`to` instances, with a fan-out `policy` of `"round-robin"`
 //!   (each item takes one out-edge, in item order) or `"broadcast"`

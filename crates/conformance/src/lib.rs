@@ -19,8 +19,8 @@
 //!   widened budget or the operating region is explicitly declared
 //!   out of contract — never silently wrong, never non-finite.
 //!
-//! Run it via `repro --conformance [--quick] [--json]`, which writes
-//! `BENCH_conformance.json`.
+//! It runs as experiment E12 (`repro --experiments --only E12`); the
+//! `committed_report` test keeps `BENCH_conformance.json` current.
 
 pub mod budget;
 pub mod harness;
@@ -31,8 +31,8 @@ pub use budget::{Budget, Contract};
 pub use harness::{relative_error, run_subject, CaseSpec, Subject, CHANNELS};
 pub use report::{AccelReport, ChannelReport, ConformanceReport, Counterexample, NlResult};
 
-use subjects::{bitcoin::BitcoinSubject, dag::DagSubject, jpeg::JpegSubject};
-use subjects::{pipeline::PipelineSubject, protoacc::ProtoaccSubject, vta::VtaSubject};
+use subjects::{bitcoin::BitcoinSubject, composite::CompositeSubject, jpeg::JpegSubject};
+use subjects::{protoacc::ProtoaccSubject, vta::VtaSubject};
 
 /// Runs one subject's harness; the flag is `quick`.
 pub type RunSubject = fn(bool) -> AccelReport;
@@ -48,8 +48,12 @@ pub static SUBJECTS: [(&str, RunSubject); 6] = [
     }),
     ("protoacc", |q| run_subject(&mut ProtoaccSubject::new(), q)),
     ("vta", |q| run_subject(&mut VtaSubject::new(), q)),
-    ("pipeline", |q| run_subject(&mut PipelineSubject::new(), q)),
-    ("pipeline-dag", |q| run_subject(&mut DagSubject::new(), q)),
+    ("pipeline", |q| {
+        run_subject(&mut CompositeSubject::chain(), q)
+    }),
+    ("pipeline-dag", |q| {
+        run_subject(&mut CompositeSubject::dag(), q)
+    }),
 ];
 
 /// Runs one subject from [`SUBJECTS`]; `None` if no subject has that

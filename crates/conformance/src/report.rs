@@ -1,6 +1,6 @@
 //! Structured conformance reports: per-channel statistics, minimized
-//! counterexamples, fault-region verdicts, and their text and JSON
-//! renderings (`BENCH_conformance.json`).
+//! counterexamples, fault-region verdicts, and their JSON rendering
+//! (`BENCH_conformance.json`).
 
 use perf_core::diag::Diagnostics;
 use perf_core::trace::json_escape;
@@ -218,79 +218,6 @@ impl ConformanceReport {
         self.accels.iter().all(AccelReport::pass)
     }
 
-    /// Renders a human-readable summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("perf-conformance: interface <-> simulator differential check\n");
-        for a in &self.accels {
-            s.push_str(&format!(
-                "\n== {} ({} cases, {} adversarial, {} rejected): {}\n",
-                a.name,
-                a.cases,
-                a.adversarial,
-                a.rejected,
-                if a.pass() { "PASS" } else { "FAIL" }
-            ));
-            for c in &a.nominal {
-                s.push_str(&format!(
-                    "  {:9} {:10} n={:3} avg={:7.4} max={:7.4} p99={:7.4} \
-                     (budget avg {:.3} max {:.3}) {}\n",
-                    c.kind,
-                    c.metric,
-                    c.n,
-                    c.avg,
-                    c.max,
-                    c.p99,
-                    c.budget.avg,
-                    c.budget.max,
-                    if c.pass { "ok" } else { "VIOLATION" }
-                ));
-                if c.bounds_n > 0 {
-                    s.push_str(&format!(
-                        "            bounds: {}/{} contained\n",
-                        c.bounds_within, c.bounds_n
-                    ));
-                }
-            }
-            for r in &a.nl {
-                s.push_str(&format!(
-                    "  nl claim  {:28} {}\n",
-                    r.claim,
-                    if r.holds { "holds" } else { "VIOLATED" }
-                ));
-            }
-            for f in &a.faults {
-                s.push_str(&format!(
-                    "  faults    seed={:<4} intensity={:5.2} {:15} {}\n",
-                    f.seed,
-                    f.intensity,
-                    if f.in_contract {
-                        "in-contract"
-                    } else {
-                        "out-of-contract"
-                    },
-                    if f.pass { "ok" } else { "VIOLATION" }
-                ));
-            }
-            for cx in &a.counterexamples {
-                s.push_str(&format!(
-                    "  counterexample [{} {}] {} -> predicted {}, simulated {:.0} \
-                     (rel {:.3}, {} shrink steps)\n",
-                    cx.kind, cx.metric, cx.desc, cx.predicted, cx.actual, cx.rel, cx.shrink_steps
-                ));
-            }
-            let rendered = a.diags.render();
-            if !rendered.is_empty() {
-                s.push_str(&rendered);
-            }
-        }
-        s.push_str(&format!(
-            "\nconformance: {}\n",
-            if self.pass() { "PASS" } else { "FAIL" }
-        ));
-        s
-    }
-
     /// Serializes the full report as JSON (`BENCH_conformance.json`).
     pub fn to_json(&self) -> String {
         let accels: Vec<String> = self.accels.iter().map(AccelReport::to_json).collect();
@@ -316,7 +243,6 @@ mod tests {
         assert!(r.pass());
         let j = r.to_json();
         assert!(j.contains("\"pass\":true"));
-        assert!(r.render().contains("PASS"));
     }
 
     #[test]

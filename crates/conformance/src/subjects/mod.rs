@@ -1,9 +1,8 @@
 //! Harness adapters for the four accelerators and the composite
-//! pipeline.
+//! pipelines.
 
 pub mod bitcoin;
-pub mod dag;
+pub mod composite;
 pub mod jpeg;
-pub mod pipeline;
 pub mod protoacc;
 pub mod vta;

@@ -1626,7 +1626,7 @@ mod tests {
     // Op/CFn are private, so seeded-defect coverage for the verifier
     // lives here: compile a clean program, corrupt one instruction, and
     // assert exactly the intended PBC code fires. Together with the
-    // shipped-artifact sweep in `repro --xcheck` this gives the
+    // shipped-artifact sweep in the E15 xcheck audit this gives the
     // verifier the same fires-on-defects / silent-on-clean contract as
     // the other lint passes.
 

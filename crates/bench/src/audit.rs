@@ -44,7 +44,7 @@ pub fn run(audit: &str) -> Option<Vec<(&'static str, Diagnostics)>> {
             .iter()
             .map(|a| (a.name, a.lint()))
             .chain([demo("compose-demo", DEMO_TOPOLOGY, |t| {
-                Composite::new(t)?.lint_net()
+                Ok(Composite::new(t)?.lint_net())
             })])
             .collect(),
         "xcheck" => ACCELS

@@ -130,7 +130,7 @@ pub fn topology_metrics(src: &str, quick: bool) -> Result<TopologyMetrics, perf_
     let edges = topo.edges.len();
     let config_lint_clean = !perf_compose::lint::lint_toml("demo", src).has_errors();
     let mut comp = Composite::new(topo)?;
-    let net_lint_clean = !comp.lint_net()?.has_errors();
+    let net_lint_clean = !comp.lint_net().has_errors();
     let stream = StreamParams {
         items: if quick { 5 } else { 12 },
         seed: 7,

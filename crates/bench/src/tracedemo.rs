@@ -189,7 +189,7 @@ pub fn run_trace_demo(quick: bool) -> TraceDemo {
         .petri_traced(&stream)
         .expect("demo composite runs traced");
     let cpath = critical_path(&cres).expect("traced composite run has a path");
-    let cattr = chrome_trace_events(&cnet, &cres, Some(&cpath), 1, &mut ct);
+    let cattr = chrome_trace_events(cnet, &cres, Some(&cpath), 1, &mut ct);
     assert_eq!(
         cattr, cres.makespan,
         "composite critical path must telescope to the makespan"

@@ -186,6 +186,101 @@ mod tests {
     }
 
     #[test]
+    fn fractional_negative_or_non_finite_stream_fields_are_rejected() {
+        // `items: 2.9, seed: 3.7` used to be answered as `items: 2,
+        // seed: 3`, and `seed: -5` as `seed: 0`.
+        let mut b = PipelineBackend::from_chain("vta:2>protoacc:4").unwrap();
+        for (field, value) in [
+            ("items", 2.9),
+            ("seed", 3.7),
+            ("seed", -5.0),
+            ("seed", f64::NAN),
+            ("items", f64::INFINITY),
+        ] {
+            let spec = WorkloadSpec::new("stream")
+                .with("items", 2.0)
+                .with("seed", 3.0)
+                .with(field, value);
+            let err = b
+                .predict(&spec, InterfaceKind::Program, Metric::Latency)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("`{field}`")) && err.contains(&value.to_string()),
+                "{field} = {value}: {err}"
+            );
+        }
+    }
+
+    /// Every answer of a long-lived backend, whose stage-cost memo has
+    /// seen overlapping streams (seed 8 shifts seed 1 by one item;
+    /// seeds 1024 apart ask identical workloads), must equal a fresh
+    /// backend's answer to the same single query, bit for bit.
+    #[test]
+    fn long_lived_backend_matches_a_fresh_one_per_query() {
+        use perf_sim::FaultPlan;
+        fn bits(p: Prediction) -> (u64, u64) {
+            match p {
+                Prediction::Point(v) => (v.to_bits(), v.to_bits()),
+                Prediction::Bounds { min, max } => (min.to_bits(), max.to_bits()),
+            }
+        }
+        let fault = FaultPlan::backpressure(3, 900, 500);
+        for chain in [
+            "vta:2>protoacc:4",
+            "vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3",
+        ] {
+            let mut long = PipelineBackend::from_chain(chain).unwrap();
+            let last = long.composite().stages() - 1;
+            for (items, seed) in [
+                (5.0, 1.0),
+                (5.0, 8.0),
+                (5.0, 1025.0),
+                (1.0, 3.0),
+                (2.0, 2051.0),
+                (64.0, 2.0),
+                (64.0, 1026.0),
+            ] {
+                let spec = WorkloadSpec::new("stream")
+                    .with("items", items)
+                    .with("seed", seed);
+                let fresh = || PipelineBackend::from_chain(chain).unwrap();
+                for repr in [
+                    InterfaceKind::NaturalLanguage,
+                    InterfaceKind::Program,
+                    InterfaceKind::PetriNet,
+                ] {
+                    for metric in [Metric::Latency, Metric::Throughput] {
+                        let got = long.predict(&spec, repr, metric).unwrap();
+                        let want = fresh().predict(&spec, repr, metric).unwrap();
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "{chain} {items}×{seed} {repr:?}/{metric:?}"
+                        );
+                    }
+                }
+                // The debug-build simulator takes seconds per
+                // 64-item stream; short streams cover the
+                // measured channel.
+                if items > 8.0 {
+                    continue;
+                }
+                for plan in [None, Some(fault)] {
+                    long.composite_mut().set_fault(last, plan);
+                    let mut f = fresh();
+                    f.composite_mut().set_fault(last, plan);
+                    assert_eq!(
+                        long.measure(&spec).unwrap(),
+                        f.measure(&spec).unwrap(),
+                        "{chain} {items}×{seed} fault {plan:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn non_stream_specs_are_rejected() {
         let mut b = PipelineBackend::from_chain("vta:2").unwrap();
         assert!(b.measure(&WorkloadSpec::new("random")).is_err());

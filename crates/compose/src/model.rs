@@ -41,17 +41,17 @@
 use perf_core::iface::{InterfaceKind, Metric};
 use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::units::{Cycles, Throughput};
-use perf_core::{CoreError, Observation};
+use perf_core::{CoreError, Observation, Prediction};
 use perf_iface_lang::Value;
 use perf_petri::behavior::Behavior;
 use perf_petri::lint::lint;
 use perf_petri::net::Transition;
-use perf_petri::{reference, CompiledNet, Net, NetBuilder, Options, SimResult, Token};
+use perf_petri::{reference, Net, NetBuilder, NetExec, Options, PlaceId, SimResult, Token};
 use perf_sim::{DagNodeSpec, DagPipeline, FaultPlan, Pipeline, Route, StageSpec};
 use std::collections::HashMap;
 
 use crate::accels::accel;
-use crate::topology::{Policy, Topology, MAX_ITEMS};
+use crate::topology::{Policy, StageCfg, Topology, MAX_ITEMS};
 
 /// Parameters of one `stream` workload: `items` independent workloads
 /// flowing through the pipeline, derived from `seed`.
@@ -65,6 +65,10 @@ pub struct StreamParams {
 
 impl StreamParams {
     /// Extracts stream parameters from a `stream` workload spec.
+    ///
+    /// `items` and `seed` must be whole numbers: a fractional or
+    /// negative value is an error, never truncated into the answer for
+    /// a different stream.
     pub fn from_spec(spec: &WorkloadSpec) -> Result<StreamParams, CoreError> {
         if spec.kind != "stream" {
             return Err(CoreError::Artifact(format!(
@@ -73,9 +77,9 @@ impl StreamParams {
             )));
         }
         let items = spec.get_or("items", 8.0);
-        if !items.is_finite() || items < 1.0 {
+        if !items.is_finite() || items < 1.0 || items.fract() != 0.0 {
             return Err(CoreError::Artifact(format!(
-                "stream `items` must be ≥ 1, got {items}"
+                "stream `items` must be an integer ≥ 1, got {items}"
             )));
         }
         // Reject oversize streams instead of silently clamping: a
@@ -86,9 +90,16 @@ impl StreamParams {
                 "stream `items` must be ≤ {MAX_ITEMS}, got {items}"
             )));
         }
+        let seed = spec.get_or("seed", 1.0);
+        // 2^64: the first value a `u64` cannot hold.
+        if !(0.0..18_446_744_073_709_551_616.0).contains(&seed) || seed.fract() != 0.0 {
+            return Err(CoreError::Artifact(format!(
+                "stream `seed` must be an integer in [0, 2^64), got {seed}"
+            )));
+        }
         Ok(StreamParams {
             items: items as usize,
-            seed: spec.get_or("seed", 1.0) as u64,
+            seed: seed as u64,
         })
     }
 }
@@ -97,25 +108,68 @@ impl StreamParams {
 /// Point predictions collapse to `lo == hi`.
 type CostBounds = Vec<Vec<(f64, f64)>>;
 
+/// Entries a [`Composite`]'s stage-cost memo holds before it is
+/// cleared.
+///
+/// An entry is a 24-byte key plus a 16-byte `(lo, hi)` value, and at
+/// this capacity the table never grows past 2^15 buckets, so one
+/// composite's memo stays under 1.4 MB (2^15 × 41 bytes).
+const STAGE_MEMO_CAPACITY: usize = 1 << 14;
+
+/// What a memoized stage cost was evaluated with: one interface tier,
+/// or the stage's cycle-accurate simulator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Channel {
+    Predicted(InterfaceKind),
+    Measured,
+}
+
+/// A stage-cost memo key: `(stage class, channel, varied-field value
+/// bits)`. The class and the value pin the stage's item spec exactly
+/// (see [`Composite::item_spec`]), so distinct workloads never share a
+/// key.
+type MemoKey = (usize, Channel, u64);
+
 /// A topology realized against live accelerator backends.
 pub struct Composite {
     topo: Topology,
     backends: Vec<Box<dyn QueryBackend>>,
+    /// `class[j]`: the first stage whose workload template (accel,
+    /// kind, fields, varied field) is bit-for-bit stage `j`'s, so both
+    /// submit the same spec for the same varied value.
+    class: Vec<usize>,
     /// Fault injection for ground-truth measurement: the plan applies
     /// to one stage of the composite pipeline (`set_fault`).
     fault: Option<(usize, FaultPlan)>,
-    /// Predicted cost matrices keyed by (repr, items, seed); per-stage
-    /// predictions are deterministic so this never goes stale.
-    pred_cache: HashMap<(u8, usize, u64), CostBounds>,
-    /// Measured (clean) cost matrices keyed by (items, seed). Faults
-    /// are injected at the composite level, not into per-item costs,
-    /// so the cache stays valid across `set_fault`.
-    meas_cache: HashMap<(usize, u64), Vec<Vec<f64>>>,
+    /// One stage's latency for one item workload, per channel. Stage
+    /// evaluations are deterministic, and faults are injected at the
+    /// composite level rather than into per-item costs, so entries
+    /// never go stale. Cleared when it reaches
+    /// [`STAGE_MEMO_CAPACITY`].
+    memo: HashMap<MemoKey, (f64, f64)>,
+    /// The glued net, compiled once; queries only inject and step.
+    exec: NetExec,
+    /// The glued net's stream injection place.
+    entry: PlaceId,
+}
+
+/// Whether two stages submit identical specs for equal varied values.
+/// Field values compare by bits, so `0.0` and `-0.0` stay apart.
+fn same_workload(a: &StageCfg, b: &StageCfg) -> bool {
+    a.accel == b.accel
+        && a.kind == b.kind
+        && a.vary == b.vary
+        && a.fields.len() == b.fields.len()
+        && a.fields
+            .iter()
+            .zip(&b.fields)
+            .all(|((ka, va), (kb, vb))| ka == kb && va.to_bits() == vb.to_bits())
 }
 
 impl Composite {
-    /// Realizes `topo`: constructs each stage's backend and checks the
-    /// stage templates against what the backends accept.
+    /// Realizes `topo`: constructs each stage's backend, checks the
+    /// stage templates against what the backends accept, and builds
+    /// and compiles the glued net.
     pub fn new(topo: Topology) -> Result<Composite, CoreError> {
         topo.validate()?;
         let mut backends = Vec::new();
@@ -132,12 +186,26 @@ impl Composite {
             }
             backends.push(b);
         }
+        let stages = &topo.stages;
+        let class = (0..stages.len())
+            .map(|j| {
+                (0..j)
+                    .find(|&i| same_workload(&stages[i], &stages[j]))
+                    .unwrap_or(j)
+            })
+            .collect();
+        let net = Self::glue(&topo)?;
+        let entry = net
+            .place_id("in")
+            .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
         Ok(Composite {
             topo,
             backends,
+            class,
             fault: None,
-            pred_cache: HashMap::new(),
-            meas_cache: HashMap::new(),
+            memo: HashMap::new(),
+            exec: NetExec::new(net),
+            entry,
         })
     }
 
@@ -162,6 +230,20 @@ impl Composite {
         self.fault = plan.map(|p| (stage, p));
     }
 
+    /// The value of `stage`'s varied field for stream item `item`: the
+    /// template's value plus `seed % 1024 + 7 · item`.
+    fn vary_value(&self, stage: usize, stream: &StreamParams, item: usize) -> f64 {
+        let st = &self.topo.stages[stage];
+        // The last write wins, as when the fields are applied in order.
+        let base = st
+            .fields
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == st.vary)
+            .map_or(1.0, |&(_, v)| v);
+        base + (stream.seed % 1024) as f64 + (item as f64) * 7.0
+    }
+
     /// The workload spec submitted to `stage` for stream item `item`:
     /// the stage template with its `vary` field perturbed by the stream
     /// seed and item index (deterministic, collision-spread).
@@ -171,30 +253,64 @@ impl Composite {
         for (k, v) in &st.fields {
             spec = spec.with(k.clone(), *v);
         }
-        let base = spec.get_or(&st.vary, 1.0);
-        spec.with(
-            st.vary.clone(),
-            base + (stream.seed % 1024) as f64 + (item as f64) * 7.0,
-        )
+        spec.with(st.vary.clone(), self.vary_value(stage, stream, item))
+    }
+
+    /// One stage's latency `(lo, hi)` for one stream item on one
+    /// channel, evaluated at most once per distinct item workload.
+    fn stage_cost(
+        &mut self,
+        stage: usize,
+        stream: &StreamParams,
+        item: usize,
+        channel: Channel,
+    ) -> Result<(f64, f64), CoreError> {
+        let key = (
+            self.class[stage],
+            channel,
+            self.vary_value(stage, stream, item).to_bits(),
+        );
+        if let Some(&cost) = self.memo.get(&key) {
+            return Ok(cost);
+        }
+        let spec = self.item_spec(stage, stream, item);
+        let backend = &mut self.backends[stage];
+        let cost = match channel {
+            Channel::Measured => {
+                let v = Metric::Latency.of(&backend.measure(&spec)?);
+                (v, v)
+            }
+            Channel::Predicted(repr) => match backend.predict(&spec, repr, Metric::Latency)? {
+                Prediction::Point(v) => (v, v),
+                Prediction::Bounds { min, max } => (min, max),
+            },
+        };
+        if self.memo.len() >= STAGE_MEMO_CAPACITY {
+            self.memo.clear();
+        }
+        self.memo.insert(key, cost);
+        Ok(cost)
+    }
+
+    /// Per-item, per-stage latency bounds on one channel.
+    fn costs(&mut self, stream: &StreamParams, channel: Channel) -> Result<CostBounds, CoreError> {
+        let k = self.stages();
+        let mut m = vec![vec![(0.0, 0.0); k]; stream.items];
+        for (i, row) in m.iter_mut().enumerate() {
+            for (j, cost) in row.iter_mut().enumerate() {
+                *cost = self.stage_cost(j, stream, i, channel)?;
+            }
+        }
+        Ok(m)
     }
 
     /// Ground-truth per-item, per-stage latency matrix: each stage's
     /// cycle-accurate simulator measured on that item's workload.
     fn measured_costs(&mut self, stream: &StreamParams) -> Result<Vec<Vec<f64>>, CoreError> {
-        let key = (stream.items, stream.seed);
-        if let Some(m) = self.meas_cache.get(&key) {
-            return Ok(m.clone());
-        }
-        let specs = self.all_item_specs(stream);
-        let mut m = vec![vec![0.0; self.stages()]; stream.items];
-        for (j, backend) in self.backends.iter_mut().enumerate() {
-            for (i, row) in specs.iter().enumerate() {
-                let obs = backend.measure(&row[j])?;
-                m[i][j] = Metric::Latency.of(&obs);
-            }
-        }
-        self.meas_cache.insert(key, m.clone());
-        Ok(m)
+        let m = self.costs(stream, Channel::Measured)?;
+        Ok(m.into_iter()
+            .map(|row| row.into_iter().map(|(v, _)| v).collect())
+            .collect())
     }
 
     /// Per-item, per-stage predicted latency bounds from one interface
@@ -204,33 +320,7 @@ impl Composite {
         stream: &StreamParams,
         repr: InterfaceKind,
     ) -> Result<CostBounds, CoreError> {
-        let key = (repr as u8, stream.items, stream.seed);
-        if let Some(m) = self.pred_cache.get(&key) {
-            return Ok(m.clone());
-        }
-        let specs = self.all_item_specs(stream);
-        let mut m = vec![vec![(0.0, 0.0); self.stages()]; stream.items];
-        for (j, backend) in self.backends.iter_mut().enumerate() {
-            for (i, row) in specs.iter().enumerate() {
-                let p = backend.predict(&row[j], repr, Metric::Latency)?;
-                m[i][j] = match p {
-                    perf_core::Prediction::Point(v) => (v, v),
-                    perf_core::Prediction::Bounds { min, max } => (min, max),
-                };
-            }
-        }
-        self.pred_cache.insert(key, m.clone());
-        Ok(m)
-    }
-
-    fn all_item_specs(&self, stream: &StreamParams) -> Vec<Vec<WorkloadSpec>> {
-        (0..stream.items)
-            .map(|i| {
-                (0..self.stages())
-                    .map(|j| self.item_spec(j, stream, i))
-                    .collect()
-            })
-            .collect()
+        self.costs(stream, Channel::Predicted(repr))
     }
 
     /// Inter-stage buffer capacities as seen by the schedule
@@ -351,21 +441,30 @@ impl Composite {
     /// downstream queue depth as its capacity and (b) stops being a
     /// sink — tokens flow on, and a full boundary place blocks the
     /// upstream `serve`, which is backpressure by construction.
+    ///
+    /// Returns a fresh copy; queries run the one [`Self::new`] built
+    /// and compiled.
     pub fn build_net(&self) -> Result<Net, CoreError> {
-        if !self.topo.is_chain() {
-            return self.build_dag_net();
+        Self::glue(&self.topo)
+    }
+
+    /// Glues `topo`'s per-stage component nets (see
+    /// [`Self::build_net`]).
+    fn glue(topo: &Topology) -> Result<Net, CoreError> {
+        if !topo.is_chain() {
+            return Self::build_dag_net(topo);
         }
-        let k = self.stages();
-        let mut net = self.stage_net(0)?;
+        let k = topo.stages.len();
+        let mut net = Self::stage_net(topo, 0)?;
         // The boundary place's name in the accumulated net: stage 0's
         // own `out` keeps its unprefixed name; later stages' out places
         // are prefixed by their component (instance) name.
         let mut boundary = "out".to_string();
         for j in 1..k {
-            let part = self.stage_net(j)?;
-            let name = self.topo.name.clone();
+            let part = Self::stage_net(topo, j)?;
+            let name = topo.name.clone();
             net = perf_petri::compose::compose(net, part, &[(boundary.as_str(), "in")], &name)?;
-            boundary = format!("{}.out", self.topo.stages[j].instance);
+            boundary = format!("{}.out", topo.stages[j].instance);
         }
         Ok(net)
     }
@@ -385,15 +484,15 @@ impl Composite {
     /// transition — every glue pair stays a distinct 1-to-1 fusion,
     /// which is exactly what [`perf_petri::compose`]'s aliasing checks
     /// require of well-formed composition.
-    fn build_dag_net(&self) -> Result<Net, CoreError> {
-        let order = self.topo.topo_order();
-        let source = self.topo.source();
+    fn build_dag_net(topo: &Topology) -> Result<Net, CoreError> {
+        let order = topo.topo_order();
+        let source = topo.source();
         debug_assert_eq!(order[0], source, "validated topology starts at its source");
         // The boundary-place name of (stage, out-slot) in the
         // accumulated net: the first-folded component keeps unprefixed
         // names, later ones are prefixed by instance.
         let out_name = |u: usize, slot: usize| -> String {
-            let base = if self.topo.out_edges(u).len() <= 1 {
+            let base = if topo.out_edges(u).len() <= 1 {
                 "out".to_string()
             } else {
                 format!("out{slot}")
@@ -401,23 +500,21 @@ impl Composite {
             if u == source {
                 base
             } else {
-                format!("{}.{base}", self.topo.stages[u].instance)
+                format!("{}.{base}", topo.stages[u].instance)
             }
         };
-        let mut net = self.dag_stage_net(source)?;
+        let mut net = Self::dag_stage_net(topo, source)?;
         for &v in &order[1..] {
-            let part = self.dag_stage_net(v)?;
-            let ins = self.topo.in_edges(v);
+            let part = Self::dag_stage_net(topo, v)?;
+            let ins = topo.in_edges(v);
             let pairs: Vec<(String, String)> = ins
                 .iter()
                 .enumerate()
                 .map(|(slot, &e)| {
-                    let u = self
-                        .topo
-                        .stage_index(&self.topo.edges[e].from)
+                    let u = topo
+                        .stage_index(&topo.edges[e].from)
                         .expect("validated topology");
-                    let uslot = self
-                        .topo
+                    let uslot = topo
                         .out_edges(u)
                         .iter()
                         .position(|&x| x == e)
@@ -434,17 +531,17 @@ impl Composite {
                 .iter()
                 .map(|(a, b)| (a.as_str(), b.as_str()))
                 .collect();
-            net = perf_petri::compose::compose(net, part, &refs, &self.topo.name)?;
+            net = perf_petri::compose::compose(net, part, &refs, &topo.name)?;
         }
         Ok(net)
     }
 
     /// One DAG stage as a standalone component net (see
     /// [`Self::build_dag_net`] for the shapes).
-    fn dag_stage_net(&self, u: usize) -> Result<Net, CoreError> {
-        let st = &self.topo.stages[u];
+    fn dag_stage_net(topo: &Topology, u: usize) -> Result<Net, CoreError> {
+        let st = &topo.stages[u];
         let mut b = NetBuilder::new(st.instance.clone());
-        let m = self.topo.in_edges(u).len();
+        let m = topo.in_edges(u).len();
         let inp = if m == 0 {
             // The source's input is the injection point and stays
             // unbounded (the workload is fully known up front).
@@ -474,7 +571,7 @@ impl Composite {
                 .map(|c| c.max(1.0) as u64)
                 .unwrap_or(1)
         });
-        let outs = self.topo.out_edges(u);
+        let outs = topo.out_edges(u);
         let fan = outs.len();
         if fan <= 1 {
             let out = b.sink("out");
@@ -490,7 +587,7 @@ impl Composite {
                 servers: st.replicas.max(1),
                 priority: 0,
             });
-        } else if self.topo.policy_of(u) == Policy::Broadcast {
+        } else if topo.policy_of(u) == Policy::Broadcast {
             let out_ids: Vec<_> = (0..fan).map(|s| b.sink(format!("out{s}"))).collect();
             b.add_transition(Transition {
                 name: "serve".to_string(),
@@ -551,8 +648,8 @@ impl Composite {
     }
 
     /// One stage as a standalone component net.
-    fn stage_net(&self, j: usize) -> Result<Net, CoreError> {
-        let st = &self.topo.stages[j];
+    fn stage_net(topo: &Topology, j: usize) -> Result<Net, CoreError> {
+        let st = &topo.stages[j];
         let mut b = NetBuilder::new(st.instance.clone());
         // Stage 0's input is the injection point and stays unbounded
         // (the workload is fully known up front); later stages bound
@@ -612,16 +709,12 @@ impl Composite {
             .collect())
     }
 
-    /// Runs the composite net on the compiled stepper and rejects runs
+    /// Runs the compiled composite net on `tokens` and rejects runs
     /// that strand tokens.
-    fn run_net(net: &Net, tokens: &[Token], opts: Options) -> Result<SimResult, CoreError> {
-        let entry = net
-            .place_id("in")
-            .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
-        let plan = CompiledNet::compile(net);
-        let mut s = plan.stepper(net, opts);
+    fn run_net(&self, tokens: Vec<Token>, opts: Options) -> Result<SimResult, CoreError> {
+        let mut s = self.exec.session(opts);
         for t in tokens {
-            s.inject(entry, t.clone());
+            s.inject(self.entry, t);
         }
         let res = s.run()?;
         if !res.stranded.is_empty() {
@@ -636,23 +729,21 @@ impl Composite {
     /// Petri-tier composite prediction: the net's makespan.
     pub fn petri_makespan(&mut self, stream: &StreamParams) -> Result<u64, CoreError> {
         let tokens = self.stream_tokens(stream)?;
-        let res = Self::run_net(&self.build_net()?, &tokens, Options::default())?;
-        Ok(res.makespan)
+        Ok(self.run_net(tokens, Options::default())?.makespan)
     }
 
     /// Runs the composite net with firing-trace recording enabled and
     /// returns the net together with the traced [`SimResult`] — the
     /// input to [`perf_petri::critical_path`] and the Chrome-trace
     /// exporter.
-    pub fn petri_traced(&mut self, stream: &StreamParams) -> Result<(Net, SimResult), CoreError> {
+    pub fn petri_traced(&mut self, stream: &StreamParams) -> Result<(&Net, SimResult), CoreError> {
         let tokens = self.stream_tokens(stream)?;
-        let net = self.build_net()?;
         let opts = Options {
             trace: Some(perf_petri::trace::DEFAULT_TRACE_CAPACITY),
             ..Options::default()
         };
-        let res = Self::run_net(&net, &tokens, opts)?;
-        Ok((net, res))
+        let res = self.run_net(tokens, opts)?;
+        Ok((self.exec.net(), res))
     }
 
     /// Runs the composite net on the [`perf_petri::reference`] spec
@@ -661,22 +752,16 @@ impl Composite {
     /// agree.
     pub fn petri_makespan_both(&mut self, stream: &StreamParams) -> Result<(u64, u64), CoreError> {
         let tokens = self.stream_tokens(stream)?;
-        let net = self.build_net()?;
-        let stepper = Self::run_net(&net, &tokens, Options::default())?;
-        let entry = net.place_id("in").expect("run_net found the entry place");
-        let injects = tokens.into_iter().map(|t| (entry, t));
-        let refr = reference::run(&net, injects, Options::default())?;
+        let injects = tokens.iter().map(|t| (self.entry, t.clone()));
+        let refr = reference::run(self.exec.net(), injects, Options::default())?;
+        let stepper = self.run_net(tokens, Options::default())?;
         Ok((refr.makespan, stepper.makespan))
     }
 
     /// Lints the composite net structure (entry = the stream injection
     /// place), as `pnet lint` would.
-    pub fn lint_net(&self) -> Result<perf_core::diag::Diagnostics, CoreError> {
-        let net = self.build_net()?;
-        let entry = net
-            .place_id("in")
-            .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
-        Ok(lint(&net, Some(&[entry])))
+    pub fn lint_net(&self) -> perf_core::diag::Diagnostics {
+        lint(self.exec.net(), Some(&[self.entry]))
     }
 
     /// Program-tier composite prediction: bounded-buffer schedule
@@ -974,7 +1059,7 @@ mod tests {
         let (refr, stepper) = c.petri_makespan_both(&STREAM).unwrap();
         assert_eq!(refr, stepper, "evaluators must agree on the composite net");
         assert!(refr > 0);
-        let diags = c.lint_net().unwrap();
+        let diags = c.lint_net();
         assert!(!diags.has_errors(), "{}", diags.render());
     }
 
@@ -1080,6 +1165,75 @@ mod tests {
     }
 
     #[test]
+    fn stage_memo_stays_within_capacity_and_clearing_keeps_answers() {
+        // Two stage classes × 4096 items: two seeds fill the memo to
+        // capacity exactly, and a third forces a clear.
+        let mut c = chain("vta:2>protoacc:4");
+        let stream = |seed| StreamParams { items: 4096, seed };
+        let first = c.nl_bounds(&stream(0)).unwrap();
+        c.nl_bounds(&stream(1)).unwrap();
+        assert_eq!(c.memo.len(), STAGE_MEMO_CAPACITY);
+        c.nl_bounds(&stream(2)).unwrap();
+        assert_eq!(
+            c.memo.len(),
+            STAGE_MEMO_CAPACITY / 2,
+            "a full memo is cleared"
+        );
+        let again = c.nl_bounds(&stream(0)).unwrap();
+        assert!(c.memo.len() <= STAGE_MEMO_CAPACITY);
+        assert_eq!(again, first);
+        let fresh = chain("vta:2>protoacc:4").nl_bounds(&stream(0)).unwrap();
+        assert_eq!(fresh, first);
+    }
+
+    #[test]
+    fn memoized_stage_costs_equal_direct_stage_evaluation() {
+        // The DAG's middle stages are unlike accelerators whose varied
+        // field takes the same values, and its last stage shares the
+        // first middle stage's class: a key that dropped the class or
+        // the channel would hand one stage another's cost.
+        let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
+        let mut c = Composite::new(topo).unwrap();
+        let stream = StreamParams { items: 3, seed: 5 };
+        let measured = c.measured_costs(&stream).unwrap();
+        let reprs = [
+            InterfaceKind::NaturalLanguage,
+            InterfaceKind::Program,
+            InterfaceKind::PetriNet,
+        ];
+        let predicted: Vec<CostBounds> = reprs
+            .iter()
+            .map(|&r| c.predicted_costs(&stream, r).unwrap())
+            .collect();
+        for j in 0..c.stages() {
+            let mut b = (accel(&c.topology().stages[j].accel).unwrap().backend)().unwrap();
+            for i in 0..stream.items {
+                let spec = c.item_spec(j, &stream, i);
+                let obs = b.measure(&spec).unwrap();
+                assert_eq!(
+                    measured[i][j],
+                    Metric::Latency.of(&obs),
+                    "stage {j} item {i}"
+                );
+                for (r, m) in reprs.iter().zip(&predicted) {
+                    let want = match b.predict(&spec, *r, Metric::Latency).unwrap() {
+                        Prediction::Point(v) => (v, v),
+                        Prediction::Bounds { min, max } => (min, max),
+                    };
+                    assert_eq!(m[i][j], want, "stage {j} item {i} {r:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_stage_templates_share_a_class() {
+        let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
+        let c = Composite::new(topo).unwrap();
+        assert_eq!(c.class, vec![0, 1, 2, 1]);
+    }
+
+    #[test]
     fn dag_plan_round_robins_by_rank_with_item_affinity() {
         let topo = Topology::parse_chain("vta:2>(protoacc:2|bitcoin-miner:2)>protoacc:3").unwrap();
         let plan = DagPlan::new(&topo, 6);
@@ -1119,7 +1273,7 @@ mod tests {
         let (refr, stepper) = c.petri_makespan_both(&STREAM).unwrap();
         assert_eq!(refr, stepper, "evaluators must agree on the branched net");
         assert!(refr > 0);
-        let diags = c.lint_net().unwrap();
+        let diags = c.lint_net();
         assert!(!diags.has_errors(), "{}", diags.render());
     }
 

@@ -121,6 +121,40 @@ impl Json {
     }
 }
 
+/// `10^0 ..= 10^15`, each exact in an `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Clinger's fast path for text matching `-?[0-9]+(\.[0-9]+)?` with at
+/// most 15 digits: the digits form an integer `m < 10^15 < 2^53` and
+/// `10^f` is exact, so the one rounding in `m / 10^f` yields the
+/// correctly rounded value, bit-identical to `str::parse::<f64>`.
+/// `None` for any other text.
+fn short_decimal(text: &[u8]) -> Option<f64> {
+    let (neg, digits) = match text.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, text),
+    };
+    let (int, frac) = match digits.iter().position(|&c| c == b'.') {
+        Some(dot) if dot + 1 < digits.len() => (&digits[..dot], &digits[dot + 1..]),
+        Some(_) => return None,
+        None => (digits, &[][..]),
+    };
+    if int.is_empty() || int.len() + frac.len() > 15 {
+        return None;
+    }
+    let mut m = 0u64;
+    for &c in int.iter().chain(frac) {
+        if !c.is_ascii_digit() {
+            return None;
+        }
+        m = m * 10 + u64::from(c - b'0');
+    }
+    let v = m as f64 / POW10[frac.len()];
+    Some(if neg { -v } else { v })
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -187,7 +221,11 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.bytes[start..self.pos];
+        if let Some(v) = short_decimal(text) {
+            return Ok(Json::Num(v));
+        }
+        let text = std::str::from_utf8(text).expect("ascii digits");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
@@ -345,6 +383,34 @@ mod tests {
         // Far past the limit: an error, not a stack overflow.
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn short_decimals_parse_bit_identically() {
+        for text in [
+            "0",
+            "-0",
+            "-0.0",
+            "0.1",
+            "0.3",
+            "48.0",
+            "4294967295.0",
+            "123456789012.345",
+            "1234567890123.456",
+            "1e3",
+            "00012",
+        ] {
+            let want = text.parse::<f64>().unwrap();
+            let got = Json::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        // 15 digits take the fast path; 16 and exponents fall back.
+        assert!(short_decimal(b"123456789012.345").is_some());
+        assert!(short_decimal(b"1234567890123.456").is_none());
+        assert!(short_decimal(b"1e3").is_none());
+        for (text, msg) in [("1.2.3", "bad number `1.2.3`"), ("-", "bad number `-`")] {
+            assert_eq!(Json::parse(text).unwrap_err().msg, msg);
+        }
     }
 
     #[test]

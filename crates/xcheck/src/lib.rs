@@ -590,13 +590,7 @@ pub fn xcheck_topology(topo: &perf_compose::Topology) -> Diagnostics {
                 .with_origin(origin),
         ),
         Ok(c) => {
-            match c.lint_net() {
-                Err(e) => ds.push(
-                    Diagnostic::error("XT001", format!("composite net does not lint: {e}"))
-                        .with_origin(origin.clone()),
-                ),
-                Ok(nd) => ds.merge(nd.with_origin(&origin)),
-            }
+            ds.merge(c.lint_net().with_origin(&origin));
             match c.build_net() {
                 Err(e) => ds.push(
                     Diagnostic::error("XT001", format!("composite net does not build: {e}"))

@@ -11,6 +11,10 @@ fi
 
 cargo fmt --check
 cargo build --release
+# The benchmark is its own workspace, so the build above never compiles
+# it: build it here so a crate change that breaks it fails pre-merge.
+# --locked fails instead of rewriting perfbench/Cargo.lock.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 # --workspace matters: without it only the root package's suites run,
 # and the other ~33 member suites silently stop gating merges.
 cargo test -q --workspace

@@ -18,10 +18,9 @@
 //!   entry-to-sink path, so sustained throughput cannot exceed its
 //!   service rate `servers / delay_lo`. The ceiling is the minimum over
 //!   all such cut transitions (infinite-server or possibly-zero-delay
-//!   transitions impose none). For chain-shaped nets — the shape the
-//!   [`crate::CompiledNet`] rank-1 stepper specializes — every
-//!   transition is a cut, so this degenerates to the classic
-//!   bottleneck-stage bound.
+//!   transitions impose none). For a linear pipeline of
+//!   single-input, single-output stages every transition is a cut,
+//!   so this degenerates to the classic bottleneck-stage bound.
 //!
 //! Both bounds are *sound, not tight*: the program tier's interval must
 //! lie above the latency floor and below the throughput ceiling, which

@@ -95,6 +95,15 @@ pub enum PetriError {
     Expr(String),
     /// The simulation hit its event budget.
     EventBudgetExceeded(u64),
+    /// An event was scheduled past [`MAX_CYCLE`]: a firing's
+    /// completion, or an injected token's arrival (reported as
+    /// scheduled at cycle 0 with its arrival cycle as the delay).
+    CycleOverflow {
+        /// Cycle the event was scheduled at.
+        at: u64,
+        /// Cycles from `at` to the event.
+        delay: u64,
+    },
     /// The net deadlocked: tokens remain but nothing can fire.
     Deadlock {
         /// Simulation time at which progress stopped.
@@ -113,6 +122,11 @@ impl core::fmt::Display for PetriError {
             PetriError::EventBudgetExceeded(n) => {
                 write!(f, "simulation exceeded event budget of {n}")
             }
+            PetriError::CycleOverflow { at, delay } => write!(
+                f,
+                "cycle overflow: an event scheduled at cycle {at} with delay {delay} \
+                 lands past the last schedulable cycle {MAX_CYCLE}"
+            ),
             PetriError::Deadlock { at, stranded } => {
                 write!(f, "deadlock at cycle {at}: stranded tokens in ")?;
                 for (i, (p, n)) in stranded.iter().enumerate() {
@@ -128,6 +142,22 @@ impl core::fmt::Display for PetriError {
 }
 
 impl std::error::Error for PetriError {}
+
+/// The last cycle either evaluator schedules an event at. Half the
+/// `u64` range: far past any real workload (a century at 3 GHz), and
+/// far enough below `u64::MAX` that cycle arithmetic on scheduled times
+/// (the stepper's wheel horizon is `base + 256`) never overflows.
+pub const MAX_CYCLE: u64 = u64::MAX >> 1;
+
+/// The cycle an event scheduled at `now` with `delay` is due, or
+/// [`PetriError::CycleOverflow`] when that lies past [`MAX_CYCLE`].
+#[inline(always)]
+pub(crate) fn due(now: u64, delay: u64) -> Result<u64, PetriError> {
+    match now.checked_add(delay) {
+        Some(t) if t <= MAX_CYCLE => Ok(t),
+        _ => Err(PetriError::CycleOverflow { at: now, delay }),
+    }
+}
 
 impl From<PetriError> for CoreError {
     fn from(e: PetriError) -> CoreError {

@@ -124,11 +124,12 @@ impl Net {
     /// Two nets with the same structure fingerprint evaluate workloads
     /// identically for all shipped `.pnet` artifacts, whose behaviors
     /// are pure functions of the structure — so the value serves as
-    /// the net half of the `perf-service` result-cache key (the other
-    /// half is [`crate::Stepper::marking_fingerprint`]). Native-closure
-    /// behaviors contribute only their constant folds; nets built from
-    /// distinct closures with identical structure can collide, which
-    /// is why cache keys must always include the workload fingerprint
+    /// the net half of the jpeg adapter's Petri-tier `perf-service`
+    /// cache key (the other half hashes the realized block stream),
+    /// and [`crate::CompiledNet::stepper`] checks it in debug builds.
+    /// Native-closure behaviors contribute only their constant folds;
+    /// nets built from distinct closures with identical structure can
+    /// collide, which is why a cache key must always hash the workload
     /// too.
     pub fn fingerprint(&self) -> u64 {
         let mut h = perf_core::query::Fnv1a::new();
@@ -347,6 +348,22 @@ fn validate(net: &Net) -> Result<(), PetriError> {
 mod tests {
     use super::*;
     use crate::behavior::fixed_delay;
+
+    #[test]
+    fn fingerprint_tracks_structure() {
+        // A distinct transition name shifts the fingerprint. Native
+        // closure *bodies* are opaque and intentionally do not
+        // contribute.
+        let build = |t: &str| {
+            let mut b = NetBuilder::new("n");
+            let a = b.place("a", None);
+            let z = b.sink("z");
+            b.transition(t, &[a], &[z], |_| 7, |ts| vec![ts[0].data.clone()]);
+            b.build().unwrap()
+        };
+        assert_eq!(build("t").fingerprint(), build("t").fingerprint());
+        assert_ne!(build("t").fingerprint(), build("u").fingerprint());
+    }
 
     #[test]
     fn build_minimal_net() {

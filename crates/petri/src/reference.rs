@@ -57,7 +57,9 @@ pub struct SimResult {
     pub events: u64,
     /// Firings per transition (indexed by `TransId`).
     pub firings: Vec<u64>,
-    /// Sum of firing delays per transition ("busy cycles").
+    /// Sum of firing delays per transition ("busy cycles"), saturating
+    /// at `u64::MAX`: concurrent firings of a multi-server transition
+    /// can sum past any cycle count.
     pub busy: Vec<u64>,
     /// Peak occupancy per place.
     pub high_water: Vec<usize>,
@@ -123,7 +125,8 @@ pub fn run(
 ) -> Result<SimResult, PetriError> {
     let mut s = Scan::new(net, opts);
     for (place, token) in injects {
-        s.push_event(token.arrived, Ev::Inject { place, token });
+        let at = crate::due(0, token.arrived)?;
+        s.push_event(at, Ev::Inject { place, token });
     }
     s.run()
 }
@@ -307,7 +310,7 @@ impl<'n> Scan<'n> {
         // Latency lineage: outputs inherit the earliest birth among the
         // consumed tokens.
         let born = selected.iter().map(|t| t.born).min().unwrap_or(now);
-        let done = now + firing.delay;
+        let done = crate::due(now, firing.delay)?;
         let mut outputs = Vec::new();
         for (&(p, w), data) in t.outputs.iter().zip(&firing.outputs) {
             self.reserved[p.0] += w;
@@ -324,7 +327,7 @@ impl<'n> Scan<'n> {
         }
         self.busy_servers[ti] += 1;
         self.firings[ti] += 1;
-        self.busy[ti] += firing.delay;
+        self.busy[ti] = self.busy[ti].saturating_add(firing.delay);
         let fseq = match self.trace.as_mut() {
             Some(tr) => {
                 let tokens_in = t.inputs.iter().map(|&(_, w)| w as u32).sum();

@@ -42,8 +42,10 @@
 //! contract; `enablement_checks` is a cost counter outside it.
 //!
 //! Tracing ([`Options::trace`]) records the same firing records and
-//! token provenance as the reference. A traced run takes the general
-//! path (never the fused chain kernels), and every piece of tracing
+//! token provenance as the reference. Untraced firings of chain-shaped
+//! transitions (one weight-1 input and output, constant delay, no
+//! guard, pass-through) take a fused per-transition path; a traced run
+//! takes the general path for every firing, and every piece of tracing
 //! bookkeeping sits behind the one `Option` holding the tracer, so
 //! untraced runs pay a branch, not the bookkeeping.
 
@@ -53,7 +55,7 @@ use crate::net::{Net, PlaceId};
 use crate::reference::{Options, SimResult};
 use crate::token::Token;
 use crate::trace::{EngineTrace, TokenSrc};
-use crate::PetriError;
+use crate::{due, PetriError, MAX_CYCLE};
 use perf_iface_lang::Value;
 use std::collections::BinaryHeap;
 
@@ -61,6 +63,9 @@ use std::collections::BinaryHeap;
 /// further than this past the current cycle overflow to the far heap.
 const WHEEL: usize = 256;
 const WMASK: u64 = (WHEEL as u64) - 1;
+// Every scheduled time is at most `MAX_CYCLE` (see `due`), so the wheel
+// base is too, and the horizon `base + WHEEL` never overflows.
+const _: () = assert!(MAX_CYCLE <= u64::MAX - WHEEL as u64);
 
 /// How a transition's delay is computed.
 enum DelayPlan {
@@ -118,7 +123,7 @@ enum FirePlan {
 /// updates are identical to the general `Fast { reuse: true }` path —
 /// the same semantics, flattened.
 #[derive(Clone, Copy)]
-struct ChainCore {
+struct ChainPlan {
     delay: u32,
     in_place: u32,
     out_place: u32,
@@ -129,59 +134,22 @@ struct ChainCore {
     /// Server bound with 0-means-unlimited folded to `u32::MAX`;
     /// `0` = this transition is not chain-shaped.
     servers: u32,
-}
-
-/// A [`ChainCore`] plus its wake-fire dirty-set update.
-#[derive(Clone, Copy)]
-struct ChainPlan {
-    core: ChainCore,
     /// Dirty word the inlined wake-fire mask ORs into.
     wake_w: u32,
     /// Wake-fire bits for `dirty[wake_w]`.
     wake_bits: u64,
 }
 
-impl ChainCore {
-    const INACTIVE: ChainCore = ChainCore {
+impl ChainPlan {
+    const INACTIVE: ChainPlan = ChainPlan {
         delay: 0,
         in_place: 0,
         out_place: 0,
         cap_lim: 0,
         servers: 0,
+        wake_w: 0,
+        wake_bits: 0,
     };
-}
-
-/// A dirty-set rank paired with the plan of the transition holding it:
-/// exactly 32 bytes, so the rank table packs two entries per cache
-/// line with no straddling.
-#[derive(Clone, Copy)]
-struct RankEntry {
-    core: ChainCore,
-    ti: u32,
-    /// Wake-fire bits (the word is always 0 in a [`Rank1`] net).
-    wake_bits: u64,
-}
-
-/// The fully-fused tier: every transition is chain-shaped and all
-/// ranks fit one dirty word, so [`Stepper::run_chain`] can keep the
-/// entire dirty set in a register for the whole run. Entries are
-/// indexed by *rank* (dirty-bit position), collapsing the general
-/// scan's rank → `order` → `chain` double indirection into one load;
-/// the fixed 64-entry table makes `rank & 63` indexing bounds-check
-/// free. All wake masks are single-word here (one dirty word exists),
-/// so they flatten to plain `u64`s the run loop ORs into its local
-/// word.
-struct Rank1 {
-    by_rank: [RankEntry; 64],
-    /// Per place: wake-deposit bits (the place's consumers).
-    deposit_bits: Vec<u64>,
-    /// Per transition: the full dirty-set update of a completed
-    /// firing — its own rank bit, plus its output place's deposit
-    /// bits (non-sink) or wake-free bits (bounded sink). One load
-    /// indexed by the event's transition, no place-dependent lookups.
-    deliver_wake: Vec<u64>,
-    /// Per transition: whether its output place is a sink.
-    sink_t: Vec<bool>,
 }
 
 /// Precomputed dirty-set update: words to OR into the rank bitmask.
@@ -262,9 +230,6 @@ pub struct CompiledNet {
     cap: Vec<u32>,
     sink: Vec<bool>,
     dirty_words: usize,
-    /// The register-resident fast tier; `Some` when every transition
-    /// is chain-shaped and the dirty set fits one word.
-    rank1: Option<Box<Rank1>>,
 }
 
 impl CompiledNet {
@@ -369,26 +334,20 @@ impl CompiledNet {
                         None => u32::MAX,
                     };
                     ChainPlan {
-                        core: ChainCore {
-                            delay: *d as u32,
-                            in_place: t.inputs[0].0 .0 as u32,
-                            out_place: out.0 as u32,
-                            cap_lim,
-                            servers: if t.servers == 0 {
-                                u32::MAX
-                            } else {
-                                t.servers as u32
-                            },
+                        delay: *d as u32,
+                        in_place: t.inputs[0].0 .0 as u32,
+                        out_place: out.0 as u32,
+                        cap_lim,
+                        servers: if t.servers == 0 {
+                            u32::MAX
+                        } else {
+                            t.servers as u32
                         },
                         wake_w,
                         wake_bits,
                     }
                 }
-                _ => ChainPlan {
-                    core: ChainCore::INACTIVE,
-                    wake_w: 0,
-                    wake_bits: 0,
-                },
+                _ => ChainPlan::INACTIVE,
             };
             chain.push(rec);
         }
@@ -407,58 +366,6 @@ impl CompiledNet {
             cap.push(p.capacity.map(|c| c as u32).unwrap_or(u32::MAX));
             sink.push(p.is_sink);
         }
-
-        // The register-resident tier: all chain, one dirty word. With
-        // a single dirty word, every mask `mask_of` built is `One`.
-        // Eligibility requires every delay ≥ 1 so that no firing can
-        // schedule back into the wheel slot currently being drained
-        // (`run_chain` caches a raw pointer into it).
-        let rank1 = if dirty_words == 1
-            && nt > 0
-            && chain
-                .iter()
-                .all(|c| c.core.servers != 0 && c.core.delay >= 1)
-        {
-            let one = |m: &WakeMask| match m {
-                WakeMask::One(_, bits) => *bits,
-                WakeMask::Many(_) => unreachable!("multi-word mask in a one-word dirty set"),
-            };
-            let mut by_rank = [RankEntry {
-                core: ChainCore::INACTIVE,
-                ti: 0,
-                wake_bits: 0,
-            }; 64];
-            for ti in 0..nt {
-                by_rank[net.rank[ti]] = RankEntry {
-                    core: chain[ti].core,
-                    ti: ti as u32,
-                    wake_bits: chain[ti].wake_bits,
-                };
-            }
-            let deliver_wake = (0..nt)
-                .map(|ti| {
-                    let out = chain[ti].core.out_place as usize;
-                    let out_bits = if sink[out] {
-                        // Unbounded sinks free no capacity; their
-                        // `wake_free` is already the empty mask.
-                        one(&wake_free[out])
-                    } else {
-                        one(&wake_deposit[out])
-                    };
-                    wake_self[ti].1 | out_bits
-                })
-                .collect();
-            Some(Box::new(Rank1 {
-                by_rank,
-                deposit_bits: wake_deposit.iter().map(one).collect(),
-                deliver_wake,
-                sink_t: (0..nt)
-                    .map(|ti| sink[chain[ti].core.out_place as usize])
-                    .collect(),
-            }))
-        } else {
-            None
-        };
 
         CompiledNet {
             fp: net.fingerprint(),
@@ -479,7 +386,6 @@ impl CompiledNet {
             cap,
             sink,
             dirty_words,
-            rank1,
         }
     }
 
@@ -880,29 +786,6 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// A 64-bit fingerprint of the injected workload: every injected
-    /// token with its place, payload, birth and arrival cycles, in
-    /// injection order, combined with the net's structural fingerprint
-    /// ([`Net::fingerprint`]).
-    ///
-    /// Deterministic runs from identical injections produce identical
-    /// results, so this value keys the `perf-service` result cache for
-    /// Petri-tier evaluations: two workloads whose token injections
-    /// coincide (say, two images with the same per-block bit/nonzero
-    /// profile) share one cache slot. Call after `inject`ing and
-    /// before [`Stepper::run`].
-    pub fn marking_fingerprint(&self) -> u64 {
-        let mut h = perf_core::query::Fnv1a::new();
-        h.write_u64(self.plan.fp);
-        for &(place, tok) in &self.injects {
-            h.write_u64(place as u64);
-            h.write(self.arena.data[tok as usize].to_string().as_bytes());
-            h.write_u64(self.arena.born[tok as usize]);
-            h.write_u64(self.arena.arrived[tok as usize]);
-        }
-        h.finish()
-    }
-
     // ---- event queue ----------------------------------------------
 
     #[inline]
@@ -981,18 +864,11 @@ impl<'a> Stepper<'a> {
         e
     }
 
-    /// The slow half of [`Stepper::pop_event`]: advance to the next
-    /// occupied slot and take its first entry.
+    /// The slow half of [`Stepper::pop_event`]: refill from the far
+    /// heap if the ring is empty, scan the occupancy bitmap for the
+    /// next occupied slot, advance the base to its time and take its
+    /// first entry.
     fn pop_event_scan(&mut self) -> Option<(u64, WEntry)> {
-        let time = self.advance_to_next_slot()?;
-        let s = (time & WMASK) as usize;
-        Some((time, self.slot_pop(s)))
-    }
-
-    /// Refills from the far heap if the ring is empty, then scans the
-    /// occupancy bitmap for the next occupied slot and advances the
-    /// base to its time (returned). Does not pop.
-    fn advance_to_next_slot(&mut self) -> Option<u64> {
         if self.ring_len == 0 {
             let head = self.far.peek()?.time;
             self.base = head;
@@ -1028,7 +904,8 @@ impl<'a> Stepper<'a> {
             self.base = time;
             self.migrate();
         }
-        Some(time)
+        let s = (time & WMASK) as usize;
+        Some((time, self.slot_pop(s)))
     }
 
     // ---- dirty set ------------------------------------------------
@@ -1162,25 +1039,9 @@ impl<'a> Stepper<'a> {
     /// The fused pipeline-stage firing attempt (see [`ChainPlan`]):
     /// same check outcomes, counters and wakes as the general path in
     /// [`Stepper::try_fire`], inlined into the dirty-set scan so hot
-    /// state stays in registers. Infallible: nothing here evaluates an
-    /// expression.
-    #[inline(always)]
-    fn chain_fire(&mut self, ti: usize, c: ChainPlan, now: u64) -> bool {
-        let mut checks = 0;
-        let fired = self.chain_fire_core(ti, c.core, now, &mut checks);
-        self.enablement_checks += checks;
-        if fired {
-            self.dirty[c.wake_w as usize] |= c.wake_bits;
-        }
-        fired
-    }
-
-    /// [`Stepper::chain_fire`] minus the wake-fire dirty-set write and
-    /// the check-counter memory update: the register-resident loop
-    /// ([`Stepper::run_chain`]) ORs `wake_bits` into its local word
-    /// and accumulates `checks` in a local, folding both into `self`
-    /// once per run. Nothing between a firing and the next dirty-word
-    /// read observes either, so deferring is not observable.
+    /// state stays in registers. Traced runs never take it. Nothing
+    /// here evaluates an expression; the only error is a completion
+    /// past [`crate::MAX_CYCLE`].
     ///
     /// The three enablement conditions are evaluated non-lazily into
     /// one predicate: a blocked transition takes a single
@@ -1188,8 +1049,8 @@ impl<'a> Stepper<'a> {
     /// irregular, so each avoided branch is an avoided mispredict
     /// site), and the loads issue in parallel.
     #[inline(always)]
-    fn chain_fire_core(&mut self, ti: usize, c: ChainCore, now: u64, checks: &mut u64) -> bool {
-        *checks += 1;
+    fn chain_fire(&mut self, ti: usize, c: ChainPlan, now: u64) -> Result<bool, PetriError> {
+        self.enablement_checks += 1;
         // SAFETY (all unchecked indexing below): `ti`, `c.in_place`
         // and `c.out_place` come out of the plan this stepper was
         // built over — `compile` only emits transition indices below
@@ -1210,13 +1071,13 @@ impl<'a> Stepper<'a> {
         // `u32::MAX`; the arena itself caps tokens at `u32` handles).
         let has_room = (out.q.len() as u32).wrapping_add(out.reserved) <= c.cap_lim;
         if !(free & has_input & has_room) {
-            return false;
+            return Ok(false);
         }
+        let done = due(now, c.delay as u64)?;
         let tok = unsafe { self.places.get_unchecked_mut(c.in_place as usize) }
             .q
             .pop_front()
             .expect("availability checked");
-        let done = now + c.delay as u64;
         debug_assert!((tok as usize) < self.arena.arrived.len());
         unsafe { *self.arena.arrived.get_unchecked_mut(tok as usize) = done };
         unsafe { self.places.get_unchecked_mut(c.out_place as usize) }.reserved += 1;
@@ -1232,47 +1093,10 @@ impl<'a> Stepper<'a> {
             let st = unsafe { self.trans.get_unchecked_mut(ti) };
             st.busy_servers += 1;
             st.firings += 1;
-            st.busy += c.delay as u64;
+            st.busy = st.busy.saturating_add(c.delay as u64);
         }
-        true
-    }
-
-    /// The dirty-set scan of [`Stepper::fire_enabled`], specialized to
-    /// a [`Rank1`] plan: the dirty word lives in `dw` (a register),
-    /// never in memory. Same pass-cursor algorithm, same check
-    /// sequence; returns the settled word (always 0 bits for
-    /// still-blocked transitions — they stay clear until a wake).
-    #[inline(always)]
-    fn chain_pass(&mut self, r1: &Rank1, mut dw: u64, now: u64, checks: &mut u64) -> u64 {
-        loop {
-            let mut fired_any = false;
-            let mut cursor = 0u32;
-            loop {
-                let word = if cursor >= 64 {
-                    0
-                } else {
-                    dw & (!0u64 << cursor)
-                };
-                if word == 0 {
-                    break;
-                }
-                let r = word.trailing_zeros();
-                cursor = r + 1;
-                let e = r1.by_rank[(r & 63) as usize];
-                let mut burst = false;
-                while self.chain_fire_core(e.ti as usize, e.core, now, checks) {
-                    burst = true;
-                }
-                if burst {
-                    fired_any = true;
-                    dw |= e.wake_bits;
-                }
-                dw &= !(1u64 << r);
-            }
-            if !fired_any {
-                return dw;
-            }
-        }
+        self.dirty[c.wake_w as usize] |= c.wake_bits;
+        Ok(true)
     }
 
     /// Attempts a single firing of transition `ti` at `now`: the
@@ -1281,10 +1105,6 @@ impl<'a> Stepper<'a> {
     /// even for chain-shaped transitions.
     fn try_fire(&mut self, ti: usize, now: u64) -> Result<bool, PetriError> {
         let plan = self.plan;
-        let c = plan.chain[ti];
-        if c.core.servers != 0 && self.tracer.is_none() {
-            return Ok(self.chain_fire(ti, c, now));
-        }
         self.enablement_checks += 1;
         let servers = plan.servers[ti];
         if servers != 0 && self.trans[ti].busy_servers >= servers {
@@ -1354,7 +1174,7 @@ impl<'a> Stepper<'a> {
                     self.build_ts(true, ti);
                 } else {
                     // A guard may have populated `ts` from the queue
-                    // heads; clear it so `emit_fast` rebuilds `t` from
+                    // heads; clear it so `eval_emits` rebuilds `t` from
                     // the consumed tokens instead of stale data.
                     self.ts.clear();
                 }
@@ -1371,9 +1191,19 @@ impl<'a> Stepper<'a> {
                         d.round() as u64
                     }
                 };
-                let done = now + d;
+                // Emits are evaluated before the completion cycle is
+                // checked, the order in which the reference's
+                // `Behavior::fire` surfaces the two errors.
+                let payloads = if *reuse {
+                    None
+                } else {
+                    Some(self.eval_emits(emits)?)
+                };
+                let done = due(now, d)?;
                 self.trace_firing(ti, now, d, done);
-                if *reuse {
+                if let Some(payloads) = payloads {
+                    self.emit_payloads(ti, os, payloads, born, done);
+                } else {
                     // Re-stamp the consumed handle; zero payload moves.
                     let tok = self.sel[0];
                     self.arena.arrived[tok as usize] = done;
@@ -1390,29 +1220,24 @@ impl<'a> Stepper<'a> {
                             tok,
                         },
                     );
-                } else {
-                    self.emit_fast(ti, os, emits, born, done)?;
                 }
                 let st = &mut self.trans[ti];
                 st.busy_servers += 1;
                 st.firings += 1;
-                st.busy += d;
+                st.busy = st.busy.saturating_add(d);
             }
             FirePlan::Dyn => {
                 self.build_toks(true, ti);
                 let n_outputs = (oe - os) as usize;
                 let behavior = &self.net.transitions()[ti].behavior;
                 let firing = behavior.fire(&self.toks, n_outputs)?;
-                let done = now + firing.delay;
+                let done = due(now, firing.delay)?;
                 self.trace_firing(ti, now, firing.delay, done);
                 self.emit_payloads(ti, os, firing.outputs, born, done);
-                for k in 0..self.sel.len() {
-                    self.arena.release(self.sel[k]);
-                }
                 let st = &mut self.trans[ti];
                 st.busy_servers += 1;
                 st.firings += 1;
-                st.busy += firing.delay;
+                st.busy = st.busy.saturating_add(firing.delay);
             }
         }
         // Consumption changed input queue heads and freed capacity in
@@ -1440,17 +1265,9 @@ impl<'a> Stepper<'a> {
         };
     }
 
-    /// Specialized emission: evaluates per-arc emit plans and schedules
-    /// the delivery. Consumed handles are released (or recycled as
-    /// output tokens where possible).
-    fn emit_fast(
-        &mut self,
-        ti: usize,
-        os: u32,
-        emits: &[EmitPlan],
-        born: u64,
-        done: u64,
-    ) -> Result<(), PetriError> {
+    /// Evaluates the per-arc emit plans of the firing whose consumed
+    /// handles are in `sel`.
+    fn eval_emits(&self, emits: &[EmitPlan]) -> Result<Vec<Value>, PetriError> {
         let t0 = if self.ts.is_empty() {
             self.sel
                 .first()
@@ -1459,22 +1276,18 @@ impl<'a> Stepper<'a> {
         } else {
             self.ts[0].clone()
         };
-        let mut payloads: Vec<Value> = Vec::with_capacity(emits.len());
-        for e in emits {
-            payloads.push(match e {
-                EmitPlan::Passthrough => t0.clone(),
-                EmitPlan::Expr(c) => c.eval(&t0, &self.ts)?,
-            });
-        }
-        self.emit_payloads(ti, os, payloads, born, done);
-        for k in 0..self.sel.len() {
-            self.arena.release(self.sel[k]);
-        }
-        Ok(())
+        emits
+            .iter()
+            .map(|e| match e {
+                EmitPlan::Passthrough => Ok(t0.clone()),
+                EmitPlan::Expr(c) => c.eval(&t0, &self.ts),
+            })
+            .collect()
     }
 
     /// Allocates output tokens (one payload per arc, replicated per arc
-    /// weight) and schedules the delivery event.
+    /// weight), schedules the delivery event, and releases the
+    /// consumed handles in `sel`.
     fn emit_payloads(&mut self, ti: usize, os: u32, payloads: Vec<Value>, born: u64, done: u64) {
         let plan = self.plan;
         let total: u32 = payloads
@@ -1482,51 +1295,49 @@ impl<'a> Stepper<'a> {
             .zip(&plan.out_arcs[os as usize..])
             .map(|(_, a)| a.weight)
             .sum();
-        if total == 1 {
+        let e = if total == 1 {
             // Single token: exactly one arc, weight 1 (zero-weight
             // arcs are rejected by the builder).
             let arc = &plan.out_arcs[os as usize];
             let payload = payloads.into_iter().next().expect("one output");
             let tok = self.alloc_output(payload, born, done);
             self.places[arc.place as usize].reserved += 1;
-            self.push_event(
-                done,
-                WEntry::Deliver1 {
-                    trans: ti as u32,
-                    place: arc.place,
-                    tok,
-                },
-            );
-            return;
-        }
-        let idx = match self.spill_free.pop() {
-            Some(i) => i as usize,
-            None => {
-                self.spill.push(Vec::new());
-                self.spill.len() - 1
+            WEntry::Deliver1 {
+                trans: ti as u32,
+                place: arc.place,
+                tok,
             }
-        };
-        let mut outs = core::mem::take(&mut self.spill[idx]);
-        for (j, payload) in payloads.into_iter().enumerate() {
-            let arc = &plan.out_arcs[os as usize + j];
-            self.places[arc.place as usize].reserved += arc.weight;
-            // `weight - 1` clones, then the final token moves the
-            // payload.
-            for _ in 1..arc.weight {
-                let tok = self.alloc_output(payload.clone(), born, done);
+        } else {
+            let idx = match self.spill_free.pop() {
+                Some(i) => i as usize,
+                None => {
+                    self.spill.push(Vec::new());
+                    self.spill.len() - 1
+                }
+            };
+            let mut outs = core::mem::take(&mut self.spill[idx]);
+            for (j, payload) in payloads.into_iter().enumerate() {
+                let arc = &plan.out_arcs[os as usize + j];
+                self.places[arc.place as usize].reserved += arc.weight;
+                // `weight - 1` clones, then the final token moves the
+                // payload.
+                for _ in 1..arc.weight {
+                    let tok = self.alloc_output(payload.clone(), born, done);
+                    outs.push((arc.place, tok));
+                }
+                let tok = self.alloc_output(payload, born, done);
                 outs.push((arc.place, tok));
             }
-            let tok = self.alloc_output(payload, born, done);
-            outs.push((arc.place, tok));
-        }
-        self.spill[idx] = outs;
-        self.push_event(
-            done,
+            self.spill[idx] = outs;
             WEntry::DeliverN {
                 trans: ti as u32,
                 spill: idx as u32,
-            },
-        );
+            }
+        };
+        self.push_event(done, e);
+        for k in 0..self.sel.len() {
+            self.arena.release(self.sel[k]);
+        }
     }
 
     /// Allocates one output token of the firing being emitted.
@@ -1546,53 +1357,21 @@ impl<'a> Stepper<'a> {
     /// it changed since it last failed — so skipping it leaves the
     /// firing sequence, and hence every event, identical.
     fn fire_enabled(&mut self, now: u64) -> Result<(), PetriError> {
-        // Single-word dirty set (nets of at most 64 transitions, i.e.
-        // every shipped accelerator net), untraced: the same
-        // pass-cursor algorithm as the general loop below, with the
-        // word re-read live after each candidate exactly as
-        // `dirty_next_at_or_after` would — firings OR new bits in
-        // mid-pass.
-        if self.dirty.len() == 1 && self.tracer.is_none() {
-            loop {
-                let mut fired_any = false;
-                let mut cursor = 0u32;
-                loop {
-                    let word = if cursor >= 64 {
-                        0
-                    } else {
-                        self.dirty[0] & (!0u64 << cursor)
-                    };
-                    if word == 0 {
-                        break;
-                    }
-                    let r = word.trailing_zeros();
-                    cursor = r + 1;
-                    let ti = self.plan.order[r as usize] as usize;
-                    let c = self.plan.chain[ti];
-                    if c.core.servers != 0 {
-                        while self.chain_fire(ti, c, now) {
-                            fired_any = true;
-                        }
-                    } else {
-                        while self.try_fire(ti, now)? {
-                            fired_any = true;
-                        }
-                    }
-                    self.dirty[0] &= !(1u64 << r);
-                }
-                if !fired_any {
-                    return Ok(());
-                }
-            }
-        }
         loop {
             let mut fired_any = false;
             let mut cursor = 0usize;
             while let Some(r) = self.dirty_next_at_or_after(cursor) {
                 cursor = r + 1;
                 let ti = self.plan.order[r] as usize;
-                while self.try_fire(ti, now)? {
-                    fired_any = true;
+                let c = self.plan.chain[ti];
+                if c.servers != 0 && self.tracer.is_none() {
+                    while self.chain_fire(ti, c, now)? {
+                        fired_any = true;
+                    }
+                } else {
+                    while self.try_fire(ti, now)? {
+                        fired_any = true;
+                    }
                 }
                 self.dirty[r / 64] &= !(1 << (r % 64));
             }
@@ -1607,21 +1386,13 @@ impl<'a> Stepper<'a> {
     /// Runs until quiescence and returns the result (observably
     /// identical to [`crate::reference::run`] on the same net and
     /// injections).
-    ///
-    /// Untraced runs of an all-chain net take the register-resident
-    /// `run_chain` kernel; traced runs always take the
-    /// general loop below.
     pub fn run(mut self) -> Result<SimResult, PetriError> {
-        let plan = self.plan;
-        if let (Some(r1), None) = (&plan.rank1, &self.tracer) {
-            return self.run_chain(r1);
-        }
         // Stage injections in order: identical (time, seq) schedule to
         // the reference's heap pushes.
         let injects = core::mem::take(&mut self.injects);
         self.completions.reserve(injects.len());
         for &(place, tok) in &injects {
-            let at = self.arena.arrived[tok as usize];
+            let at = due(0, self.arena.arrived[tok as usize])?;
             self.push_event(at, WEntry::Inject { place, tok });
         }
         let mut now = 0u64;
@@ -1666,114 +1437,6 @@ impl<'a> Stepper<'a> {
             }
             self.fire_enabled(now)?;
         }
-        self.finish(now, events)
-    }
-
-    /// [`Stepper::run`] specialized to a fully-fused [`Rank1`] plan:
-    /// the dirty set is a single `u64` held in a local for the whole
-    /// run, wake masks are plain bit-ORs on it, and every firing goes
-    /// through [`Stepper::chain_fire_core`]. Observable behavior —
-    /// check sequence, counters, completions, event order — is
-    /// identical to the general loop; only where the dirty set lives
-    /// changes.
-    fn run_chain(mut self, r1: &Rank1) -> Result<SimResult, PetriError> {
-        let injects = core::mem::take(&mut self.injects);
-        self.completions.reserve(injects.len());
-        for &(place, tok) in &injects {
-            let at = self.arena.arrived[tok as usize];
-            self.push_event(at, WEntry::Inject { place, tok });
-        }
-        let mut now = 0u64;
-        let mut events = 0u64;
-        let max_events = self.opts.max_events;
-        let n = self.plan.n_transitions;
-        let mut dw: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        let mut checks = 0u64;
-        dw = self.chain_pass(r1, dw, now, &mut checks);
-        // Drain the wheel a whole slot at a time: every entry in the
-        // base slot is due exactly at `base`, so the slot bookkeeping
-        // (occupancy, cursor, ring length) is paid once per timestamp
-        // instead of once per event, and the drain walks a cached
-        // pointer.
-        while let Some(time) = self.advance_to_next_slot() {
-            now = time;
-            let s = (time & WMASK) as usize;
-            let slot = &self.slots[s];
-            let ptr = slot.entries.as_ptr();
-            let first = slot.cursor;
-            let len = slot.entries.len();
-            debug_assert!(first < len, "occupied slot has pending entries");
-            let mut idx = first;
-            while idx < len {
-                // SAFETY: `idx < len` of this slot's entry buffer, and
-                // the buffer cannot move or grow during the drain —
-                // every chain delay is ≥ 1 (a Rank1 eligibility rule),
-                // so no firing schedules back into the slot being
-                // drained, and `migrate` only runs between timestamps.
-                let e = unsafe { *ptr.add(idx) };
-                idx += 1;
-                events += 1;
-                if events > max_events {
-                    return Err(PetriError::EventBudgetExceeded(max_events));
-                }
-                match e {
-                    WEntry::Inject { place, tok } => {
-                        let p = place as usize;
-                        // Checked: an inject can carry any caller place.
-                        if self.plan.sink[p] {
-                            let t = self.arena.take(tok);
-                            self.completions.push(t);
-                        } else {
-                            self.deposit(p, tok);
-                            // SAFETY: `p` passed the `sink` bounds
-                            // check above and `deposit_bits` has the
-                            // same length (one entry per place).
-                            dw |= unsafe { *r1.deposit_bits.get_unchecked(p) };
-                        }
-                    }
-                    WEntry::Deliver1 { trans, place, tok } => {
-                        // SAFETY (unchecked indexing below):
-                        // `Deliver1` events are scheduled only by
-                        // `chain_fire_core`, with plan-derived indices
-                        // (`trans` below `n_transitions`, `place`
-                        // below `cap.len()`) — and those size every
-                        // array indexed here. The single
-                        // `deliver_wake` OR equals the general loop's
-                        // self + deposit/free ORs (commutative, and
-                        // nothing reads `dw` in between).
-                        let ti = trans as usize;
-                        debug_assert!(ti < r1.deliver_wake.len());
-                        debug_assert!((place as usize) < self.places.len());
-                        unsafe { self.trans.get_unchecked_mut(ti) }.busy_servers -= 1;
-                        dw |= unsafe { *r1.deliver_wake.get_unchecked(ti) };
-                        let p = place as usize;
-                        unsafe { self.places.get_unchecked_mut(p) }.reserved -= 1;
-                        if unsafe { *r1.sink_t.get_unchecked(ti) } {
-                            let t = self.arena.take(tok);
-                            self.completions.push(t);
-                        } else {
-                            self.deposit(p, tok);
-                        }
-                    }
-                    // Only chain-shaped transitions exist in a Rank1
-                    // net, and those schedule `Deliver1` exclusively.
-                    WEntry::DeliverN { .. } => unreachable!("chain-only net scheduled a DeliverN"),
-                }
-                dw = self.chain_pass(r1, dw, now, &mut checks);
-            }
-            self.ring_len -= len - first;
-            let slot = &mut self.slots[s];
-            debug_assert_eq!(slot.entries.len(), len, "slot grew during its own drain");
-            slot.entries.clear();
-            slot.cursor = 0;
-            self.occ[s / 64] &= !(1 << (s % 64));
-        }
-        self.enablement_checks += checks;
-        self.finish(now, events)
-    }
-
-    /// Quiescence epilogue shared by both run loops.
-    fn finish(self, now: u64, events: u64) -> Result<SimResult, PetriError> {
         debug_assert!(
             self.places.iter().all(|ps| ps.reserved == 0),
             "reservations leaked at quiescence"
@@ -1881,9 +1544,17 @@ mod tests {
     }
 
     /// (reference, stepper) results of one workload.
+    fn both(net: &Net, injects: &[(PlaceId, Token)]) -> [Result<SimResult, PetriError>; 2] {
+        [
+            crate::reference::run(net, injects.iter().cloned(), Options::default()),
+            run_with(net, injects, Options::default()),
+        ]
+    }
+
+    /// [`both`] for a workload both evaluators complete.
     fn run_both(net: &Net, injects: &[(PlaceId, Token)]) -> (SimResult, SimResult) {
-        let refr = crate::reference::run(net, injects.iter().cloned(), Options::default());
-        (refr.unwrap(), run(net, injects))
+        let [refr, st] = both(net, injects);
+        (refr.unwrap(), st.unwrap())
     }
 
     fn assert_equiv(a: &SimResult, b: &SimResult) {
@@ -1894,42 +1565,6 @@ mod tests {
         assert_eq!(a.busy, b.busy);
         assert_eq!(a.high_water, b.high_water);
         assert_eq!(a.stranded, b.stranded);
-    }
-
-    #[test]
-    fn marking_fingerprint_tracks_injections_not_order_noise() {
-        let mut b = NetBuilder::new("n");
-        let a = b.place("a", None);
-        let z = b.sink("z");
-        b.transition("t", &[a], &[z], |_| 7, passthrough(1));
-        let net = NetExec::new(b.build().unwrap());
-
-        let fp = |injects: &[Token]| {
-            let mut s = net.session(Options::default());
-            for t in injects {
-                s.inject(a, t.clone());
-            }
-            s.marking_fingerprint()
-        };
-        let one = fp(&[Token::at(Value::num(1.0), 0)]);
-        assert_ne!(fp(&[]), one, "injection must change the fingerprint");
-        // Identical injections give identical fingerprints.
-        assert_eq!(one, fp(&[Token::at(Value::num(1.0), 0)]));
-        // A different payload gives a different fingerprint.
-        assert_ne!(one, fp(&[Token::at(Value::num(2.0), 0)]));
-
-        // A structurally different net (distinct transition name)
-        // shifts every fingerprint. Native closure *bodies* are
-        // opaque and intentionally do not contribute.
-        let mut b2 = NetBuilder::new("n");
-        let a2 = b2.place("a", None);
-        let z2 = b2.sink("z");
-        b2.transition("u", &[a2], &[z2], |_| 7, passthrough(1));
-        let net2 = NetExec::new(b2.build().unwrap());
-        assert_ne!(net.net().fingerprint(), net2.net().fingerprint());
-        let mut s4 = net2.session(Options::default());
-        s4.inject(a2, Token::at(Value::num(1.0), 0));
-        assert_ne!(one, s4.marking_fingerprint());
     }
 
     #[test]
@@ -2410,8 +2045,9 @@ mod tests {
 
     #[test]
     fn traced_chain_net_records_what_the_reference_records() {
-        // An all-chain net (the rank-1 kernel's shape when untraced):
-        // tracing must take the general path and record every firing.
+        // An all-chain net (every untraced firing takes the fused
+        // path): tracing must take the general path and record every
+        // firing.
         let mut b = NetBuilder::new("n");
         let a = b.place("a", None);
         let m = b.place("m", Some(1));
@@ -2433,7 +2069,10 @@ mod tests {
             priority: 0,
         });
         let net = b.build().unwrap();
-        assert!(CompiledNet::compile(&net).rank1.is_some());
+        assert!(CompiledNet::compile(&net)
+            .chain
+            .iter()
+            .all(|c| c.servers != 0));
         let opts = Options {
             trace: Some(64),
             ..Options::default()
@@ -2442,9 +2081,103 @@ mod tests {
         let st = run_with(&net, &injects, opts).unwrap();
         let refr = crate::reference::run(&net, injects.iter().cloned(), opts).unwrap();
         assert_equiv(&refr, &st);
+        assert_equiv(&refr, &run(&net, &injects));
         let (ts, tr) = (st.trace.unwrap(), refr.trace.unwrap());
         assert_eq!(ts.len(), 8);
         assert!(ts.records().eq(tr.records()));
         assert_eq!(ts.completion_sources(), tr.completion_sources());
+    }
+
+    /// A one-transition net `a -> t -> z` with a constant `delay` and
+    /// `servers` servers.
+    fn const_delay_net(delay: &str, servers: usize) -> (Net, PlaceId) {
+        let mut b = NetBuilder::new("ovf");
+        let a = b.place("a", None);
+        let z = b.sink("z");
+        b.add_transition(Transition {
+            name: "t".into(),
+            inputs: vec![(a, 1)],
+            outputs: vec![(z, 1)],
+            behavior: Behavior::Expr(ExprBehavior::compile("", delay, None, &[None]).unwrap()),
+            servers,
+            priority: 0,
+        });
+        (b.build().unwrap(), a)
+    }
+
+    #[test]
+    fn completion_past_max_cycle_is_an_error_in_both_evaluators() {
+        // Two tokens through a 10^19-cycle stage: the completion times
+        // used to wrap (release) or panic (debug).
+        let (net, a) = const_delay_net("10000000000000000000", 1);
+        for r in both(&net, &zeros(a, 2)) {
+            assert_eq!(
+                r.unwrap_err(),
+                PetriError::CycleOverflow {
+                    at: 0,
+                    delay: 10_000_000_000_000_000_000
+                }
+            );
+        }
+        // A delay rounding to 2^64 used to overflow the wheel horizon.
+        let (net, a) = const_delay_net("18446744073709551000", 1);
+        for r in both(&net, &zeros(a, 1)) {
+            assert_eq!(
+                r.unwrap_err(),
+                PetriError::CycleOverflow {
+                    at: 0,
+                    delay: u64::MAX
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn chain_completion_past_max_cycle_is_an_error_in_both_evaluators() {
+        // A small constant delay takes the fused chain path; a token
+        // arriving at the last schedulable cycle overflows there.
+        let (net, a) = const_delay_net("5", 1);
+        assert_ne!(CompiledNet::compile(&net).chain[0].servers, 0);
+        let late = [(a, Token::at(Value::num(0.0), MAX_CYCLE - 1))];
+        for r in both(&net, &late) {
+            assert_eq!(
+                r.unwrap_err(),
+                PetriError::CycleOverflow {
+                    at: MAX_CYCLE - 1,
+                    delay: 5
+                }
+            );
+        }
+        // Completing exactly at `MAX_CYCLE` is still fine.
+        let edge = [(a, Token::at(Value::num(0.0), MAX_CYCLE - 5))];
+        let (refr, st) = run_both(&net, &edge);
+        assert_equiv(&refr, &st);
+    }
+
+    #[test]
+    fn injection_past_max_cycle_is_an_error_in_both_evaluators() {
+        let (net, a) = const_delay_net("1", 1);
+        let injects = [
+            (a, Token::at(Value::num(0.0), 3)),
+            (a, Token::at(Value::num(0.0), u64::MAX)),
+        ];
+        for r in both(&net, &injects) {
+            assert_eq!(
+                r.unwrap_err(),
+                PetriError::CycleOverflow {
+                    at: 0,
+                    delay: u64::MAX
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn busy_cycles_saturate_in_both_evaluators() {
+        // Four concurrent 2^62-cycle firings: busy cycles sum to 2^64.
+        let (net, a) = const_delay_net("4611686018427387904", 0);
+        let (refr, st) = run_both(&net, &zeros(a, 4));
+        assert_equiv(&refr, &st);
+        assert_eq!(st.busy, vec![u64::MAX]);
     }
 }

@@ -136,3 +136,22 @@ fn help_aliases_agree() {
         assert_eq!(out.stdout, long.stdout, "`{alias}` differs from --help");
     }
 }
+
+#[test]
+fn run_past_the_last_cycle_is_a_diagnostic_not_a_panic() {
+    let dir = std::env::temp_dir().join("pnet-cli-overflow-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let net = dir.join("ovf.pnet");
+    std::fs::write(
+        &net,
+        "net ovf\n\nplace a\nsink z\n\n\
+         trans t\n  in a\n  out z\n  delay 10000000000000000000\n",
+    )
+    .expect("write net");
+    let out = run(&["run", net.to_str().unwrap(), "a", "2"]);
+    assert_eq!(out.status.code(), Some(1), "status: {:?}", out.status);
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("cycle overflow"), "stderr was: {text}");
+    assert!(!text.contains("panicked"), "stderr was: {text}");
+    std::fs::remove_file(&net).ok();
+}

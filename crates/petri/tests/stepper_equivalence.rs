@@ -10,8 +10,8 @@
 //!
 //! Nets mix `Native` closures (forcing the stepper's dynamic fallback)
 //! with compiled `Expr` behaviors (exercising the specialized
-//! guard/delay/emit fast paths), so both execution tiers are covered
-//! by every run.
+//! guard/delay/emit fast paths) and chain-shaped transitions (the fused
+//! `chain_fire` path), so the corpus exercises every execution path.
 
 use perf_iface_lang::Value;
 use perf_petri::behavior::{Behavior, ExprBehavior};
@@ -46,6 +46,10 @@ struct TransSpec {
     /// For expr behaviors: emit `t` unchanged (the stepper's
     /// token-reuse fast path) instead of a transformed payload.
     passthrough: bool,
+    /// Chain-shaped: the first input and first output arcs at weight 1,
+    /// a constant delay ≥ 1, no guard, pass-through — the stepper's
+    /// fused `chain_fire` path. Overrides the fields above.
+    chain: bool,
 }
 
 fn spec_strategy() -> impl Strategy<Value = NetSpec> {
@@ -59,9 +63,10 @@ fn spec_strategy() -> impl Strategy<Value = NetSpec> {
         prop_oneof![Just(None), (4u64..=14).prop_map(Some)],
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
-            |(inputs, outputs, base_delay, priority, servers, guard, expr, passthrough)| {
+            |(inputs, outputs, base_delay, priority, servers, guard, expr, passthrough, chain)| {
                 TransSpec {
                     inputs,
                     outputs,
@@ -71,6 +76,7 @@ fn spec_strategy() -> impl Strategy<Value = NetSpec> {
                     guard,
                     expr,
                     passthrough,
+                    chain,
                 }
             },
         );
@@ -107,6 +113,16 @@ fn native_behavior(t: &TransSpec, n_out: usize) -> Behavior {
     }
 }
 
+/// The chain shape's behavior: constant delay ≥ 1, no guard, the
+/// single payload passed through.
+fn chain_behavior(t: &TransSpec) -> Behavior {
+    let delay = t.base_delay.max(1).to_string();
+    Behavior::Expr(
+        ExprBehavior::compile("", &delay, None, &[None])
+            .expect("generated behavior source is valid"),
+    )
+}
+
 fn expr_behavior(t: &TransSpec, n_out: usize) -> Behavior {
     let delay = format!("{} + t % 3", t.base_delay);
     let guard = t.guard.map(|thr| format!("t % 16 < {thr}"));
@@ -141,13 +157,19 @@ fn build(spec: &NetSpec) -> Net {
                 inputs.push((pid, w));
             }
         }
-        let outputs: Vec<_> = t
+        let mut outputs: Vec<_> = t
             .outputs
             .iter()
             .map(|&(p, w)| (pids[p % n_total], w))
             .collect();
         let n_out = outputs.len();
-        let behavior = if t.expr {
+        let behavior = if t.chain {
+            inputs = vec![(inputs[0].0, 1)];
+            // A spec without outputs drains into the first sink.
+            let out = t.outputs.first().map_or(n_regular, |&(p, _)| p % n_total);
+            outputs = vec![(pids[out], 1)];
+            chain_behavior(t)
+        } else if t.expr {
             expr_behavior(t, n_out)
         } else {
             native_behavior(t, n_out)
@@ -359,20 +381,5 @@ proptest! {
             ..OPTS
         };
         assert_same_trace(&run_compiled(&spec, &net, opts), &run_reference(&spec, &net, opts));
-    }
-
-    #[test]
-    fn marking_fingerprints_are_build_independent(spec in spec_strategy()) {
-        // Two builds and compiles of one spec fingerprint identically
-        // (cache keys must not depend on allocation or plan identity).
-        let fp = |net: &Net| {
-            let plan = CompiledNet::compile(net);
-            let mut s = plan.stepper(net, Options::default());
-            for (p, t) in injections(&spec, net) {
-                s.inject(p, t);
-            }
-            s.marking_fingerprint()
-        };
-        prop_assert_eq!(fp(&build(&spec)), fp(&build(&spec)));
     }
 }

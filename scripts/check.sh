@@ -19,8 +19,9 @@ cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 # and the other ~33 member suites silently stop gating merges.
 cargo test -q --workspace
 # Docs are part of the contract: perf-core, perf-petri and perf-service
-# deny missing_docs, and broken intra-doc links fail the build.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+# deny missing_docs, and broken intra-doc links fail the build — on
+# private items too, so a stale link in an internal doc is caught.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items --quiet
 # Service saturation smoke: a flooded queue must shed load instead of
 # deadlocking, and every degraded answer must stay inside the serving
 # representation's conformance budget.

@@ -9,11 +9,10 @@
 use crate::miner::{MineJob, MinerConfig};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
 use perf_core::{CoreError, Prediction};
-use perf_iface_lang::Value;
 use perf_petri::net::Net;
 use perf_petri::text;
-use perf_petri::token::Token;
-use perf_petri::{NetExec, Options};
+use perf_petri::token::RecordShape;
+use perf_petri::{NetExec, Options, PlaceId};
 
 /// Renders the miner's `.pnet` source for a configuration.
 pub fn pnet_source(cfg: &MinerConfig) -> String {
@@ -51,6 +50,10 @@ pub fn pnet_source(cfg: &MinerConfig) -> String {
 /// Petri-net interface for the miner.
 pub struct BitcoinPetriInterface {
     exec: NetExec,
+    /// The nonce injection place.
+    nonces: PlaceId,
+    /// Nonce token field `golden`.
+    nonce: RecordShape,
     src: String,
 }
 
@@ -59,8 +62,18 @@ impl BitcoinPetriInterface {
     /// compiled stepper.
     pub fn new(cfg: MinerConfig) -> Result<BitcoinPetriInterface, CoreError> {
         let src = pnet_source(&cfg);
-        let exec = NetExec::new(text::parse(&src)?);
-        Ok(BitcoinPetriInterface { exec, src })
+        let mut exec = NetExec::new(text::parse(&src)?);
+        let nonces = exec
+            .net()
+            .place_id("nonces")
+            .ok_or_else(|| CoreError::Artifact("net lacks nonces place".into()))?;
+        let nonce = exec.record_shape(&["golden"]);
+        Ok(BitcoinPetriInterface {
+            exec,
+            nonces,
+            nonce,
+            src,
+        })
     }
 
     /// The generated `.pnet` source.
@@ -76,21 +89,10 @@ impl BitcoinPetriInterface {
     /// Runs the net for a scan of `hashes` nonces, the last of which is
     /// golden if `found` (mirrors the simulator's early-stop shape).
     pub fn run(&self, hashes: u64, found: bool) -> Result<u64, CoreError> {
-        let src = self
-            .exec
-            .net()
-            .place_id("nonces")
-            .ok_or_else(|| CoreError::Artifact("net lacks nonces place".into()))?;
         let mut eng = self.exec.session(Options::default());
         for i in 0..hashes {
             let golden = found && i == hashes - 1;
-            eng.inject(
-                src,
-                Token::at(
-                    Value::record([("golden", Value::from(u64::from(golden)))]),
-                    0,
-                ),
-            );
+            eng.inject_record(self.nonces, &self.nonce, &[f64::from(u8::from(golden))], 0);
         }
         let res = eng.run().map_err(CoreError::from)?;
         Ok(res.makespan)

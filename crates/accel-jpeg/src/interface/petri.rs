@@ -10,11 +10,10 @@ use crate::hw::JpegHwConfig;
 use crate::workload::{Image, HEADER_BYTES};
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
 use perf_core::{CoreError, Prediction};
-use perf_iface_lang::Value;
 use perf_petri::net::Net;
 use perf_petri::text;
-use perf_petri::token::Token;
-use perf_petri::{NetExec, Options};
+use perf_petri::token::RecordShape;
+use perf_petri::{NetExec, Options, PlaceId};
 
 /// The shipped Petri-net source.
 pub const JPEG_PNET_SRC: &str = include_str!("../../assets/jpeg.pnet");
@@ -22,17 +21,27 @@ pub const JPEG_PNET_SRC: &str = include_str!("../../assets/jpeg.pnet");
 /// Petri-net interface for the JPEG decoder.
 pub struct JpegPetriInterface {
     exec: NetExec,
+    /// The block injection place.
+    blocks_in: PlaceId,
+    /// Block token fields `bits`, `nz`, `pg`.
+    block: RecordShape,
     header_cycles: u64,
-    events_evaluated: std::cell::Cell<u64>,
 }
 
 impl JpegPetriInterface {
     /// Parses the shipped net; evaluations run the compiled stepper.
     pub fn new() -> Result<JpegPetriInterface, CoreError> {
+        let mut exec = NetExec::new(text::parse(JPEG_PNET_SRC)?);
+        let blocks_in = exec
+            .net()
+            .place_id("blocks_in")
+            .ok_or_else(|| CoreError::Artifact("net lacks blocks_in".into()))?;
+        let block = exec.record_shape(&["bits", "nz", "pg"]);
         Ok(JpegPetriInterface {
-            exec: NetExec::new(text::parse(JPEG_PNET_SRC)?),
+            exec,
+            blocks_in,
+            block,
             header_cycles: JpegHwConfig::default().header_cycles(HEADER_BYTES),
-            events_evaluated: std::cell::Cell::new(0),
         })
     }
 
@@ -47,20 +56,9 @@ impl JpegPetriInterface {
         self.exec.net()
     }
 
-    /// Stepper events processed across all predictions so far (the cost
-    /// metric compared against simulator ticks in E5-style analyses).
-    pub fn events_evaluated(&self) -> u64 {
-        self.events_evaluated.get()
-    }
-
     /// Runs the net on an image and returns predicted end-to-end
     /// latency in cycles.
     pub fn run(&self, img: &Image) -> Result<u64, CoreError> {
-        let src = self
-            .exec
-            .net()
-            .place_id("blocks_in")
-            .ok_or_else(|| CoreError::Artifact("net lacks blocks_in".into()))?;
         let mut eng = self.exec.session(Options::default());
         let per_page = JpegHwConfig::default().blocks_per_page;
         for (i, b) in img.blocks.iter().enumerate() {
@@ -68,16 +66,15 @@ impl JpegPetriInterface {
             // DRAM page-open flag (the token transform that keeps the
             // net's delay expressions exact).
             let opens_page = (i as u64).is_multiple_of(per_page);
-            eng.inject(
-                src,
-                Token::at(
-                    Value::record([
-                        ("bits", Value::from(b.bits as u64)),
-                        ("nz", Value::from(b.nonzero as u64)),
-                        ("pg", Value::from(u64::from(opens_page))),
-                    ]),
-                    self.header_cycles,
-                ),
+            eng.inject_record(
+                self.blocks_in,
+                &self.block,
+                &[
+                    b.bits as f64,
+                    b.nonzero as f64,
+                    f64::from(u8::from(opens_page)),
+                ],
+                self.header_cycles,
             );
         }
         let res = eng.run().map_err(CoreError::from)?;
@@ -88,8 +85,6 @@ impl JpegPetriInterface {
                 img.num_blocks()
             )));
         }
-        self.events_evaluated
-            .set(self.events_evaluated.get() + res.events);
         Ok(res.makespan)
     }
 }
@@ -124,7 +119,6 @@ mod tests {
         let img = g.gen_sized(64, 64, 60);
         let lat = iface.run(&img).unwrap();
         assert!(lat > 0);
-        assert!(iface.events_evaluated() > 0);
     }
 
     // Conformance-harness counterexample: on a single minimal block

@@ -10,10 +10,9 @@ use crate::simx::{ProtoWorkload, ProtoaccConfig};
 use crate::wire;
 use perf_core::iface::{InterfaceKind, Metric, PerfInterface};
 use perf_core::{CoreError, Prediction};
-use perf_iface_lang::Value;
 use perf_petri::text;
-use perf_petri::token::Token;
-use perf_petri::{NetExec, Options};
+use perf_petri::token::RecordShape;
+use perf_petri::{NetExec, Options, PlaceId};
 
 /// The shipped `.pnet` source.
 pub const PROTOACC_PNET_SRC: &str = include_str!("../../assets/protoacc.pnet");
@@ -40,14 +39,26 @@ pub const FIRST_MSG_TAIL: u64 = 140;
 /// Petri-net interface for Protoacc.
 pub struct ProtoaccPetriInterface {
     exec: NetExec,
+    /// The message injection place.
+    msgs_in: PlaceId,
+    /// Message token fields `read_cost`, `write_cost`.
+    msg: RecordShape,
     cfg: ProtoaccConfig,
 }
 
 impl ProtoaccPetriInterface {
     /// Parses the shipped net; evaluations run the compiled stepper.
     pub fn new() -> Result<ProtoaccPetriInterface, CoreError> {
+        let mut exec = NetExec::new(text::parse(PROTOACC_PNET_SRC)?);
+        let msgs_in = exec
+            .net()
+            .place_id("msgs_in")
+            .ok_or_else(|| CoreError::Artifact("net lacks msgs_in".into()))?;
+        let msg = exec.record_shape(&["read_cost", "write_cost"]);
         Ok(ProtoaccPetriInterface {
-            exec: NetExec::new(text::parse(PROTOACC_PNET_SRC)?),
+            exec,
+            msgs_in,
+            msg,
             cfg: ProtoaccConfig::default(),
         })
     }
@@ -80,23 +91,9 @@ impl ProtoaccPetriInterface {
     /// Runs the net over pre-computed `(read_cost, write_cost)` token
     /// payloads and returns `(makespan, completions)`.
     fn run_costed(&self, costed: &[(u64, u64)]) -> Result<(u64, usize), CoreError> {
-        let src = self
-            .exec
-            .net()
-            .place_id("msgs_in")
-            .ok_or_else(|| CoreError::Artifact("net lacks msgs_in".into()))?;
         let mut eng = self.exec.session(Options::default());
         for &(rc, wc) in costed {
-            eng.inject(
-                src,
-                Token::at(
-                    Value::record([
-                        ("read_cost", Value::from(rc)),
-                        ("write_cost", Value::from(wc)),
-                    ]),
-                    0,
-                ),
-            );
+            eng.inject_record(self.msgs_in, &self.msg, &[rc as f64, wc as f64], 0);
         }
         let res = eng.run().map_err(CoreError::from)?;
         Ok((res.makespan, res.completions.len()))

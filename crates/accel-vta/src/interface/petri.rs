@@ -9,8 +9,8 @@ use perf_core::{CoreError, Prediction};
 use perf_iface_lang::Value;
 use perf_petri::net::Net;
 use perf_petri::text;
-use perf_petri::token::Token;
-use perf_petri::{NetExec, Options, SimResult};
+use perf_petri::token::RecordShape;
+use perf_petri::{NetExec, Options, PlaceId, SimResult};
 
 /// The shipped full-fidelity net.
 pub const VTA_FULL_PNET_SRC: &str = include_str!("../../assets/vta_full.pnet");
@@ -18,8 +18,23 @@ pub const VTA_FULL_PNET_SRC: &str = include_str!("../../assets/vta_full.pnet");
 /// The shipped corner-cut net.
 pub const VTA_LITE_PNET_SRC: &str = include_str!("../../assets/vta_lite.pnet");
 
+/// The fields of an instruction token, in [`insn_fields`] order.
+pub const INSN_FIELDS: [&str; 12] = [
+    "m", "is_gemm", "is_alu", "is_mem", "is_fin", "bytes", "macs", "ops", "pp", "pn", "shp", "shn",
+];
+
 /// Converts one instruction into its `fetch_q` token payload.
 pub fn insn_token(insn: &Insn) -> Value {
+    Value::record_owned(
+        INSN_FIELDS
+            .iter()
+            .zip(insn_fields(insn))
+            .map(|(k, v)| (k.to_string(), Value::num(v))),
+    )
+}
+
+/// One instruction's token field values, named by [`INSN_FIELDS`].
+pub fn insn_fields(insn: &Insn) -> [f64; 12] {
     let m = match insn.module() {
         Module::Load => 0u64,
         Module::Compute => 1,
@@ -55,27 +70,35 @@ pub fn insn_token(insn: &Insn) -> Value {
         Opcode::Finish => (0, 0, 0, 1, 0, 0, 0),
     };
     let f = insn.flags;
-    Value::record([
-        ("m", Value::from(m)),
-        ("is_gemm", Value::from(is_gemm)),
-        ("is_alu", Value::from(is_alu)),
-        ("is_mem", Value::from(is_mem)),
-        ("is_fin", Value::from(is_fin)),
-        ("bytes", Value::from(bytes)),
-        ("macs", Value::from(macs)),
-        ("ops", Value::from(ops)),
-        ("pp", Value::from(f.pop_prev as u64)),
-        ("pn", Value::from(f.pop_next as u64)),
-        ("shp", Value::from(f.push_prev as u64)),
-        ("shn", Value::from(f.push_next as u64)),
-    ])
+    [
+        m,
+        is_gemm,
+        is_alu,
+        is_mem,
+        is_fin,
+        bytes,
+        macs,
+        ops,
+        f.pop_prev as u64,
+        f.pop_next as u64,
+        f.push_prev as u64,
+        f.push_next as u64,
+    ]
+    .map(|v| v as f64)
 }
 
 /// Petri-net interface for VTA.
 pub struct VtaPetriInterface {
     exec: NetExec,
     src: &'static str,
-    events: std::cell::Cell<u64>,
+    /// The instruction injection place.
+    fetch_q: PlaceId,
+    /// The four module-free places, each seeded with one `{ u: 0 }`.
+    frees: [PlaceId; 4],
+    /// Instruction token fields ([`INSN_FIELDS`]).
+    insn: RecordShape,
+    /// Module-free token field `u`.
+    unit: RecordShape,
 }
 
 impl VtaPetriInterface {
@@ -91,10 +114,28 @@ impl VtaPetriInterface {
     }
 
     fn from_src(src: &'static str) -> Result<VtaPetriInterface, CoreError> {
+        let mut exec = NetExec::new(text::parse(src)?);
+        let place = |name: &str| {
+            exec.net()
+                .place_id(name)
+                .ok_or_else(|| CoreError::Artifact(format!("net lacks {name}")))
+        };
+        let fetch_q = place("fetch_q")?;
+        let frees = [
+            place("fetch_free")?,
+            place("load_free")?,
+            place("compute_free")?,
+            place("store_free")?,
+        ];
+        let insn = exec.record_shape(&INSN_FIELDS);
+        let unit = exec.record_shape(&["u"]);
         Ok(VtaPetriInterface {
-            exec: NetExec::new(text::parse(src)?),
+            exec,
             src,
-            events: std::cell::Cell::new(0),
+            fetch_q,
+            frees,
+            insn,
+            unit,
         })
     }
 
@@ -108,30 +149,14 @@ impl VtaPetriInterface {
         self.exec.net()
     }
 
-    /// Total stepper events processed (the evaluation-cost metric for
-    /// experiment E5).
-    pub fn events_evaluated(&self) -> u64 {
-        self.events.get()
-    }
-
     /// Evaluates the net on a program.
     pub fn run(&self, prog: &Program) -> Result<SimResult, CoreError> {
-        let fetch_q = self
-            .exec
-            .net()
-            .place_id("fetch_q")
-            .ok_or_else(|| CoreError::Artifact("net lacks fetch_q".into()))?;
         let mut eng = self.exec.session(Options::default());
-        for free in ["fetch_free", "load_free", "compute_free", "store_free"] {
-            let p = self
-                .exec
-                .net()
-                .place_id(free)
-                .ok_or_else(|| CoreError::Artifact(format!("net lacks {free}")))?;
-            eng.inject(p, Token::at(Value::record([("u", Value::num(0.0))]), 0));
+        for &p in &self.frees {
+            eng.inject_record(p, &self.unit, &[0.0], 0);
         }
         for insn in &prog.insns {
-            eng.inject(fetch_q, Token::at(insn_token(insn), 0));
+            eng.inject_record(self.fetch_q, &self.insn, &insn_fields(insn), 0);
         }
         let res = eng.run().map_err(CoreError::from)?;
         if res.completions.len() != prog.len() {
@@ -141,7 +166,6 @@ impl VtaPetriInterface {
                 prog.len()
             )));
         }
-        self.events.set(self.events.get() + res.events);
         Ok(res)
     }
 }
@@ -182,7 +206,6 @@ mod tests {
             assert_eq!(res.completions.len(), p.len());
             assert!(res.makespan > 0);
         }
-        assert!(iface.events_evaluated() > 0);
     }
 
     #[test]

@@ -42,10 +42,10 @@ use perf_core::iface::{InterfaceKind, Metric};
 use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::units::{Cycles, Throughput};
 use perf_core::{CoreError, Observation, Prediction};
-use perf_iface_lang::Value;
-use perf_petri::behavior::Behavior;
+use perf_petri::behavior::{Behavior, ExprBehavior};
 use perf_petri::lint::lint;
 use perf_petri::net::Transition;
+use perf_petri::token::RecordShape;
 use perf_petri::{reference, Net, NetBuilder, NetExec, Options, PlaceId, SimResult, Token};
 use perf_sim::{DagNodeSpec, DagPipeline, FaultPlan, Pipeline, Route, StageSpec};
 use std::collections::HashMap;
@@ -151,6 +151,9 @@ pub struct Composite {
     exec: NetExec,
     /// The glued net's stream injection place.
     entry: PlaceId,
+    /// Stream token fields: every stage's cost `c<j>`, then every
+    /// round-robin fan-out stage's route slot `r<u>`.
+    item: RecordShape,
 }
 
 /// Whether two stages submit identical specs for equal varied values.
@@ -198,14 +201,21 @@ impl Composite {
         let entry = net
             .place_id("in")
             .ok_or_else(|| CoreError::Artifact("composite net lost its `in` place".into()))?;
+        let mut exec = NetExec::new(net);
+        let fields: Vec<String> = (0..topo.stages.len())
+            .map(|j| format!("c{j}"))
+            .chain(Self::routed(&topo).map(|u| format!("r{u}")))
+            .collect();
+        let item = exec.record_shape(&fields.iter().map(String::as_str).collect::<Vec<_>>());
         Ok(Composite {
             topo,
             backends,
             class,
             fault: None,
             memo: HashMap::new(),
-            exec: NetExec::new(net),
+            exec,
             entry,
+            item,
         })
     }
 
@@ -536,6 +546,32 @@ impl Composite {
         Ok(net)
     }
 
+    /// The round-robin fan-out stages of a DAG topology (none on a
+    /// chain): their tokens carry a planned route slot `r<u>`.
+    fn routed(topo: &Topology) -> impl Iterator<Item = usize> + '_ {
+        (0..topo.stages.len()).filter(|&u| {
+            !topo.is_chain()
+                && topo.out_edges(u).len() > 1
+                && topo.policy_of(u) == Policy::RoundRobin
+        })
+    }
+
+    /// An expression behavior with `outs` pass-through outputs.
+    fn expr_behavior(delay: &str, guard: Option<&str>, outs: usize) -> Result<Behavior, CoreError> {
+        Ok(Behavior::Expr(ExprBehavior::compile(
+            "",
+            delay,
+            guard,
+            &vec![None; outs],
+        )?))
+    }
+
+    /// Stage `u`'s service delay: its cost field truncated to whole
+    /// cycles, at least 1.
+    fn serve_delay(u: usize) -> String {
+        format!("floor(max(t.c{u}, 1))")
+    }
+
     /// One DAG stage as a standalone component net (see
     /// [`Self::build_dag_net`] for the shapes).
     fn dag_stage_net(topo: &Topology, u: usize) -> Result<Net, CoreError> {
@@ -551,26 +587,19 @@ impl Composite {
             if m > 1 {
                 for slot in 0..m {
                     let latch = b.place(format!("in{slot}"), Some(1));
-                    b.transition(
-                        format!("merge{slot}"),
-                        &[latch],
-                        &[inp],
-                        |_| 0,
-                        |ts| vec![ts[0].data.clone()],
-                    );
+                    b.add_transition(Transition {
+                        name: format!("merge{slot}"),
+                        inputs: vec![(latch, 1)],
+                        outputs: vec![(inp, 1)],
+                        behavior: Self::expr_behavior("0", None, 1)?,
+                        servers: 1,
+                        priority: 0,
+                    });
                 }
             }
             inp
         };
-        let key = format!("c{u}");
-        let delay: perf_petri::behavior::DelayFn = Box::new(move |ts: &[Token]| {
-            ts[0]
-                .data
-                .field(&key)
-                .and_then(Value::as_num)
-                .map(|c| c.max(1.0) as u64)
-                .unwrap_or(1)
-        });
+        let delay = Self::serve_delay(u);
         let outs = topo.out_edges(u);
         let fan = outs.len();
         if fan <= 1 {
@@ -579,11 +608,7 @@ impl Composite {
                 name: "serve".to_string(),
                 inputs: vec![(inp, 1)],
                 outputs: vec![(out, 1)],
-                behavior: Behavior::Native {
-                    guard: None,
-                    delay,
-                    transform: Box::new(|ts| vec![ts[0].data.clone()]),
-                },
+                behavior: Self::expr_behavior(&delay, None, 1)?,
                 servers: st.replicas.max(1),
                 priority: 0,
             });
@@ -593,11 +618,7 @@ impl Composite {
                 name: "serve".to_string(),
                 inputs: vec![(inp, 1)],
                 outputs: out_ids.iter().map(|&o| (o, 1)).collect(),
-                behavior: Behavior::Native {
-                    guard: None,
-                    delay,
-                    transform: Box::new(move |ts| vec![ts[0].data.clone(); fan]),
-                },
+                behavior: Self::expr_behavior(&delay, None, fan)?,
                 servers: st.replicas.max(1),
                 priority: 0,
             });
@@ -611,34 +632,18 @@ impl Composite {
                 name: "serve".to_string(),
                 inputs: vec![(inp, 1)],
                 outputs: vec![(mid, 1)],
-                behavior: Behavior::Native {
-                    guard: None,
-                    delay,
-                    transform: Box::new(|ts| vec![ts[0].data.clone()]),
-                },
+                behavior: Self::expr_behavior(&delay, None, 1)?,
                 servers: st.replicas.max(1),
                 priority: 0,
             });
-            let rkey = format!("r{u}");
             for s in 0..fan {
                 let out = b.sink(format!("out{s}"));
-                let rk = rkey.clone();
+                let guard = format!("t.r{u} == {s}");
                 b.add_transition(Transition {
                     name: format!("route{s}"),
                     inputs: vec![(mid, 1)],
                     outputs: vec![(out, 1)],
-                    behavior: Behavior::Native {
-                        guard: Some(Box::new(move |ts: &[Token]| {
-                            ts[0]
-                                .data
-                                .field(&rk)
-                                .and_then(Value::as_num)
-                                .map(|v| v as usize == s)
-                                .unwrap_or(false)
-                        })),
-                        delay: Box::new(|_| 0),
-                        transform: Box::new(|ts| vec![ts[0].data.clone()]),
-                    },
+                    behavior: Self::expr_behavior("0", Some(&guard), 1)?,
                     servers: 1,
                     priority: 0,
                 });
@@ -657,64 +662,63 @@ impl Composite {
         let cap = if j == 0 { None } else { Some(st.queue) };
         let inp = b.place("in", cap);
         let out = b.sink("out");
-        let key = format!("c{j}");
-        b.transition(
-            "serve",
-            &[inp],
-            &[out],
-            move |ts: &[Token]| {
-                ts[0]
-                    .data
-                    .field(&key)
-                    .and_then(Value::as_num)
-                    .map(|c| c.max(1.0) as u64)
-                    .unwrap_or(1)
-            },
-            |ts| vec![ts[0].data.clone()],
-        );
+        b.add_transition(Transition {
+            name: "serve".to_string(),
+            inputs: vec![(inp, 1)],
+            outputs: vec![(out, 1)],
+            behavior: Self::expr_behavior(&Self::serve_delay(j), None, 1)?,
+            servers: 1,
+            priority: 0,
+        });
         Ok(b.build()?)
     }
 
-    /// The stream's tokens for the composite net: one record per item
-    /// carrying every stage's Petri-tier predicted cost (`c0..ck`), all
-    /// available at time 0. On DAG topologies each token also carries
-    /// its planned route slot `r<stage>` for every round-robin fan-out
-    /// stage — the router transitions' guards read these fields.
-    pub fn stream_tokens(&mut self, stream: &StreamParams) -> Result<Vec<Token>, CoreError> {
+    /// The stream's token payloads for the composite net, one row of
+    /// values per item in the order of the stream token fields (see
+    /// [`Self::stream_tokens`]).
+    fn stream_rows(&mut self, stream: &StreamParams) -> Result<Vec<Vec<f64>>, CoreError> {
         let costs = self.predicted_costs(stream, InterfaceKind::PetriNet)?;
-        let routes: Vec<(usize, Vec<Option<usize>>)> = if self.topo.is_chain() {
+        let routes: Vec<Vec<Option<usize>>> = if self.topo.is_chain() {
             Vec::new()
         } else {
             let plan = DagPlan::new(&self.topo, stream.items);
-            (0..self.stages())
-                .filter(|&u| {
-                    self.topo.out_edges(u).len() > 1 && self.topo.policy_of(u) == Policy::RoundRobin
-                })
-                .map(|u| (u, plan.route[u].clone()))
+            Self::routed(&self.topo)
+                .map(|u| plan.route[u].clone())
                 .collect()
         };
         Ok(costs
             .iter()
             .enumerate()
             .map(|(i, row)| {
-                let cost_fields = row
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(lo, hi))| (format!("c{j}"), Value::num((lo + hi) / 2.0)));
-                let route_fields = routes
-                    .iter()
-                    .map(|(u, slots)| (format!("r{u}"), Value::num(slots[i].unwrap_or(0) as f64)));
-                Token::at(Value::record_owned(cost_fields.chain(route_fields)), 0)
+                row.iter()
+                    .map(|&(lo, hi)| (lo + hi) / 2.0)
+                    .chain(routes.iter().map(|slots| slots[i].unwrap_or(0) as f64))
+                    .collect()
             })
             .collect())
     }
 
-    /// Runs the compiled composite net on `tokens` and rejects runs
-    /// that strand tokens.
-    fn run_net(&self, tokens: Vec<Token>, opts: Options) -> Result<SimResult, CoreError> {
+    /// The stream's tokens for the composite net, as records: one per
+    /// item carrying every stage's Petri-tier predicted cost
+    /// (`c0..ck`), all available at time 0. On DAG topologies each
+    /// token also carries its planned route slot `r<stage>` for every
+    /// round-robin fan-out stage — the router transitions' guards read
+    /// these fields. The stepper is given the same payloads as slot
+    /// rows; these records are what the reference evaluator is given.
+    pub fn stream_tokens(&mut self, stream: &StreamParams) -> Result<Vec<Token>, CoreError> {
+        let rows = self.stream_rows(stream)?;
+        Ok(rows
+            .iter()
+            .map(|row| Token::at(self.item.value(row), 0))
+            .collect())
+    }
+
+    /// Runs the compiled composite net on the stream's token rows and
+    /// rejects runs that strand tokens.
+    fn run_net(&self, rows: &[Vec<f64>], opts: Options) -> Result<SimResult, CoreError> {
         let mut s = self.exec.session(opts);
-        for t in tokens {
-            s.inject(self.entry, t);
+        for row in rows {
+            s.inject_record(self.entry, &self.item, row, 0);
         }
         let res = s.run()?;
         if !res.stranded.is_empty() {
@@ -728,8 +732,8 @@ impl Composite {
 
     /// Petri-tier composite prediction: the net's makespan.
     pub fn petri_makespan(&mut self, stream: &StreamParams) -> Result<u64, CoreError> {
-        let tokens = self.stream_tokens(stream)?;
-        Ok(self.run_net(tokens, Options::default())?.makespan)
+        let rows = self.stream_rows(stream)?;
+        Ok(self.run_net(&rows, Options::default())?.makespan)
     }
 
     /// Runs the composite net with firing-trace recording enabled and
@@ -737,12 +741,12 @@ impl Composite {
     /// input to [`perf_petri::critical_path`] and the Chrome-trace
     /// exporter.
     pub fn petri_traced(&mut self, stream: &StreamParams) -> Result<(&Net, SimResult), CoreError> {
-        let tokens = self.stream_tokens(stream)?;
+        let rows = self.stream_rows(stream)?;
         let opts = Options {
             trace: Some(perf_petri::trace::DEFAULT_TRACE_CAPACITY),
             ..Options::default()
         };
-        let res = self.run_net(tokens, opts)?;
+        let res = self.run_net(&rows, opts)?;
         Ok((self.exec.net(), res))
     }
 
@@ -751,10 +755,12 @@ impl Composite {
     /// `(reference, stepper)`; the differential harness asserts they
     /// agree.
     pub fn petri_makespan_both(&mut self, stream: &StreamParams) -> Result<(u64, u64), CoreError> {
-        let tokens = self.stream_tokens(stream)?;
-        let injects = tokens.iter().map(|t| (self.entry, t.clone()));
+        let rows = self.stream_rows(stream)?;
+        let injects = rows
+            .iter()
+            .map(|row| (self.entry, Token::at(self.item.value(row), 0)));
         let refr = reference::run(self.exec.net(), injects, Options::default())?;
-        let stepper = self.run_net(tokens, Options::default())?;
+        let stepper = self.run_net(&rows, Options::default())?;
         Ok((refr.makespan, stepper.makespan))
     }
 

@@ -17,7 +17,7 @@
 //! may evaluate a guard more often than the stepper does).
 
 use crate::net::{Net, PlaceId};
-use crate::token::Token;
+use crate::token::{Completions, Token};
 use crate::trace::{EngineTrace, TokenSrc};
 use crate::PetriError;
 use std::collections::{BinaryHeap, VecDeque};
@@ -52,7 +52,7 @@ pub struct SimResult {
     /// Time of the last event (cycles).
     pub makespan: u64,
     /// Tokens that reached sink places, in arrival order.
-    pub completions: Vec<Token>,
+    pub completions: Completions,
     /// Events processed.
     pub events: u64,
     /// Firings per transition (indexed by `TransId`).
@@ -80,8 +80,8 @@ impl SimResult {
     /// Per-completion latencies (arrival − birth).
     pub fn latencies(&self) -> Vec<u64> {
         self.completions
-            .iter()
-            .map(|t| t.arrived.saturating_sub(t.born))
+            .times()
+            .map(|(born, arrived)| arrived.saturating_sub(born))
             .collect()
     }
 
@@ -402,7 +402,7 @@ impl<'n> Scan<'n> {
         }
         Ok(SimResult {
             makespan: now,
-            completions: self.completions,
+            completions: self.completions.into(),
             events,
             firings: self.firings,
             busy: self.busy,

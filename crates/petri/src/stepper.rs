@@ -15,18 +15,29 @@
 //!   with precomputed per-arc capacity-prior sums, so an enablement
 //!   check is a handful of array reads;
 //! * **classified behaviors** — each transition's delay, guard and
-//!   emits are resolved at compile time to a constant, a closed-form
-//!   [`CExpr`], or a dynamic fallback, so the hot path never touches
-//!   the interpreter;
+//!   emits are resolved at compile time to a constant, a slot
+//!   expression (a [`crate::compile::CExpr`] lowered onto the net's
+//!   slot layout), or the [`Behavior`] fallback, so the hot path never
+//!   touches the interpreter or a `Value`;
 //! * **an incremental enabled set** — after each event only the
 //!   transitions the event could have enabled are re-tried, tracked in
 //!   a rank-ordered dirty bitmask; the set of transitions a firing or
 //!   deposit can wake is precomputed as bitmask words that are OR-ed
 //!   in, replacing per-arc adjacency walks;
-//! * **arena/SoA token storage** — payloads, birth and arrival cycles
-//!   live in parallel arrays indexed by `u32` handles; place queues
-//!   hold handles, and a pass-through firing re-stamps a handle's
-//!   arrival cycle instead of moving 40-byte tokens;
+//! * **arena/SoA token storage** — payload rows, birth and arrival
+//!   cycles live in parallel arrays indexed by `u32` handles
+//!   ([`crate::token`]). [`CompiledNet::compile`] gives every field
+//!   name the net's expressions read or its record emits write a slot
+//!   (adapters add the fields they inject with
+//!   [`CompiledNet::record_shape`]), so a flat payload is one row of
+//!   `f64`s and a field read is an index. A payload without a row (a
+//!   list, a string, a nested record, an unknown field) keeps its
+//!   `Value` in a side table, and any firing that consumes one takes
+//!   the [`Behavior`] route the reference runs. Place queues hold
+//!   handles, and a pass-through firing re-stamps a handle's arrival
+//!   cycle instead of copying its row. Retired handles stay in the
+//!   arena and become the run's [`crate::token::Completions`]: a
+//!   caller that only counts completions never builds a payload map;
 //! * **event-driven time-skip** — a calendar wheel with an occupancy
 //!   bitmap finds the next populated cycle with a `trailing_zeros`
 //!   scan, so a thousand idle cycles cost one word test (events past
@@ -50,13 +61,12 @@
 //! untraced runs pay a branch, not the bookkeeping.
 
 use crate::behavior::Behavior;
-use crate::compile::CExpr;
+use crate::compile::{SlotEmit, SlotExpr, SlotTok};
 use crate::net::{Net, PlaceId};
 use crate::reference::{Options, SimResult};
-use crate::token::Token;
+use crate::token::{slot, Completions, Layout, RecordShape, Token, TokenArena};
 use crate::trace::{EngineTrace, TokenSrc};
 use crate::{due, PetriError, MAX_CYCLE};
-use perf_iface_lang::Value;
 use std::collections::BinaryHeap;
 
 /// Calendar-wheel width in cycles (power of two). Events scheduled
@@ -71,41 +81,32 @@ const _: () = assert!(MAX_CYCLE <= u64::MAX - WHEEL as u64);
 enum DelayPlan {
     /// Workload-independent: folded to a constant at compile time.
     Const(u64),
-    /// Closed-form expression over the consumed payloads.
-    Expr(CExpr),
+    /// Slot expression over the consumed payloads.
+    Slot(SlotExpr),
 }
 
 /// How a transition's guard is evaluated.
 enum GuardPlan {
     /// No guard: tokens are consumed unconditionally.
     Free,
-    /// Closed-form boolean expression.
-    Expr(CExpr),
+    /// Boolean slot expression.
+    Slot(SlotExpr),
     /// Fallback through [`Behavior::guard`] (native closures or
-    /// interpreter-only expressions).
+    /// expressions that do not lower onto slots).
     Dyn,
-}
-
-/// How one output arc's payload is produced.
-enum EmitPlan {
-    /// The first consumed payload passes through unchanged.
-    Passthrough,
-    /// Closed-form expression over the consumed payloads.
-    Expr(CExpr),
 }
 
 /// How a transition fires once its guard has passed.
 enum FirePlan {
     /// Fallback through [`Behavior::fire`] (native closures,
-    /// interpreter-only expressions, or arity mismatches whose error
-    /// must surface at fire time).
+    /// expressions that do not lower onto slots, or arity mismatches
+    /// whose error must surface at fire time).
     Dyn,
-    /// Fully specialized delay + per-arc emits.
+    /// Fully specialized delay + one emit per output arc (an arc
+    /// without an emit expression copies `t`).
     Fast {
         delay: DelayPlan,
-        emits: Vec<EmitPlan>,
-        /// Whether delay/emit evaluation needs the payload list.
-        needs_ts: bool,
+        emits: Vec<SlotEmit>,
         /// Single-input, single-output, weight-1, pass-through: the
         /// consumed token handle is re-stamped and forwarded with zero
         /// payload traffic.
@@ -230,6 +231,8 @@ pub struct CompiledNet {
     cap: Vec<u32>,
     sink: Vec<bool>,
     dirty_words: usize,
+    /// Payload field names; field `k` lives in row slot `1 + k`.
+    layout: Layout,
 }
 
 impl CompiledNet {
@@ -238,6 +241,23 @@ impl CompiledNet {
         let nt = net.transitions().len();
         let np = net.places().len();
         let dirty_words = nt.div_ceil(64);
+        // One slot per field name any lowered expression reads or any
+        // record emit writes, in first-use order.
+        let mut names = Vec::new();
+        for t in net.transitions() {
+            if let Behavior::Expr(e) = &t.behavior {
+                let emits = e.compiled_emits().iter().flatten();
+                for c in e
+                    .compiled_delay()
+                    .into_iter()
+                    .chain(e.compiled_guard())
+                    .chain(emits)
+                {
+                    c.field_names(&mut names);
+                }
+            }
+        }
+        let layout: Layout = names.into();
         let rank_mask = |ti: usize| -> (u32, u64) {
             let r = net.rank[ti];
             ((r / 64) as u32, 1u64 << (r % 64))
@@ -306,8 +326,8 @@ impl CompiledNet {
             }
             wake_fire.push(mask_of(&mut woken));
 
-            guard.push(Self::plan_guard(&t.behavior));
-            fire.push(Self::plan_fire(t));
+            guard.push(Self::plan_guard(&t.behavior, &layout));
+            fire.push(Self::plan_fire(t, &layout));
         }
 
         // Flatten every chain-shaped transition (guard-free reuse with
@@ -386,24 +406,25 @@ impl CompiledNet {
             cap,
             sink,
             dirty_words,
+            layout,
         }
     }
 
-    fn plan_guard(b: &Behavior) -> GuardPlan {
+    fn plan_guard(b: &Behavior, layout: &[String]) -> GuardPlan {
         if !b.has_guard() {
             return GuardPlan::Free;
         }
         match b {
             Behavior::Expr(e) => e
                 .compiled_guard()
-                .cloned()
-                .map(GuardPlan::Expr)
+                .and_then(|c| c.to_slots(layout))
+                .map(GuardPlan::Slot)
                 .unwrap_or(GuardPlan::Dyn),
             Behavior::Native { .. } => GuardPlan::Dyn,
         }
     }
 
-    fn plan_fire(t: &crate::net::Transition) -> FirePlan {
+    fn plan_fire(t: &crate::net::Transition, layout: &[String]) -> FirePlan {
         let e = match &t.behavior {
             Behavior::Expr(e) => e,
             // Native closures are opaque: evaluate through the behavior.
@@ -418,35 +439,57 @@ impl CompiledNet {
         // the per-firing validation error still surfaces.
         let delay = match e.const_fn_value("__delay").and_then(|v| v.as_num()) {
             Some(d) if d.is_finite() && d >= 0.0 => DelayPlan::Const(d.round() as u64),
-            _ => match e.compiled_delay() {
-                Some(c) => DelayPlan::Expr(c.clone()),
+            _ => match e.compiled_delay().and_then(|c| c.to_slots(layout)) {
+                Some(c) => DelayPlan::Slot(c),
                 None => return FirePlan::Dyn,
             },
         };
         let mut emits = Vec::with_capacity(t.outputs.len());
         for (i, has) in e.emit_flags().iter().enumerate() {
-            if !*has {
-                emits.push(EmitPlan::Passthrough);
+            let emit = if *has {
+                e.compiled_emits()[i]
+                    .as_ref()
+                    .and_then(|c| c.to_slot_emit(layout))
             } else {
-                match e.compiled_emits()[i].clone() {
-                    Some(c) => emits.push(EmitPlan::Expr(c)),
-                    None => return FirePlan::Dyn,
-                }
+                Some(SlotEmit::Copy(SlotTok::First))
+            };
+            match emit {
+                Some(emit) => emits.push(emit),
+                None => return FirePlan::Dyn,
             }
         }
-        let needs_ts = matches!(delay, DelayPlan::Expr(_))
-            || emits.iter().any(|e| matches!(e, EmitPlan::Expr(_)));
         let reuse = t.inputs.len() == 1
             && t.inputs[0].1 == 1
             && t.outputs.len() == 1
             && t.outputs[0].1 == 1
-            && matches!(emits[0], EmitPlan::Passthrough);
+            && matches!(emits[0], SlotEmit::Copy(SlotTok::First));
         FirePlan::Fast {
             delay,
             emits,
-            needs_ts,
             reuse,
         }
+    }
+
+    /// Resolves `fields` to row slots once, so records can be injected
+    /// with [`Stepper::inject_record`] without building a map. A field
+    /// no expression of the net reads gets a slot of its own (a record
+    /// must keep every field for its completion payload).
+    pub fn record_shape(&mut self, fields: &[&str]) -> RecordShape {
+        let mut names: Vec<String> = self.layout.to_vec();
+        let slots = fields
+            .iter()
+            .map(|&f| match names.iter().position(|n| n == f) {
+                Some(i) => i as u32,
+                None => {
+                    names.push(f.to_string());
+                    (names.len() - 1) as u32
+                }
+            })
+            .collect();
+        if names.len() != self.layout.len() {
+            self.layout = names.into();
+        }
+        RecordShape::new(fields.iter().map(|f| f.to_string()).collect(), slots)
     }
 
     /// Creates a stepper over the net this plan was compiled from.
@@ -460,52 +503,6 @@ impl CompiledNet {
             "stepper created over a net it was not compiled from"
         );
         Stepper::new(net, self, opts)
-    }
-}
-
-/// SoA token storage: payloads and timestamps in parallel arrays,
-/// addressed by `u32` handles.
-#[derive(Default)]
-struct Arena {
-    data: Vec<Value>,
-    born: Vec<u64>,
-    arrived: Vec<u64>,
-    free: Vec<u32>,
-}
-
-impl Arena {
-    fn alloc(&mut self, data: Value, born: u64, arrived: u64) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.data[i as usize] = data;
-                self.born[i as usize] = born;
-                self.arrived[i as usize] = arrived;
-                i
-            }
-            None => {
-                self.data.push(data);
-                self.born.push(born);
-                self.arrived.push(arrived);
-                (self.data.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Removes the token, returning its owned form.
-    fn take(&mut self, i: u32) -> Token {
-        let t = Token {
-            data: core::mem::replace(&mut self.data[i as usize], Value::Bool(false)),
-            born: self.born[i as usize],
-            arrived: self.arrived[i as usize],
-        };
-        self.free.push(i);
-        t
-    }
-
-    /// Releases the handle (payload dropped).
-    fn release(&mut self, i: u32) {
-        self.data[i as usize] = Value::Bool(false);
-        self.free.push(i);
     }
 }
 
@@ -663,11 +660,13 @@ pub struct Stepper<'a> {
     plan: &'a CompiledNet,
     opts: Options,
     places: Vec<PlaceState>,
-    arena: Arena,
+    arena: TokenArena,
     trans: Vec<TransState>,
     dirty: Vec<u64>,
     enablement_checks: u64,
-    completions: Vec<Token>,
+    /// Handles of retired tokens, in arrival order (their rows stay in
+    /// the arena and become the run's [`Completions`]).
+    done: Vec<u32>,
     /// `(place, token)` in injection order (also the seq order the
     /// reference would assign).
     injects: Vec<(u32, u32)>,
@@ -681,10 +680,13 @@ pub struct Stepper<'a> {
     seq: u64,
     spill: Vec<Vec<(u32, u32)>>,
     spill_free: Vec<u32>,
-    // Scratch buffers.
-    ts: Vec<Value>,
-    toks: Vec<Token>,
+    // Scratch buffers: the would-be-consumed queue heads a guard
+    // reads, the consumed handles, their materialized tokens (fallback
+    // route only) and a firing's `(place, handle)` outputs.
+    heads: Vec<u32>,
     sel: Vec<u32>,
+    toks: Vec<Token>,
+    outs: Vec<(u32, u32)>,
     /// Provenance bookkeeping; `Some` iff [`Options::trace`] was set.
     tracer: Option<Box<Tracer>>,
 }
@@ -729,7 +731,7 @@ impl<'a> Stepper<'a> {
                     high_water: 0,
                 })
                 .collect(),
-            arena: Arena::default(),
+            arena: TokenArena::new(plan.layout.clone()),
             trans: vec![
                 TransState {
                     busy_servers: 0,
@@ -740,7 +742,7 @@ impl<'a> Stepper<'a> {
             ],
             dirty: vec![0; plan.dirty_words],
             enablement_checks: 0,
-            completions: Vec::new(),
+            done: Vec::new(),
             injects: Vec::new(),
             slots: {
                 let v: Vec<Slot> = (0..WHEEL).map(|_| Slot::default()).collect();
@@ -756,9 +758,10 @@ impl<'a> Stepper<'a> {
             seq: 0,
             spill: Vec::new(),
             spill_free: Vec::new(),
-            ts: Vec::new(),
-            toks: Vec::new(),
+            heads: Vec::new(),
             sel: Vec::new(),
+            toks: Vec::new(),
+            outs: Vec::new(),
             tracer: opts.trace.map(|cap| {
                 Box::new(Tracer {
                     trace: EngineTrace::new(cap),
@@ -774,8 +777,34 @@ impl<'a> Stepper<'a> {
 
     /// Schedules an external token arrival at `token.arrived`.
     pub fn inject(&mut self, place: PlaceId, token: Token) {
-        let arrived = token.arrived;
-        let tok = self.arena.alloc(token.data, token.born, arrived);
+        let tok = self.arena.alloc(token.born, token.arrived);
+        self.arena.put(tok, token.data);
+        self.schedule_inject(place, tok);
+    }
+
+    /// Schedules the arrival at cycle `at` of a record whose fields are
+    /// `shape`'s names and `values`: the same token as injecting
+    /// `shape.value(values)` with [`Stepper::inject`], written straight
+    /// into its slot row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one number per field, or if
+    /// `shape` came from another net's [`CompiledNet::record_shape`]
+    /// with more slots.
+    pub fn inject_record(&mut self, place: PlaceId, shape: &RecordShape, values: &[f64], at: u64) {
+        assert_eq!(values.len(), shape.slots().len(), "one value per field");
+        let tok = self.arena.alloc(at, at);
+        self.arena.clear_record(tok);
+        let row = self.arena.row_mut(tok);
+        for (&s, &v) in shape.slots().iter().zip(values) {
+            row[1 + s as usize] = slot::num(v);
+        }
+        self.schedule_inject(place, tok);
+    }
+
+    fn schedule_inject(&mut self, place: PlaceId, tok: u32) {
+        let arrived = self.arena.arrived[tok as usize];
         self.injects.push((place.0 as u32, tok));
         if let Some(tr) = self.tracer.as_mut() {
             let src = TokenSrc {
@@ -981,59 +1010,49 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// Moves a token that reached a sink into the completion list.
+    /// Appends a token that reached a sink to the completions; its row
+    /// stays where it is.
     fn retire(&mut self, tok: u32) {
         if let Some(tr) = self.tracer.as_mut() {
             tr.trace.completion_src.push(tr.src[tok as usize]);
         }
-        let t = self.arena.take(tok);
-        self.completions.push(t);
+        self.done.push(tok);
     }
 
     // ---- firing ---------------------------------------------------
 
-    /// Builds the payload list (`ts`) from token handles.
-    fn build_ts(&mut self, from_sel: bool, ti: usize) {
-        self.ts.clear();
-        if from_sel {
-            for &i in &self.sel {
-                self.ts.push(self.arena.data[i as usize].clone());
-            }
-        } else {
-            let (is, ie) = self.plan.in_range[ti];
-            for &(p, w) in &self.plan.in_arcs[is as usize..ie as usize] {
-                for k in 0..w as usize {
-                    let idx = self.places[p as usize].q.get(k);
-                    self.ts.push(self.arena.data[idx as usize].clone());
-                }
+    /// Collects the handles a firing of `ti` would consume (the queue
+    /// heads, in input-arc order) into `heads`.
+    fn peek_heads(&mut self, ti: usize) {
+        self.heads.clear();
+        let (is, ie) = self.plan.in_range[ti];
+        for &(p, w) in &self.plan.in_arcs[is as usize..ie as usize] {
+            for k in 0..w as usize {
+                self.heads.push(self.places[p as usize].q.get(k));
             }
         }
     }
 
-    /// Builds owned `Token` clones for the dynamic-behavior fallback.
-    fn build_toks(&mut self, from_sel: bool, ti: usize) {
+    /// Whether any of `hs` has its payload in the arena's side table,
+    /// which sends the firing down the [`Behavior`] route.
+    fn any_dyn(&self, hs: &[u32]) -> bool {
+        self.arena.has_dyn() && hs.iter().any(|&h| self.arena.is_dyn(h))
+    }
+
+    /// Materializes the tokens `hs` names into `toks` for the
+    /// [`Behavior`] route.
+    fn build_toks(&mut self, from_sel: bool) {
         self.toks.clear();
-        if from_sel {
-            for &i in &self.sel {
-                self.toks.push(Token {
-                    data: self.arena.data[i as usize].clone(),
-                    born: self.arena.born[i as usize],
-                    arrived: self.arena.arrived[i as usize],
-                });
-            }
-        } else {
-            let (is, ie) = self.plan.in_range[ti];
-            for &(p, w) in &self.plan.in_arcs[is as usize..ie as usize] {
-                for k in 0..w as usize {
-                    let idx = self.places[p as usize].q.get(k) as usize;
-                    self.toks.push(Token {
-                        data: self.arena.data[idx].clone(),
-                        born: self.arena.born[idx],
-                        arrived: self.arena.arrived[idx],
-                    });
-                }
-            }
-        }
+        let hs = if from_sel { &self.sel } else { &self.heads };
+        self.toks.extend(hs.iter().map(|&h| self.arena.token(h)));
+    }
+
+    /// Evaluates `ti`'s guard on the queue heads through its
+    /// [`Behavior`].
+    fn dyn_guard(&mut self, ti: usize) -> Result<bool, PetriError> {
+        self.peek_heads(ti);
+        self.build_toks(false);
+        self.net.transitions()[ti].behavior.guard(&self.toks)
     }
 
     /// The fused pipeline-stage firing attempt (see [`ChainPlan`]):
@@ -1128,25 +1147,22 @@ impl<'a> Stepper<'a> {
             }
         }
         // Guard, evaluated on the would-be-consumed queue heads.
-        match &plan.guard[ti] {
-            GuardPlan::Free => {}
-            GuardPlan::Expr(g) => {
-                self.build_ts(false, ti);
-                let t0 = self.ts.first().cloned().unwrap_or(Value::Num(0.0));
-                let ok = g
-                    .eval(&t0, &self.ts)?
-                    .as_bool()
-                    .ok_or_else(|| PetriError::Expr("guard must return a bool".into()))?;
-                if !ok {
-                    return Ok(false);
+        let ok = match &plan.guard[ti] {
+            GuardPlan::Free => true,
+            GuardPlan::Slot(g) => {
+                self.peek_heads(ti);
+                if self.any_dyn(&self.heads) {
+                    self.dyn_guard(ti)?
+                } else {
+                    let cx = self.arena.cx(&self.heads);
+                    slot::as_bool(g.eval(&cx)?)
+                        .ok_or_else(|| PetriError::Expr("guard must return a bool".into()))?
                 }
             }
-            GuardPlan::Dyn => {
-                self.build_toks(false, ti);
-                if !self.net.transitions()[ti].behavior.guard(&self.toks)? {
-                    return Ok(false);
-                }
-            }
+            GuardPlan::Dyn => self.dyn_guard(ti)?,
+        };
+        if !ok {
+            return Ok(false);
         }
         // Consume.
         self.sel.clear();
@@ -1163,26 +1179,19 @@ impl<'a> Stepper<'a> {
             .min()
             .unwrap_or(now);
 
-        match &plan.fire[ti] {
+        let d = match &plan.fire[ti] {
             FirePlan::Fast {
                 delay,
                 emits,
-                needs_ts,
                 reuse,
-            } => {
-                if *needs_ts {
-                    self.build_ts(true, ti);
-                } else {
-                    // A guard may have populated `ts` from the queue
-                    // heads; clear it so `eval_emits` rebuilds `t` from
-                    // the consumed tokens instead of stale data.
-                    self.ts.clear();
-                }
+            } if !self.any_dyn(&self.sel) => {
                 let d = match delay {
                     DelayPlan::Const(d) => *d,
-                    DelayPlan::Expr(c) => {
-                        let t0 = self.ts.first().cloned().unwrap_or(Value::Num(0.0));
-                        let d = c.eval_num(&t0, &self.ts)?;
+                    DelayPlan::Slot(c) => {
+                        let d = c.eval(&self.arena.cx(&self.sel))?;
+                        if slot::is_mark(d) {
+                            return Err(PetriError::Expr("expected a number".into()));
+                        }
                         if !d.is_finite() || d < 0.0 {
                             return Err(PetriError::Expr(format!(
                                 "delay must be finite and >= 0, got {d}"
@@ -1191,19 +1200,9 @@ impl<'a> Stepper<'a> {
                         d.round() as u64
                     }
                 };
-                // Emits are evaluated before the completion cycle is
-                // checked, the order in which the reference's
-                // `Behavior::fire` surfaces the two errors.
-                let payloads = if *reuse {
-                    None
-                } else {
-                    Some(self.eval_emits(emits)?)
-                };
-                let done = due(now, d)?;
-                self.trace_firing(ti, now, d, done);
-                if let Some(payloads) = payloads {
-                    self.emit_payloads(ti, os, payloads, born, done);
-                } else {
+                if *reuse {
+                    let done = due(now, d)?;
+                    self.trace_firing(ti, now, d, done);
                     // Re-stamp the consumed handle; zero payload moves.
                     let tok = self.sel[0];
                     self.arena.arrived[tok as usize] = done;
@@ -1220,26 +1219,43 @@ impl<'a> Stepper<'a> {
                             tok,
                         },
                     );
+                } else {
+                    // Emits are evaluated before the completion cycle
+                    // is checked, the order in which the reference's
+                    // `Behavior::fire` surfaces the two errors.
+                    self.outs.clear();
+                    for (j, emit) in emits.iter().enumerate() {
+                        let tok = self.arena.alloc(born, 0);
+                        write_emit(&mut self.arena, &self.sel, emit, tok)?;
+                        self.push_output(os as usize + j, tok);
+                    }
+                    let done = due(now, d)?;
+                    self.trace_firing(ti, now, d, done);
+                    self.schedule_outputs(ti, done);
                 }
-                let st = &mut self.trans[ti];
-                st.busy_servers += 1;
-                st.firings += 1;
-                st.busy = st.busy.saturating_add(d);
+                d
             }
-            FirePlan::Dyn => {
-                self.build_toks(true, ti);
+            _ => {
+                self.build_toks(true);
                 let n_outputs = (oe - os) as usize;
                 let behavior = &self.net.transitions()[ti].behavior;
                 let firing = behavior.fire(&self.toks, n_outputs)?;
+                self.outs.clear();
+                for (j, payload) in firing.outputs.into_iter().enumerate() {
+                    let tok = self.arena.alloc(born, 0);
+                    self.arena.put(tok, payload);
+                    self.push_output(os as usize + j, tok);
+                }
                 let done = due(now, firing.delay)?;
                 self.trace_firing(ti, now, firing.delay, done);
-                self.emit_payloads(ti, os, firing.outputs, born, done);
-                let st = &mut self.trans[ti];
-                st.busy_servers += 1;
-                st.firings += 1;
-                st.busy = st.busy.saturating_add(firing.delay);
+                self.schedule_outputs(ti, done);
+                firing.delay
             }
-        }
+        };
+        let st = &mut self.trans[ti];
+        st.busy_servers += 1;
+        st.firings += 1;
+        st.busy = st.busy.saturating_add(d);
         // Consumption changed input queue heads and freed capacity in
         // bounded input places.
         self.apply_mask(&plan.wake_fire[ti]);
@@ -1265,46 +1281,33 @@ impl<'a> Stepper<'a> {
         };
     }
 
-    /// Evaluates the per-arc emit plans of the firing whose consumed
-    /// handles are in `sel`.
-    fn eval_emits(&self, emits: &[EmitPlan]) -> Result<Vec<Value>, PetriError> {
-        let t0 = if self.ts.is_empty() {
-            self.sel
-                .first()
-                .map(|&i| self.arena.data[i as usize].clone())
-                .unwrap_or(Value::Num(0.0))
-        } else {
-            self.ts[0].clone()
-        };
-        emits
-            .iter()
-            .map(|e| match e {
-                EmitPlan::Passthrough => Ok(t0.clone()),
-                EmitPlan::Expr(c) => c.eval(&t0, &self.ts),
-            })
-            .collect()
+    /// Adds the output token `tok` for output arc `arc` (flat index),
+    /// plus a payload copy per extra unit of arc weight.
+    fn push_output(&mut self, arc: usize, tok: u32) {
+        let a = &self.plan.out_arcs[arc];
+        self.outs.push((a.place, tok));
+        for _ in 1..a.weight {
+            let c = self.arena.alloc(self.arena.born[tok as usize], 0);
+            self.arena.copy(tok, c);
+            self.outs.push((a.place, c));
+        }
     }
 
-    /// Allocates output tokens (one payload per arc, replicated per arc
-    /// weight), schedules the delivery event, and releases the
-    /// consumed handles in `sel`.
-    fn emit_payloads(&mut self, ti: usize, os: u32, payloads: Vec<Value>, born: u64, done: u64) {
-        let plan = self.plan;
-        let total: u32 = payloads
-            .iter()
-            .zip(&plan.out_arcs[os as usize..])
-            .map(|(_, a)| a.weight)
-            .sum();
-        let e = if total == 1 {
-            // Single token: exactly one arc, weight 1 (zero-weight
-            // arcs are rejected by the builder).
-            let arc = &plan.out_arcs[os as usize];
-            let payload = payloads.into_iter().next().expect("one output");
-            let tok = self.alloc_output(payload, born, done);
-            self.places[arc.place as usize].reserved += 1;
+    /// Stamps the firing's outputs (in `outs`) with their arrival
+    /// cycle, reserves their places, schedules their delivery, and
+    /// releases the consumed handles in `sel`.
+    fn schedule_outputs(&mut self, ti: usize, done: u64) {
+        for &(place, tok) in &self.outs {
+            self.arena.arrived[tok as usize] = done;
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.stamp_output(tok);
+            }
+            self.places[place as usize].reserved += 1;
+        }
+        let e = if let [(place, tok)] = self.outs[..] {
             WEntry::Deliver1 {
                 trans: ti as u32,
-                place: arc.place,
+                place,
                 tok,
             }
         } else {
@@ -1315,20 +1318,7 @@ impl<'a> Stepper<'a> {
                     self.spill.len() - 1
                 }
             };
-            let mut outs = core::mem::take(&mut self.spill[idx]);
-            for (j, payload) in payloads.into_iter().enumerate() {
-                let arc = &plan.out_arcs[os as usize + j];
-                self.places[arc.place as usize].reserved += arc.weight;
-                // `weight - 1` clones, then the final token moves the
-                // payload.
-                for _ in 1..arc.weight {
-                    let tok = self.alloc_output(payload.clone(), born, done);
-                    outs.push((arc.place, tok));
-                }
-                let tok = self.alloc_output(payload, born, done);
-                outs.push((arc.place, tok));
-            }
-            self.spill[idx] = outs;
+            self.spill[idx].extend_from_slice(&self.outs);
             WEntry::DeliverN {
                 trans: ti as u32,
                 spill: idx as u32,
@@ -1338,15 +1328,6 @@ impl<'a> Stepper<'a> {
         for k in 0..self.sel.len() {
             self.arena.release(self.sel[k]);
         }
-    }
-
-    /// Allocates one output token of the firing being emitted.
-    fn alloc_output(&mut self, payload: Value, born: u64, done: u64) -> u32 {
-        let tok = self.arena.alloc(payload, born, done);
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.stamp_output(tok);
-        }
-        tok
     }
 
     /// Fires until fixpoint with a pass-structured dirty worklist:
@@ -1390,7 +1371,7 @@ impl<'a> Stepper<'a> {
         // Stage injections in order: identical (time, seq) schedule to
         // the reference's heap pushes.
         let injects = core::mem::take(&mut self.injects);
-        self.completions.reserve(injects.len());
+        self.done.reserve(injects.len());
         for &(place, tok) in &injects {
             let at = due(0, self.arena.arrived[tok as usize])?;
             self.push_event(at, WEntry::Inject { place, tok });
@@ -1454,7 +1435,7 @@ impl<'a> Stepper<'a> {
         }
         Ok(SimResult {
             makespan: now,
-            completions: self.completions,
+            completions: Completions::from_arena(self.arena, self.done),
             events,
             firings: self.trans.iter().map(|t| t.firings).collect(),
             busy: self.trans.iter().map(|t| t.busy).collect(),
@@ -1464,6 +1445,34 @@ impl<'a> Stepper<'a> {
             trace: self.tracer.map(|t| t.trace),
         })
     }
+}
+
+/// Writes `emit`, evaluated on the consumed tokens `sel`, into token
+/// `tok`'s row.
+fn write_emit(
+    arena: &mut TokenArena,
+    sel: &[u32],
+    emit: &SlotEmit,
+    tok: u32,
+) -> Result<(), PetriError> {
+    match emit {
+        SlotEmit::Copy(t) => match t.resolve(&arena.cx(sel))? {
+            Some(k) => arena.copy(sel[k], tok),
+            None => arena.row_mut(tok)[0] = 0.0,
+        },
+        SlotEmit::Scalar(e) => {
+            let x = e.eval(&arena.cx(sel))?;
+            arena.row_mut(tok)[0] = x;
+        }
+        SlotEmit::Record(fields) => {
+            arena.clear_record(tok);
+            for (s, e) in fields {
+                let x = e.eval(&arena.cx(sel))?;
+                arena.row_mut(tok)[1 + *s as usize] = x;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A net paired with its compiled plan: what the accelerator adapters
@@ -1509,6 +1518,12 @@ impl NetExec {
     pub fn session(&self, opts: Options) -> Stepper<'_> {
         self.plan.stepper(&self.net, opts)
     }
+
+    /// Resolves record fields to row slots once (see
+    /// [`CompiledNet::record_shape`]).
+    pub fn record_shape(&mut self, fields: &[&str]) -> RecordShape {
+        self.plan.record_shape(fields)
+    }
 }
 
 #[cfg(test)]
@@ -1516,6 +1531,7 @@ mod tests {
     use super::*;
     use crate::behavior::ExprBehavior;
     use crate::net::{NetBuilder, Transition};
+    use perf_iface_lang::Value;
 
     fn passthrough(n: usize) -> impl Fn(&[Token]) -> Vec<Value> {
         move |ts: &[Token]| vec![ts[0].data.clone(); n]

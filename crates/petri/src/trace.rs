@@ -253,12 +253,11 @@ pub fn critical_path(res: &SimResult) -> Option<CriticalPath> {
     let trace = res.trace.as_ref()?;
     // The completion that arrived last; `max_by_key` keeps the last
     // maximal element, i.e. ties break toward the later completion.
-    let (end_tok, src) = res
+    let ((_, end), src) = res
         .completions
-        .iter()
+        .times()
         .zip(&trace.completion_src)
-        .max_by_key(|(t, _)| t.arrived)?;
-    let end = end_tok.arrived;
+        .max_by_key(|&((_, arrived), _)| arrived)?;
     let mut cur = *src;
     let mut segments = Vec::new();
     loop {

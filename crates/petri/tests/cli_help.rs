@@ -155,3 +155,25 @@ fn run_past_the_last_cycle_is_a_diagnostic_not_a_panic() {
     assert!(!text.contains("panicked"), "stderr was: {text}");
     std::fs::remove_file(&net).ok();
 }
+
+#[test]
+fn run_and_trace_reject_token_counts_past_the_limit() {
+    // 10^11 tokens would need terabytes; the count is refused before
+    // anything is allocated, so this returns at once.
+    let net = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../accel-jpeg/assets/jpeg.pnet"
+    );
+    for sub in ["run", "trace"] {
+        let out = run(&[sub, net, "blocks_in", "100000000000", "bits=200"]);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {:?}", out.status);
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            text.contains("exceeds the limit of 16777216 tokens"),
+            "{sub} stderr was: {text}"
+        );
+    }
+    // A count within the limit runs.
+    let out = run(&["run", net, "blocks_in", "3", "bits=200", "nz=12", "pg=0"]);
+    assert!(out.status.success(), "status: {:?}", out.status);
+}

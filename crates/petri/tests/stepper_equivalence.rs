@@ -9,9 +9,12 @@
 //! cost counter and stays out of the contract.
 //!
 //! Nets mix `Native` closures (forcing the stepper's dynamic fallback)
-//! with compiled `Expr` behaviors (exercising the specialized
-//! guard/delay/emit fast paths) and chain-shaped transitions (the fused
+//! with compiled `Expr` behaviors (exercising the slot-row
+//! guard/delay/emit paths) and chain-shaped transitions (the fused
 //! `chain_fire` path), so the corpus exercises every execution path.
+//! Payloads are numbers, or flat records of number and bool fields
+//! (some lacking a field an emit reads), optionally mixed with list
+//! payloads that do not fit a slot row and take the `Behavior` route.
 
 use perf_iface_lang::Value;
 use perf_petri::behavior::{Behavior, ExprBehavior};
@@ -30,6 +33,18 @@ struct NetSpec {
     /// arrivals push events past the calendar-wheel horizon, forcing
     /// the stepper's far-heap path.
     injections: Vec<(usize, u64, u64)>,
+    /// How an injection's payload number becomes a [`Value`].
+    payload: Payload,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Payload {
+    /// The number itself.
+    Num,
+    /// A record `{ v, b, w }` (see [`payload`]).
+    Record,
+    /// Records, with every ninth payload a one-element list instead.
+    RecordOrList,
 }
 
 #[derive(Clone, Debug)]
@@ -46,6 +61,9 @@ struct TransSpec {
     /// For expr behaviors: emit `t` unchanged (the stepper's
     /// token-reuse fast path) instead of a transformed payload.
     passthrough: bool,
+    /// For expr behaviors: read record fields (`t.v`, `t.b`, `ts[k].v`)
+    /// and emit records, instead of treating payloads as numbers.
+    fields: bool,
     /// Chain-shaped: the first input and first output arcs at weight 1,
     /// a constant delay ≥ 1, no guard, pass-through — the stepper's
     /// fused `chain_fire` path. Overrides the fields above.
@@ -64,9 +82,21 @@ fn spec_strategy() -> impl Strategy<Value = NetSpec> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
-            |(inputs, outputs, base_delay, priority, servers, guard, expr, passthrough, chain)| {
+            |(
+                inputs,
+                outputs,
+                base_delay,
+                priority,
+                servers,
+                guard,
+                expr,
+                passthrough,
+                chain,
+                fields,
+            )| {
                 TransSpec {
                     inputs,
                     outputs,
@@ -76,39 +106,80 @@ fn spec_strategy() -> impl Strategy<Value = NetSpec> {
                     guard,
                     expr,
                     passthrough,
+                    fields,
                     chain,
                 }
             },
         );
+    let payload = prop_oneof![
+        Just(Payload::Num),
+        Just(Payload::Record),
+        Just(Payload::RecordOrList)
+    ];
     (
         prop::collection::vec(place, 2..=5),
         1usize..=2,
         prop::collection::vec(trans, 1..=6),
         prop::collection::vec((0usize..100, 0u64..100, 0u64..5_000), 1..=20),
+        payload,
     )
-        .prop_map(|(places, sinks, transitions, injections)| NetSpec {
-            places,
-            sinks,
-            transitions,
-            injections,
-        })
+        .prop_map(
+            |(places, sinks, transitions, injections, payload)| NetSpec {
+                places,
+                sinks,
+                transitions,
+                injections,
+                payload,
+            },
+        )
+}
+
+/// Payload number `v` as a [`Payload`] value. Records carry `v`, a
+/// bool `b`, and `w` unless `v` is a multiple of 7, so a record emit
+/// that copies `w` sometimes reads a missing field.
+fn payload(kind: Payload, v: u64) -> Value {
+    let record = || {
+        let mut fields = vec![
+            ("v".to_string(), Value::num(v as f64)),
+            ("b".to_string(), Value::bool(v % 2 == 1)),
+        ];
+        if !v.is_multiple_of(7) {
+            fields.push(("w".to_string(), Value::num((v % 5) as f64)));
+        }
+        Value::record_owned(fields)
+    };
+    match kind {
+        Payload::Num => Value::num(v as f64),
+        Payload::RecordOrList if v.is_multiple_of(9) => Value::list(vec![Value::num(v as f64)]),
+        Payload::Record | Payload::RecordOrList => record(),
+    }
+}
+
+/// A payload's number: itself, a record's `v`, else 0.
+fn num_of(v: &Value) -> f64 {
+    v.as_num()
+        .or_else(|| v.field("v").and_then(Value::as_num))
+        .unwrap_or(0.0)
 }
 
 fn native_behavior(t: &TransSpec, n_out: usize) -> Behavior {
     let base = t.base_delay;
     let guard = t.guard.map(|thr| {
-        Box::new(move |ts: &[Token]| (ts[0].data.as_num().unwrap_or(0.0) as u64) % 16 < thr)
+        Box::new(move |ts: &[Token]| (num_of(&ts[0].data) as u64) % 16 < thr)
             as Box<dyn Fn(&[Token]) -> bool>
     });
     Behavior::Native {
         guard,
-        delay: Box::new(move |ts: &[Token]| base + (ts[0].data.as_num().unwrap_or(0.0) as u64) % 3),
+        delay: Box::new(move |ts: &[Token]| base + (num_of(&ts[0].data) as u64) % 3),
+        // Numbers stay numbers; any other first payload becomes a
+        // record, so record-reading transitions downstream keep firing.
         transform: Box::new(move |ts: &[Token]| {
-            let v = ts
-                .iter()
-                .map(|t| t.data.as_num().unwrap_or(0.0))
-                .sum::<f64>();
-            vec![Value::num((v + 1.0) % 1024.0); n_out]
+            let v = (ts.iter().map(|t| num_of(&t.data)).sum::<f64>() + 1.0) % 1024.0;
+            let out = match ts[0].data {
+                Value::Num(_) => Value::num(v),
+                _ => payload(Payload::Record, v as u64),
+            };
+            vec![out; n_out]
         }),
     }
 }
@@ -132,6 +203,30 @@ fn expr_behavior(t: &TransSpec, n_out: usize) -> Behavior {
         Some("(sum(ts) + 1) % 1024".to_string())
     };
     let emits: Vec<Option<String>> = (0..n_out).map(|_| emit.clone()).collect();
+    Behavior::Expr(
+        ExprBehavior::compile("", &delay, guard.as_deref(), &emits)
+            .expect("generated behavior source is valid"),
+    )
+}
+
+/// A record-reading behavior over `n_in` consumed tokens: the delay
+/// reads a number field and a bool field (`num(t.b == 1)` is always 0:
+/// a bool never equals a number), the guard mixes both, and a
+/// transformed output alternates between a record emit that joins on
+/// the last consumed token (`ts[k].v`, `ts[k].w`) and a copy of it.
+fn field_behavior(t: &TransSpec, n_in: usize, n_out: usize) -> Behavior {
+    let delay = format!("{} + t.v % 3 + num(t.b) + num(t.b == 1)", t.base_delay);
+    let guard = t.guard.map(|thr| format!("t.v % 16 < {thr} || t.b"));
+    let k = n_in.saturating_sub(1);
+    let emits: Vec<Option<String>> = (0..n_out)
+        .map(|j| match (t.passthrough, j % 2) {
+            (true, _) => None,
+            (false, 0) => Some(format!(
+                "{{ v: (ts[{k}].v + t.v + {j}) % 100, b: ts[{k}].v % 2 == 0, w: ts[{k}].w }}"
+            )),
+            (false, _) => Some(format!("ts[{k}]")),
+        })
+        .collect();
     Behavior::Expr(
         ExprBehavior::compile("", &delay, guard.as_deref(), &emits)
             .expect("generated behavior source is valid"),
@@ -169,6 +264,9 @@ fn build(spec: &NetSpec) -> Net {
             let out = t.outputs.first().map_or(n_regular, |&(p, _)| p % n_total);
             outputs = vec![(pids[out], 1)];
             chain_behavior(t)
+        } else if t.expr && t.fields {
+            let n_in = inputs.iter().map(|&(_, w)| w).sum();
+            field_behavior(t, n_in, n_out)
         } else if t.expr {
             expr_behavior(t, n_out)
         } else {
@@ -207,7 +305,7 @@ fn injections(spec: &NetSpec, net: &Net) -> Vec<(PlaceId, Token)> {
         .iter()
         .map(|&(p, v, at)| {
             let pid = net.place_id(&place_name(spec, p % n_total)).unwrap();
-            (pid, Token::at(Value::num(v as f64), at))
+            (pid, Token::at(payload(spec.payload, v), at))
         })
         .collect()
 }
@@ -348,6 +446,61 @@ fn field_routed_diamond_matches_across_evaluators() {
         (5, 5),
         "branch loads split 5/5"
     );
+}
+
+/// Both evaluators on one injected payload into `t`'s input.
+fn run_both_on(src: &str, data: Value) -> [Result<SimResult, PetriError>; 2] {
+    let net = perf_petri::text::parse(src).expect("test net parses");
+    let a = net.place_id("a").unwrap();
+    let plan = CompiledNet::compile(&net);
+    let mut s = plan.stepper(&net, OPTS);
+    s.inject(a, Token::at(data.clone(), 0));
+    [
+        s.run(),
+        reference::run(&net, [(a, Token::at(data, 0))], OPTS),
+    ]
+}
+
+/// A field read on a payload without that field fails the same way in
+/// both evaluators, whether the payload has a slot row (a record, a
+/// number, a bool) or not (a list, which takes the `Behavior` route).
+#[test]
+fn missing_field_reads_fail_identically() {
+    let net = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay 1 + t.w\n";
+    for (data, ty) in [
+        (Value::record([("v", Value::num(1.0))]), "record"),
+        (Value::num(1.0), "number"),
+        (Value::bool(true), "bool"),
+        (Value::list(vec![Value::num(1.0)]), "list"),
+    ] {
+        let [st, refr] = run_both_on(net, data);
+        let want = PetriError::Expr(format!("{ty} has no field `w`"));
+        assert_eq!(st.unwrap_err(), want);
+        assert_eq!(refr.unwrap_err(), want);
+    }
+}
+
+/// Payloads without a slot row — a list, a string, a nested record, a
+/// field outside the layout — run through slot-lowered delays, guards
+/// and emits on the `Behavior` route and complete with their exact
+/// payloads.
+#[test]
+fn payloads_without_rows_take_the_behavior_route() {
+    let net = "net n\nplace a\nplace m\nsink z\n\
+               trans t\n  in a\n  out m\n  guard len(ts) == 1\n  delay 2 + len(ts)\n\
+               trans u\n  in m\n  out z\n  delay 3\n  emit z ts[0]\n";
+    for data in [
+        Value::list(vec![Value::num(1.0), Value::bool(false)]),
+        Value::str("s"),
+        Value::record([("v", Value::record([("x", Value::num(2.0))]))]),
+        Value::record([("unread", Value::num(2.0))]),
+    ] {
+        let [st, refr] = run_both_on(net, data.clone());
+        assert_identical("row-less payload", &st, &refr);
+        let r = st.expect("completes");
+        assert_eq!(r.makespan, 6);
+        assert_eq!(r.completions.get(0).expect("one completion").data, data);
+    }
 }
 
 proptest! {

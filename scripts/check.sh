@@ -18,6 +18,10 @@ cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 # --workspace matters: without it only the root package's suites run,
 # and the other ~33 member suites silently stop gating merges.
 cargo test -q --workspace
+# The stepper's unchecked row and arena indexing is guarded only by
+# `debug_assert!`, which the release profile compiles out: run the
+# stepper-vs-reference differential suite on the release build too.
+cargo test -q --release -p perf-petri --test stepper_equivalence
 # Docs are part of the contract: perf-core, perf-petri and perf-service
 # deny missing_docs, and broken intra-doc links fail the build — on
 # private items too, so a stale link in an internal doc is caught.

@@ -208,10 +208,10 @@ fn main() {
             ..Default::default()
         };
         let result = match tcp {
-            Some(addr) => {
+            Some(addr) => std::net::TcpListener::bind(&addr).map(|listener| {
                 eprintln!("perf-service: listening on {addr} ({workers} worker(s))");
-                perf_service::line::serve_tcp(&addr, cfg, u64::MAX)
-            }
+                perf_service::line::serve_tcp(listener, cfg, u64::MAX)
+            }),
             None => {
                 eprintln!(
                     "perf-service: serving stdio with {workers} worker(s); \

@@ -49,6 +49,9 @@ pub const DEFAULT_QUEUE: usize = 4;
 /// malicious `items` field from wedging the service worker.
 pub const MAX_ITEMS: usize = 4096;
 
+/// Hard ceiling on a stage's inter-stage queue depth.
+pub const MAX_QUEUE: usize = 65536;
+
 /// Hard ceiling on per-stage server replication.
 pub const MAX_REPLICAS: usize = 64;
 
@@ -385,7 +388,7 @@ impl Topology {
                     match key {
                         "instance" => st.instance = parse_string(value, ln)?,
                         "accel" => st.accel = parse_string(value, ln)?,
-                        "queue" => st.queue = parse_count(value, ln, "queue depth", 1, 65536)?,
+                        "queue" => st.queue = parse_count(value, ln, "queue depth", 1, MAX_QUEUE)?,
                         "replicas" => {
                             st.replicas = parse_count(value, ln, "replicas", 1, MAX_REPLICAS)?
                         }
@@ -591,10 +594,10 @@ impl Topology {
             return Err(CoreError::Artifact("topology has no stages".to_string()));
         }
         for (i, st) in self.stages.iter().enumerate() {
-            if st.queue == 0 {
+            if !(1..=MAX_QUEUE).contains(&st.queue) {
                 return Err(CoreError::Artifact(format!(
-                    "stage `{}` has queue depth 0",
-                    st.instance
+                    "stage `{}` has queue depth {} (must be 1..={MAX_QUEUE})",
+                    st.instance, st.queue
                 )));
             }
             if !(1..=MAX_REPLICAS).contains(&st.replicas) {
@@ -958,6 +961,23 @@ mod tests {
         assert!(Topology::parse_chain("vta*big:2>protoacc:2").is_err());
         // A lone parallel group has two sources — not a pipeline.
         assert!(Topology::parse_chain("(vta:2|protoacc:2)").is_err());
+    }
+
+    /// Regression: a pipe string's queue depth was unbounded while TOML
+    /// capped it at 65536, and `vta:2>protoacc:4294967296` stranded all
+    /// six stream items on the stepper. Both parsers now share the
+    /// bound in `Topology::validate`.
+    #[test]
+    fn chain_queue_depth_is_bounded() {
+        assert_eq!(
+            Topology::parse_chain("vta:2>protoacc:4294967296").unwrap_err(),
+            CoreError::Artifact(
+                "stage `s1_protoacc` has queue depth 4294967296 (must be 1..=65536)".into()
+            )
+        );
+        assert!(Topology::parse_chain("vta:2>protoacc:65537").is_err());
+        let t = Topology::parse_chain("vta:2>protoacc:65536").unwrap();
+        assert_eq!(t.stages[1].queue, MAX_QUEUE);
     }
 
     #[test]

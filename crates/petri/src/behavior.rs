@@ -3,17 +3,19 @@
 //! A behavior answers, for a set of consumed tokens: *may the transition
 //! fire?* (guard), *how long does processing take?* (delay) and *what
 //! tokens appear downstream?* (emit). Behaviors come in two flavors:
-//! native Rust closures (fast, used when a net is built
-//! programmatically) and PIL expressions (used by `.pnet` text nets, so
-//! a net remains a shippable artifact).
+//! native Rust closures (used when a net is built programmatically) and
+//! PIL expressions (used by `.pnet` text nets, so a net remains a
+//! shippable artifact). An expression behavior has one evaluator, the
+//! PIL interpreter: it is the spec, and the compiled stepper's slot
+//! lowering (the private `compile` module) must return its values or
+//! defer to it.
 
-use crate::compile::{compile_fn, CExpr};
+use crate::compile::{field_names, Lower};
 use crate::token::Token;
 use crate::PetriError;
 use perf_iface_lang::interp::eval_consts;
 use perf_iface_lang::lint::Interval;
 use perf_iface_lang::{Interp, Limits, Program, Value};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -152,18 +154,16 @@ impl Behavior {
 /// Expressions see two bindings: `t`, the payload of the first consumed
 /// token, and `ts`, the list of all consumed payloads (so a join
 /// transition can write `ts[1].bytes`). Net-level constants are visible
-/// too.
+/// too. Each expression becomes a generated function `fn __delay(t, ts)
+/// { return (EXPR); }` (likewise `__guard` and `__emit{i}` per output
+/// arc), which the PIL interpreter evaluates: that is the behavior's
+/// meaning, and the compiled stepper's slot lowering is held to it.
 pub struct ExprBehavior {
     prog: Program,
+    /// The program's constants, evaluated once.
+    consts: Rc<HashMap<String, Value>>,
     emits: Vec<bool>,
     has_guard: bool,
-    /// Lazily evaluated constants, shared across calls.
-    consts: RefCell<Option<Rc<HashMap<String, Value>>>>,
-    /// Compiled fast paths (delay, guard, per-arc emits); `None` falls
-    /// back to the interpreter.
-    c_delay: Option<CExpr>,
-    c_guard: Option<CExpr>,
-    c_emits: Vec<Option<CExpr>>,
 }
 
 impl ExprBehavior {
@@ -193,26 +193,15 @@ impl ExprBehavior {
             }
         }
         let prog = Program::parse(&src).map_err(|e| PetriError::Expr(e.to_string()))?;
-        // Evaluate constants eagerly and compile the single-expression
-        // fast paths.
         let consts = Rc::new(
             eval_consts(prog.ast(), Limits::default())
                 .map_err(|e| PetriError::Expr(e.to_string()))?,
         );
-        let find = |name: String| prog.ast().functions.iter().find(move |f| f.name == name);
-        let c_delay = find("__delay".into()).and_then(|f| compile_fn(f, &consts));
-        let c_guard = find("__guard".into()).and_then(|f| compile_fn(f, &consts));
-        let c_emits = (0..emit_srcs.len())
-            .map(|i| find(format!("__emit{i}")).and_then(|f| compile_fn(f, &consts)))
-            .collect();
         Ok(ExprBehavior {
             prog,
+            consts,
             emits: emit_srcs.iter().map(Option::is_some).collect(),
             has_guard: guard_src.is_some(),
-            consts: RefCell::new(Some(consts)),
-            c_delay,
-            c_guard,
-            c_emits,
         })
     }
 
@@ -221,36 +210,15 @@ impl ExprBehavior {
     /// returning the constant result. Evaluation failures (e.g. a
     /// division by zero inside constants) yield `None`.
     pub(crate) fn const_fn_value(&self, name: &str) -> Option<Value> {
-        let f = self.prog.ast().functions.iter().find(|f| f.name == name)?;
+        let f = self.prog.ast().function(name)?;
         if f.body.iter().any(stmt_mentions_inputs) {
             return None;
         }
-        let dummy = [Value::num(0.0), Value::list(Vec::new())];
-        self.invoke(name, &dummy).ok()
+        self.call(name, &Self::args(&[])).ok()
     }
 
-    /// Returns the cached constant environment, evaluating it once.
-    fn cached_consts(&self) -> Result<Rc<HashMap<String, Value>>, PetriError> {
-        let mut slot = self.consts.borrow_mut();
-        if let Some(c) = slot.as_ref() {
-            return Ok(Rc::clone(c));
-        }
-        let consts = Rc::new(
-            eval_consts(self.prog.ast(), Limits::default())
-                .map_err(|e| PetriError::Expr(e.to_string()))?,
-        );
-        *slot = Some(Rc::clone(&consts));
-        Ok(consts)
-    }
-
-    /// Invokes a compiled function with cached constants.
-    fn invoke(&self, name: &str, args: &[Value]) -> Result<Value, PetriError> {
-        let consts = self.cached_consts()?;
-        Interp::with_consts(self.prog.ast(), Limits::default(), consts)
-            .call(name, args)
-            .map_err(|e| PetriError::Expr(e.to_string()))
-    }
-
+    /// The bindings `t` and `ts` for consumed tokens `inputs` (`t` is
+    /// the number 0 when there are none).
     fn args(inputs: &[Token]) -> [Value; 2] {
         let first = inputs
             .first()
@@ -260,34 +228,21 @@ impl ExprBehavior {
         [first, all]
     }
 
-    /// Payloads of the input tokens, without building PIL values.
-    fn payloads(inputs: &[Token]) -> Vec<Value> {
-        inputs.iter().map(|t| t.data.clone()).collect()
-    }
-
-    fn call_num(&self, name: &str, inputs: &[Token]) -> Result<f64, PetriError> {
-        let args = Self::args(inputs);
-        let v = self.invoke(name, &args)?;
-        v.as_num()
-            .ok_or_else(|| PetriError::Expr(format!("`{name}` must return a number")))
+    /// Calls generated function `name` through the interpreter.
+    fn call(&self, name: &str, args: &[Value; 2]) -> Result<Value, PetriError> {
+        Interp::with_consts(self.prog.ast(), Limits::default(), Rc::clone(&self.consts))
+            .call(name, args)
+            .map_err(|e| PetriError::Expr(e.to_string()))
     }
 
     fn guard(&self, inputs: &[Token]) -> Result<bool, PetriError> {
         if !self.has_guard {
             return Ok(true);
         }
-        if let Some(c) = &self.c_guard {
-            let ts = Self::payloads(inputs);
-            let t = ts.first().cloned().unwrap_or(Value::num(0.0));
-            return c
-                .eval(&t, &ts)?
-                .as_bool()
-                .ok_or_else(|| PetriError::Expr("guard must return a bool".into()));
-        }
-        let args = Self::args(inputs);
-        let v = self.invoke("__guard", &args)?;
-        v.as_bool()
-            .ok_or_else(|| PetriError::Expr("guard must return a bool".into()))
+        let v = self.call("__guard", &Self::args(inputs))?;
+        v.as_bool().ok_or_else(|| {
+            PetriError::Expr(format!("guard must return a bool, got {}", v.type_name()))
+        })
     }
 
     fn fire(&self, inputs: &[Token], n_outputs: usize) -> Result<Firing, PetriError> {
@@ -298,12 +253,11 @@ impl ExprBehavior {
                 n_outputs
             )));
         }
-        let ts = Self::payloads(inputs);
-        let t = ts.first().cloned().unwrap_or(Value::num(0.0));
-        let d = match &self.c_delay {
-            Some(c) => c.eval_num(&t, &ts)?,
-            None => self.call_num("__delay", inputs)?,
-        };
+        let args = Self::args(inputs);
+        let v = self.call("__delay", &args)?;
+        let d = v.as_num().ok_or_else(|| {
+            PetriError::Expr(format!("delay must return a number, got {}", v.type_name()))
+        })?;
         if !d.is_finite() || d < 0.0 {
             return Err(PetriError::Expr(format!(
                 "delay must be finite and >= 0, got {d}"
@@ -311,18 +265,11 @@ impl ExprBehavior {
         }
         let mut outputs = Vec::with_capacity(n_outputs);
         for (i, has) in self.emits.iter().enumerate() {
-            if *has {
-                let v = match &self.c_emits[i] {
-                    Some(c) => c.eval(&t, &ts)?,
-                    None => {
-                        let args = Self::args(inputs);
-                        self.invoke(&format!("__emit{i}"), &args)?
-                    }
-                };
-                outputs.push(v);
+            outputs.push(if *has {
+                self.call(&format!("__emit{i}"), &args)?
             } else {
-                outputs.push(t.clone());
-            }
+                args[0].clone()
+            });
         }
         Ok(Firing {
             delay: d.round() as u64,
@@ -330,23 +277,20 @@ impl ExprBehavior {
         })
     }
 
-    /// The compiled delay fast path, if the delay expression lowered to
-    /// a [`CExpr`]. Used by the static-topology stepper to specialize
-    /// firing without boxing through [`Behavior::fire`].
-    pub(crate) fn compiled_delay(&self) -> Option<&CExpr> {
-        self.c_delay.as_ref()
+    /// The lowering of this behavior's expressions onto the slot
+    /// `layout` of a compiled net.
+    pub(crate) fn lower<'a>(&'a self, layout: &'a [String]) -> Lower<'a> {
+        Lower {
+            prog: self.prog.ast(),
+            consts: &self.consts,
+            layout,
+        }
     }
 
-    /// The compiled guard fast path (only meaningful when
-    /// [`Behavior::has_guard`] is true).
-    pub(crate) fn compiled_guard(&self) -> Option<&CExpr> {
-        self.c_guard.as_ref()
-    }
-
-    /// Per-output-arc compiled emit fast paths, parallel to
-    /// [`ExprBehavior::emit_flags`].
-    pub(crate) fn compiled_emits(&self) -> &[Option<CExpr>] {
-        &self.c_emits
+    /// Appends every payload field name this behavior's expressions
+    /// read or write (see [`crate::compile::field_names`]).
+    pub(crate) fn field_names(&self, out: &mut Vec<String>) {
+        field_names(self.prog.ast(), out);
     }
 
     /// Per-output-arc flags: `true` when the arc has an emit expression,

@@ -1,233 +1,34 @@
-//! A compiler from single-expression PIL behaviors to a closed form
-//! that evaluates without interpreter frames.
+//! Lowering of `.pnet` delays, guards and emits onto the compiled
+//! stepper's slot rows.
 //!
-//! Almost every delay/guard/emit in a `.pnet` file is one arithmetic
-//! expression over the token's fields and the net's constants. The
-//! engine evaluates these millions of times in experiment-scale runs,
-//! so `ExprBehavior` compiles them: constants are folded at compile
-//! time, variables resolve to direct slots, and evaluation is a single
-//! enum-tree walk with no allocation on the numeric path. Expressions
-//! that use features outside this subset (user-function calls, loops)
-//! fall back to the full interpreter transparently.
+//! [`crate::behavior::ExprBehavior`] wraps each delay, guard and emit
+//! expression in a generated single-return function, and evaluates it
+//! with one evaluator: the PIL interpreter, [`perf_iface_lang::Interp`],
+//! which is the spec. Almost every such expression is arithmetic over
+//! the consumed token's fields and the net's constants, and the stepper
+//! evaluates it millions of times per run, so [`Lower`] turns the
+//! returned expression into a [`SlotExpr`] over the stepper's `f64`
+//! rows: constants fold to literals, a field read is an index,
+//! builtins resolve to their operation, and evaluation neither
+//! allocates nor formats. An expression outside that subset is declined
+//! and runs through the spec.
+//!
+//! A slot expression computes the spec's value or gives up: `Some(x)`
+//! from [`SlotExpr::eval`] means the interpreter returns `x` on the same
+//! payloads, and `None` means the interpreter fails. Evaluation is pure
+//! and an error ends the run, so on `None` the stepper re-runs that one
+//! guard or firing through the spec, which reports the exact error.
 
-use crate::token::slot;
-use crate::PetriError;
-use perf_iface_lang::ast::{BinOp, Expr, FnDecl, Stmt, UnOp};
+use crate::token::{slot, TokenArena};
+use perf_iface_lang::ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 use perf_iface_lang::Value;
 use std::collections::HashMap;
-
-/// A compiled expression.
-#[derive(Clone, Debug)]
-pub enum CExpr {
-    /// Literal value (numbers, folded constants, record templates are
-    /// not folded — see `Record`).
-    Lit(Value),
-    /// The first input token's payload (`t`).
-    T,
-    /// The list of all input payloads (`ts`).
-    Ts,
-    /// Field access.
-    Field(Box<CExpr>, String),
-    /// List indexing.
-    Index(Box<CExpr>, Box<CExpr>),
-    /// Record construction (for emits).
-    Record(Vec<(String, CExpr)>),
-    /// Binary operation.
-    Bin(BinOp, Box<CExpr>, Box<CExpr>),
-    /// Unary operation.
-    Un(UnOp, Box<CExpr>),
-    /// Builtin call.
-    Builtin(&'static str, Vec<CExpr>),
-}
-
-/// Compiles the body of a generated single-return function
-/// (`fn __x(t, ts) { return EXPR; }`). Returns `None` when the body
-/// uses features outside the compilable subset.
-pub fn compile_fn(f: &FnDecl, consts: &HashMap<String, Value>) -> Option<CExpr> {
-    if f.params != ["t", "ts"] || f.body.len() != 1 {
-        return None;
-    }
-    let Stmt::Return(expr, _) = &f.body[0] else {
-        return None;
-    };
-    compile_expr(expr, consts)
-}
-
-fn compile_expr(e: &Expr, consts: &HashMap<String, Value>) -> Option<CExpr> {
-    Some(match e {
-        Expr::Num(n, _) => CExpr::Lit(Value::num(*n)),
-        Expr::Bool(b, _) => CExpr::Lit(Value::bool(*b)),
-        Expr::Str(s, _) => CExpr::Lit(Value::str(s.clone())),
-        Expr::Var(name, _) => match name.as_str() {
-            "t" => CExpr::T,
-            "ts" => CExpr::Ts,
-            other => CExpr::Lit(consts.get(other)?.clone()),
-        },
-        Expr::Field(base, field, _) => {
-            CExpr::Field(Box::new(compile_expr(base, consts)?), field.clone())
-        }
-        Expr::Index(base, idx, _) => CExpr::Index(
-            Box::new(compile_expr(base, consts)?),
-            Box::new(compile_expr(idx, consts)?),
-        ),
-        Expr::Record(fields, _) => CExpr::Record(
-            fields
-                .iter()
-                .map(|(k, v)| Some((k.clone(), compile_expr(v, consts)?)))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Expr::List(..) => return None,
-        Expr::Call(name, args, _) => {
-            let builtin: &'static str = match name.as_str() {
-                "ceil" => "ceil",
-                "floor" => "floor",
-                "round" => "round",
-                "abs" => "abs",
-                "min" => "min",
-                "max" => "max",
-                "sqrt" => "sqrt",
-                "pow" => "pow",
-                "log2" => "log2",
-                "len" => "len",
-                "sum" => "sum",
-                "num" => "num",
-                _ => return None,
-            };
-            CExpr::Builtin(
-                builtin,
-                args.iter()
-                    .map(|a| compile_expr(a, consts))
-                    .collect::<Option<Vec<_>>>()?,
-            )
-        }
-        Expr::Unary(op, inner, _) => CExpr::Un(*op, Box::new(compile_expr(inner, consts)?)),
-        Expr::Binary(op, l, r, _) => CExpr::Bin(
-            *op,
-            Box::new(compile_expr(l, consts)?),
-            Box::new(compile_expr(r, consts)?),
-        ),
-    })
-}
-
-impl CExpr {
-    /// Evaluates against the input payloads.
-    pub fn eval(&self, t: &Value, ts: &[Value]) -> Result<Value, PetriError> {
-        match self {
-            CExpr::Lit(v) => Ok(v.clone()),
-            CExpr::T => Ok(t.clone()),
-            CExpr::Ts => Ok(Value::list(ts.to_vec())),
-            CExpr::Field(base, field) => {
-                let b = base.eval(t, ts)?;
-                b.field(field).cloned().ok_or_else(|| {
-                    PetriError::Expr(format!("{} has no field `{field}`", b.type_name()))
-                })
-            }
-            CExpr::Index(base, idx) => {
-                let b = base.eval(t, ts)?;
-                let i = idx.eval(t, ts)?;
-                let (list, n) = match (b.as_list(), i.as_num()) {
-                    (Some(l), Some(n)) => (l, n),
-                    _ => return Err(PetriError::Expr("bad index operation".into())),
-                };
-                if n < 0.0 || n.fract() != 0.0 || n as usize >= list.len() {
-                    return Err(PetriError::Expr(format!("index {n} out of bounds")));
-                }
-                Ok(list[n as usize].clone())
-            }
-            CExpr::Record(fields) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    out.push((k.clone(), v.eval(t, ts)?));
-                }
-                Ok(Value::record_owned(out))
-            }
-            CExpr::Un(op, inner) => {
-                let v = inner.eval(t, ts)?;
-                match op {
-                    UnOp::Neg => v
-                        .as_num()
-                        .map(|n| Value::num(-n))
-                        .ok_or_else(|| PetriError::Expr("cannot negate".into())),
-                    UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Value::bool(!b))
-                        .ok_or_else(|| PetriError::Expr("cannot `!`".into())),
-                }
-            }
-            CExpr::Bin(op, l, r) => self.eval_bin(*op, l, r, t, ts),
-            CExpr::Builtin(name, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(t, ts)?);
-                }
-                perf_iface_lang::builtins::call(name, &vals, Default::default())
-                    .map_err(|e| PetriError::Expr(e.to_string()))
-            }
-        }
-    }
-
-    /// Evaluates expecting a number (the hot path for delays).
-    pub fn eval_num(&self, t: &Value, ts: &[Value]) -> Result<f64, PetriError> {
-        self.eval(t, ts)?
-            .as_num()
-            .ok_or_else(|| PetriError::Expr("expected a number".into()))
-    }
-
-    fn eval_bin(
-        &self,
-        op: BinOp,
-        l: &CExpr,
-        r: &CExpr,
-        t: &Value,
-        ts: &[Value],
-    ) -> Result<Value, PetriError> {
-        if matches!(op, BinOp::And | BinOp::Or) {
-            let lb = l
-                .eval(t, ts)?
-                .as_bool()
-                .ok_or_else(|| PetriError::Expr("non-bool operand".into()))?;
-            return match (op, lb) {
-                (BinOp::And, false) => Ok(Value::bool(false)),
-                (BinOp::Or, true) => Ok(Value::bool(true)),
-                _ => {
-                    let rb = r
-                        .eval(t, ts)?
-                        .as_bool()
-                        .ok_or_else(|| PetriError::Expr("non-bool operand".into()))?;
-                    Ok(Value::bool(rb))
-                }
-            };
-        }
-        let lv = l.eval(t, ts)?;
-        let rv = r.eval(t, ts)?;
-        if matches!(op, BinOp::Eq | BinOp::Ne) {
-            let eq = lv == rv;
-            return Ok(Value::bool(if op == BinOp::Eq { eq } else { !eq }));
-        }
-        let (a, b) = match (lv.as_num(), rv.as_num()) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return Err(PetriError::Expr("numeric operator on non-numbers".into())),
-        };
-        Ok(match op {
-            BinOp::Add => Value::num(a + b),
-            BinOp::Sub => Value::num(a - b),
-            BinOp::Mul => Value::num(a * b),
-            BinOp::Div => Value::num(a / b),
-            BinOp::Rem => Value::num(a % b),
-            BinOp::Lt => Value::bool(a < b),
-            BinOp::Le => Value::bool(a <= b),
-            BinOp::Gt => Value::bool(a > b),
-            BinOp::Ge => Value::bool(a >= b),
-            BinOp::Eq | BinOp::Ne | BinOp::And | BinOp::Or => unreachable!("handled above"),
-        })
-    }
-}
 
 /// A consumed token, as a slot expression names it.
 #[derive(Clone, Debug)]
 pub(crate) enum SlotTok {
-    /// `t`: the first consumed token (the number `0` when there is
-    /// none).
+    /// `t`: the first consumed token (every transition consumes at
+    /// least one).
     First,
     /// `ts[i]`.
     Nth(Box<SlotExpr>),
@@ -245,27 +46,10 @@ pub(crate) enum Math {
     Num,
 }
 
-impl Math {
-    fn name(self) -> &'static str {
-        match self {
-            Math::Ceil => "ceil",
-            Math::Floor => "floor",
-            Math::Round => "round",
-            Math::Abs => "abs",
-            Math::Sqrt => "sqrt",
-            Math::Log2 => "log2",
-            Math::Num => "num",
-        }
-    }
-}
-
-/// A [`CExpr`] compiled against a slot layout: the compiled stepper's
-/// one expression evaluator. Values are `f64` slots (numbers, or the
-/// NaN-boxed bools and payload marks of [`crate::token`]), a field read
-/// is an index into the consumed token's row, builtins are resolved to
-/// their operation at compile time, and evaluation neither allocates
-/// nor touches an `Rc` except to format an error. Results and errors
-/// are those of [`CExpr::eval`] on the same payloads.
+/// An expression lowered onto a slot layout. Values are `f64` slots
+/// (numbers, or the NaN-boxed bools and payload marks of
+/// [`crate::token`]), a field read is an index into the consumed
+/// token's row, and builtins are resolved to their operation.
 #[derive(Clone, Debug)]
 pub(crate) enum SlotExpr {
     /// A number or bool.
@@ -273,8 +57,8 @@ pub(crate) enum SlotExpr {
     /// A token's whole payload: its scalar, or `RECORD | k` for the
     /// `k`-th consumed token's record.
     Payload(SlotTok),
-    /// A field read: slot index, and the name for the error text.
-    Field(SlotTok, u32, Box<str>),
+    /// A field read: the token and the field's slot index.
+    Field(SlotTok, u32),
     /// `len(ts)`.
     Len,
     /// `sum(ts)`.
@@ -315,12 +99,9 @@ impl Cx<'_> {
         self.rows[self.toks[k] as usize * self.stride]
     }
 
-    /// Token `k`'s payload as a value (`None` = the absent `t`).
+    /// Token `k`'s payload as a value.
     #[inline(always)]
-    fn payload(&self, k: Option<usize>) -> f64 {
-        let Some(k) = k else {
-            return 0.0;
-        };
+    fn payload(&self, k: usize) -> f64 {
         let h = self.head(k);
         if slot::family(h) == slot::RECORD {
             slot::mark(slot::RECORD | k as u64)
@@ -353,104 +134,61 @@ fn slot_eq(a: f64, b: f64, cx: &Cx) -> bool {
     }
 }
 
-/// A slot value as a [`Value`] of the same type, for builtin error
-/// texts (which name only the type).
-fn typed(x: f64) -> Value {
-    match slot::as_bool(x) {
-        Some(b) => Value::Bool(b),
-        None if slot::family(x) == slot::RECORD => Value::record([]),
-        None => Value::Num(x),
-    }
-}
-
-/// The error builtin `name` reports on `args` (called only when the
-/// slot evaluator found an argument of the wrong type).
-#[cold]
-fn builtin_error(name: &str, args: Vec<Value>) -> PetriError {
-    match perf_iface_lang::builtins::call(name, &args, Default::default()) {
-        Err(e) => PetriError::Expr(e.to_string()),
-        Ok(_) => PetriError::Expr(format!("`{name}` rejected its arguments")),
-    }
+/// A slot value as a number, `None` for a bool or a record.
+#[inline(always)]
+fn num(x: f64) -> Option<f64> {
+    (!slot::is_mark(x)).then_some(x)
 }
 
 impl SlotTok {
-    /// The consumed-token index this names, `None` for `t` with no
-    /// consumed tokens.
+    /// The consumed-token index this names; `None` for an index the
+    /// spec rejects.
     #[inline(always)]
-    pub(crate) fn resolve(&self, cx: &Cx) -> Result<Option<usize>, PetriError> {
+    pub(crate) fn resolve(&self, cx: &Cx) -> Option<usize> {
         match self {
-            SlotTok::First => Ok((!cx.toks.is_empty()).then_some(0)),
+            SlotTok::First => Some(0),
             SlotTok::Nth(i) => {
+                // A mark is a NaN, so it fails `n >= 0.0` like a
+                // non-integer or out-of-range index.
                 let n = i.eval(cx)?;
-                if slot::is_mark(n) {
-                    return Err(PetriError::Expr("bad index operation".into()));
-                }
-                if n < 0.0 || n.fract() != 0.0 || n as usize >= cx.toks.len() {
-                    return Err(PetriError::Expr(format!("index {n} out of bounds")));
-                }
-                Ok(Some(n as usize))
+                (n >= 0.0 && n.fract() == 0.0 && (n as usize) < cx.toks.len()).then_some(n as usize)
             }
         }
     }
 }
 
 impl SlotExpr {
-    /// Evaluates against the consumed tokens' rows.
-    pub(crate) fn eval(&self, cx: &Cx) -> Result<f64, PetriError> {
+    /// The value the spec computes on the consumed tokens, or `None`
+    /// where the spec fails.
+    pub(crate) fn eval(&self, cx: &Cx) -> Option<f64> {
         match self {
-            SlotExpr::Lit(x) => Ok(*x),
-            SlotExpr::Payload(t) => Ok(cx.payload(t.resolve(cx)?)),
-            SlotExpr::Field(t, s, name) => {
-                let head = cx.payload(t.resolve(cx)?);
-                if slot::family(head) != slot::RECORD {
-                    let ty = if slot::as_bool(head).is_some() {
-                        "bool"
-                    } else {
-                        "number"
-                    };
-                    return Err(PetriError::Expr(format!("{ty} has no field `{name}`")));
+            SlotExpr::Lit(x) => Some(*x),
+            SlotExpr::Payload(t) => Some(cx.payload(t.resolve(cx)?)),
+            SlotExpr::Field(t, s) => {
+                let k = t.resolve(cx)?;
+                if slot::family(cx.head(k)) != slot::RECORD {
+                    return None;
                 }
-                let x = cx.rows[cx.toks[slot::index(head)] as usize * cx.stride + 1 + *s as usize];
-                if x.to_bits() == slot::ABSENT {
-                    return Err(PetriError::Expr(format!("record has no field `{name}`")));
-                }
-                Ok(x)
+                let x = cx.rows[cx.toks[k] as usize * cx.stride + 1 + *s as usize];
+                (x.to_bits() != slot::ABSENT).then_some(x)
             }
-            SlotExpr::Len => Ok(cx.toks.len() as f64),
+            SlotExpr::Len => Some(cx.toks.len() as f64),
             SlotExpr::Sum => {
-                let mut acc = 0.0;
-                for k in 0..cx.toks.len() {
-                    let x = cx.payload(Some(k));
-                    if slot::is_mark(x) {
-                        let list = (0..cx.toks.len())
-                            .map(|k| typed(cx.payload(Some(k))))
-                            .collect();
-                        return Err(builtin_error("sum", vec![Value::list(list)]));
-                    }
-                    acc += x;
-                }
-                Ok(acc)
+                (0..cx.toks.len()).try_fold(0.0, |acc, k| Some(acc + num(cx.payload(k))?))
             }
             SlotExpr::Bin(op, l, r) => Self::eval_bin(*op, l, r, cx),
-            SlotExpr::Un(op, inner) => {
-                let x = inner.eval(cx)?;
-                match op {
-                    UnOp::Neg if !slot::is_mark(x) => Ok(-x),
-                    UnOp::Neg => Err(PetriError::Expr("cannot negate".into())),
-                    UnOp::Not => slot::as_bool(x)
-                        .map(|b| slot::bool(!b))
-                        .ok_or_else(|| PetriError::Expr("cannot `!`".into())),
-                }
-            }
+            SlotExpr::Un(UnOp::Neg, a) => Some(-num(a.eval(cx)?)?),
+            SlotExpr::Un(UnOp::Not, a) => slot::as_bool(a.eval(cx)?).map(|b| slot::bool(!b)),
             SlotExpr::Math(f, a) => {
                 let x = a.eval(cx)?;
-                if slot::is_mark(x) {
-                    return match (f, slot::as_bool(x)) {
-                        (Math::Num, Some(b)) => Ok(if b { 1.0 } else { 0.0 }),
-                        _ => Err(builtin_error(f.name(), vec![typed(x)])),
+                let Some(x) = num(x) else {
+                    // `num` alone also converts a bool.
+                    return match f {
+                        Math::Num => slot::as_bool(x).map(|b| if b { 1.0 } else { 0.0 }),
+                        _ => None,
                     };
-                }
-                Ok(match f {
+                };
+                Some(match f {
                     Math::Ceil => x.ceil(),
                     Math::Floor => x.floor(),
                     Math::Round => x.round(),
@@ -462,55 +200,33 @@ impl SlotExpr {
             }
             SlotExpr::Pow(a, b) => {
                 let (x, y) = (a.eval(cx)?, b.eval(cx)?);
-                if slot::is_mark(x) || slot::is_mark(y) {
-                    return Err(builtin_error("pow", vec![typed(x), typed(y)]));
-                }
-                Ok(x.powf(y))
+                Some(num(x)?.powf(num(y)?))
             }
             SlotExpr::MinMax(max, args) => {
-                let mut acc = 0.0;
-                let mut bad = false;
-                for (i, a) in args.iter().enumerate() {
-                    let x = a.eval(cx)?;
-                    bad |= slot::is_mark(x);
-                    acc = match i {
-                        0 => x,
-                        _ if *max => acc.max(x),
-                        _ => acc.min(x),
-                    };
+                let mut acc = num(args[0].eval(cx)?)?;
+                for a in &args[1..] {
+                    let x = num(a.eval(cx)?)?;
+                    acc = if *max { acc.max(x) } else { acc.min(x) };
                 }
-                if bad {
-                    // Evaluation is pure, so re-evaluating for the error
-                    // text sees the same arguments.
-                    let vals = args
-                        .iter()
-                        .map(|a| a.eval(cx).map(typed))
-                        .collect::<Result<_, _>>()?;
-                    return Err(builtin_error(if *max { "max" } else { "min" }, vals));
-                }
-                Ok(acc)
+                Some(acc)
             }
         }
     }
 
-    fn eval_bin(op: BinOp, l: &SlotExpr, r: &SlotExpr, cx: &Cx) -> Result<f64, PetriError> {
-        let non_bool = || PetriError::Expr("non-bool operand".into());
+    fn eval_bin(op: BinOp, l: &SlotExpr, r: &SlotExpr, cx: &Cx) -> Option<f64> {
         if matches!(op, BinOp::And | BinOp::Or) {
-            let lb = slot::as_bool(l.eval(cx)?).ok_or_else(non_bool)?;
-            return match (op, lb) {
-                (BinOp::And, false) => Ok(slot::bool(false)),
-                (BinOp::Or, true) => Ok(slot::bool(true)),
-                _ => Ok(slot::bool(slot::as_bool(r.eval(cx)?).ok_or_else(non_bool)?)),
+            return match (op, slot::as_bool(l.eval(cx)?)?) {
+                (BinOp::And, false) => Some(slot::bool(false)),
+                (BinOp::Or, true) => Some(slot::bool(true)),
+                _ => slot::as_bool(r.eval(cx)?).map(slot::bool),
             };
         }
         let (a, b) = (l.eval(cx)?, r.eval(cx)?);
         if matches!(op, BinOp::Eq | BinOp::Ne) {
-            return Ok(slot::bool(slot_eq(a, b, cx) == (op == BinOp::Eq)));
+            return Some(slot::bool(slot_eq(a, b, cx) == (op == BinOp::Eq)));
         }
-        if slot::is_mark(a) || slot::is_mark(b) {
-            return Err(PetriError::Expr("numeric operator on non-numbers".into()));
-        }
-        Ok(match op {
+        let (a, b) = (num(a)?, num(b)?);
+        Some(match op {
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
@@ -525,115 +241,181 @@ impl SlotExpr {
     }
 }
 
-impl CExpr {
-    /// Appends every field name this expression reads or writes.
-    pub(crate) fn field_names(&self, out: &mut Vec<String>) {
-        fn add(out: &mut Vec<String>, n: &String) {
-            if !out.contains(n) {
-                out.push(n.clone());
+impl SlotEmit {
+    /// Writes this emit, evaluated on the consumed tokens `sel`, into
+    /// token `tok`'s row; `None` where the spec fails.
+    pub(crate) fn write(&self, arena: &mut TokenArena, sel: &[u32], tok: u32) -> Option<()> {
+        match self {
+            SlotEmit::Copy(t) => {
+                let k = t.resolve(&arena.cx(sel))?;
+                arena.copy(sel[k], tok);
+            }
+            SlotEmit::Scalar(e) => {
+                let x = e.eval(&arena.cx(sel))?;
+                arena.row_mut(tok)[0] = x;
+            }
+            SlotEmit::Record(fields) => {
+                arena.clear_record(tok);
+                for (s, e) in fields {
+                    let x = e.eval(&arena.cx(sel))?;
+                    arena.row_mut(tok)[1 + *s as usize] = x;
+                }
             }
         }
-        match self {
-            CExpr::Lit(_) | CExpr::T | CExpr::Ts => {}
-            CExpr::Field(base, name) => {
+        Some(())
+    }
+}
+
+/// The expression a generated wrapper `fn NAME(t, ts) { return EXPR; }`
+/// returns; `None` for any other function.
+fn returned(f: &FnDecl) -> Option<&Expr> {
+    match &f.body[..] {
+        [Stmt::Return(e, _)] if f.params == ["t", "ts"] => Some(e),
+        _ => None,
+    }
+}
+
+/// Appends, in first-use order, every field name that the expressions
+/// `prog`'s wrappers return read, or write as a record literal.
+pub(crate) fn field_names(prog: &Program, out: &mut Vec<String>) {
+    fn add(out: &mut Vec<String>, n: &String) {
+        if !out.contains(n) {
+            out.push(n.clone());
+        }
+    }
+    fn walk(e: &Expr, out: &mut Vec<String>) {
+        match e {
+            Expr::Num(..) | Expr::Str(..) | Expr::Bool(..) | Expr::Var(..) => {}
+            Expr::Field(base, name, _) => {
                 add(out, name);
-                base.field_names(out);
+                walk(base, out);
             }
-            CExpr::Record(fields) => {
+            Expr::Record(fields, _) => {
                 for (k, v) in fields {
                     add(out, k);
-                    v.field_names(out);
+                    walk(v, out);
                 }
             }
-            CExpr::Index(a, b) | CExpr::Bin(_, a, b) => {
-                a.field_names(out);
-                b.field_names(out);
+            Expr::List(items, _) | Expr::Call(_, items, _) => {
+                items.iter().for_each(|a| walk(a, out))
             }
-            CExpr::Un(_, a) => a.field_names(out),
-            CExpr::Builtin(_, args) => args.iter().for_each(|a| a.field_names(out)),
+            Expr::Index(a, b, _) | Expr::Binary(_, a, b, _) => {
+                walk(a, out);
+                walk(b, out);
+            }
+            Expr::Unary(_, a, _) => walk(a, out),
         }
     }
+    for e in prog.functions.iter().filter_map(returned) {
+        walk(e, out);
+    }
+}
 
-    /// Lowers onto `layout` (field `k` in slot `1 + k`); `None` when
-    /// the expression needs the `Value` evaluator: a string or
-    /// composite literal, a record literal, a list used other than by
-    /// `ts[i]`, `len(ts)` or `sum(ts)`, a field of anything but a
-    /// token, or a builtin called with the wrong arity.
-    pub(crate) fn to_slots(&self, layout: &[String]) -> Option<SlotExpr> {
-        let sub = |e: &CExpr| e.to_slots(layout).map(Box::new);
-        Some(match self {
-            CExpr::Lit(Value::Num(n)) => SlotExpr::Lit(slot::num(*n)),
-            CExpr::Lit(Value::Bool(b)) => SlotExpr::Lit(slot::bool(*b)),
-            CExpr::Lit(_) | CExpr::Ts | CExpr::Record(_) => return None,
-            CExpr::T | CExpr::Index(..) => SlotExpr::Payload(self.to_tok(layout)?),
-            CExpr::Field(base, name) => {
-                let s = layout.iter().position(|n| n == name)?;
-                SlotExpr::Field(base.to_tok(layout)?, s as u32, name.as_str().into())
-            }
-            CExpr::Bin(op, l, r) => SlotExpr::Bin(*op, sub(l)?, sub(r)?),
-            CExpr::Un(op, a) => SlotExpr::Un(*op, sub(a)?),
-            CExpr::Builtin(name, args) => {
-                let math = match *name {
-                    "ceil" => Math::Ceil,
-                    "floor" => Math::Floor,
-                    "round" => Math::Round,
-                    "abs" => Math::Abs,
-                    "sqrt" => Math::Sqrt,
-                    "log2" => Math::Log2,
-                    "num" => Math::Num,
-                    "min" | "max" if args.len() >= 2 => {
-                        let args = args
-                            .iter()
-                            .map(|a| a.to_slots(layout))
-                            .collect::<Option<Vec<_>>>()?;
-                        return Some(SlotExpr::MinMax(*name == "max", args));
-                    }
-                    "pow" if args.len() == 2 => {
-                        return Some(SlotExpr::Pow(sub(&args[0])?, sub(&args[1])?));
-                    }
-                    "len" if matches!(args[..], [CExpr::Ts]) => return Some(SlotExpr::Len),
-                    "sum" if matches!(args[..], [CExpr::Ts]) => return Some(SlotExpr::Sum),
-                    _ => return None,
-                };
-                match &args[..] {
-                    [a] => SlotExpr::Math(math, sub(a)?),
-                    _ => return None,
-                }
-            }
-        })
+/// Lowers the wrappers of one behavior's program onto a slot layout
+/// (field `k` in slot `1 + k`).
+pub(crate) struct Lower<'a> {
+    /// The behavior's program.
+    pub prog: &'a Program,
+    /// Its evaluated constants.
+    pub consts: &'a HashMap<String, Value>,
+    /// The net's payload field names.
+    pub layout: &'a [String],
+}
+
+impl Lower<'_> {
+    /// Wrapper `name` (a delay or guard) on slots. `None` when it needs
+    /// the spec: a body other than one `return`, a string or composite
+    /// literal or constant, a list used other than by `ts[i]`,
+    /// `len(ts)` or `sum(ts)`, a field of anything but a token, a field
+    /// outside the layout, a user-function call, or a builtin called
+    /// with the wrong arity.
+    pub(crate) fn expr(&self, name: &str) -> Option<SlotExpr> {
+        self.lower(returned(self.prog.function(name)?)?)
     }
 
-    /// The token `t` or `ts[i]` names.
-    fn to_tok(&self, layout: &[String]) -> Option<SlotTok> {
-        match self {
-            CExpr::T => Some(SlotTok::First),
-            CExpr::Index(base, i) if matches!(**base, CExpr::Ts) => {
-                Some(SlotTok::Nth(Box::new(i.to_slots(layout)?)))
-            }
-            _ => None,
-        }
-    }
-
-    /// Lowers an emit expression onto `layout` (see
-    /// [`CExpr::to_slots`]). A record literal's field values must be
-    /// scalars, so a field holding a whole payload declines.
-    pub(crate) fn to_slot_emit(&self, layout: &[String]) -> Option<SlotEmit> {
-        match self {
-            CExpr::Record(fields) => fields
+    /// Emit wrapper `name` on slots (see [`Lower::expr`]). A record
+    /// literal's field values must be scalars, so a field holding a
+    /// whole payload declines.
+    pub(crate) fn emit(&self, name: &str) -> Option<SlotEmit> {
+        match returned(self.prog.function(name)?)? {
+            Expr::Record(fields, _) => fields
                 .iter()
-                .map(|(k, v)| {
-                    let s = layout.iter().position(|n| n == k)?;
-                    match v.to_slots(layout)? {
-                        SlotExpr::Payload(_) => None,
-                        e => Some((s as u32, e)),
-                    }
+                .map(|(k, v)| match self.lower(v)? {
+                    SlotExpr::Payload(_) => None,
+                    e => Some((self.slot(k)?, e)),
                 })
                 .collect::<Option<Vec<_>>>()
                 .map(SlotEmit::Record),
-            _ => match self.to_slots(layout)? {
+            e => match self.lower(e)? {
                 SlotExpr::Payload(t) => Some(SlotEmit::Copy(t)),
                 e => Some(SlotEmit::Scalar(e)),
             },
+        }
+    }
+
+    fn slot(&self, field: &str) -> Option<u32> {
+        let s = self.layout.iter().position(|n| n == field)?;
+        Some(s as u32)
+    }
+
+    fn lower(&self, e: &Expr) -> Option<SlotExpr> {
+        let sub = |e: &Expr| self.lower(e).map(Box::new);
+        Some(match e {
+            Expr::Num(n, _) => SlotExpr::Lit(slot::num(*n)),
+            Expr::Bool(b, _) => SlotExpr::Lit(slot::bool(*b)),
+            // The parameters `t` and `ts` shadow constants.
+            Expr::Var(name, _) if name != "t" && name != "ts" => match self.consts.get(name)? {
+                Value::Num(n) => SlotExpr::Lit(slot::num(*n)),
+                Value::Bool(b) => SlotExpr::Lit(slot::bool(*b)),
+                _ => return None,
+            },
+            Expr::Var(..) | Expr::Index(..) => SlotExpr::Payload(self.tok(e)?),
+            Expr::Field(base, name, _) => SlotExpr::Field(self.tok(base)?, self.slot(name)?),
+            Expr::Unary(op, a, _) => SlotExpr::Un(*op, sub(a)?),
+            Expr::Binary(op, l, r, _) => SlotExpr::Bin(*op, sub(l)?, sub(r)?),
+            // The checker rejects a function that shadows a builtin, so
+            // every call of a builtin's name is the builtin.
+            Expr::Call(name, args, _) => self.builtin(name, args)?,
+            Expr::Str(..) | Expr::List(..) | Expr::Record(..) => return None,
+        })
+    }
+
+    fn builtin(&self, name: &str, args: &[Expr]) -> Option<SlotExpr> {
+        let is_ts = |a: &Expr| matches!(a, Expr::Var(v, _) if v == "ts");
+        let math = match (name, args) {
+            ("ceil", _) => Math::Ceil,
+            ("floor", _) => Math::Floor,
+            ("round", _) => Math::Round,
+            ("abs", _) => Math::Abs,
+            ("sqrt", _) => Math::Sqrt,
+            ("log2", _) => Math::Log2,
+            ("num", _) => Math::Num,
+            ("min" | "max", [_, _, ..]) => {
+                let args = args.iter().map(|a| self.lower(a)).collect::<Option<_>>()?;
+                return Some(SlotExpr::MinMax(name == "max", args));
+            }
+            ("pow", [a, b]) => {
+                return Some(SlotExpr::Pow(
+                    Box::new(self.lower(a)?),
+                    Box::new(self.lower(b)?),
+                ))
+            }
+            ("len", [a]) if is_ts(a) => return Some(SlotExpr::Len),
+            ("sum", [a]) if is_ts(a) => return Some(SlotExpr::Sum),
+            _ => return None,
+        };
+        let [a] = args else { return None };
+        Some(SlotExpr::Math(math, Box::new(self.lower(a)?)))
+    }
+
+    /// The token `t` or `ts[i]` names.
+    fn tok(&self, e: &Expr) -> Option<SlotTok> {
+        match e {
+            Expr::Var(v, _) if v == "t" => Some(SlotTok::First),
+            Expr::Index(base, i, _) if matches!(&**base, Expr::Var(v, _) if v == "ts") => {
+                Some(SlotTok::Nth(Box::new(self.lower(i)?)))
+            }
+            _ => None,
         }
     }
 }
@@ -641,116 +423,112 @@ impl CExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perf_iface_lang::Program;
+    use crate::token::Layout;
+    use perf_iface_lang::interp::eval_consts;
+    use perf_iface_lang::{Interp, Limits, Program as Source};
+    use proptest::prelude::*;
 
-    fn compile_one(src: &str, consts: &HashMap<String, Value>) -> Option<CExpr> {
-        // Declare every const the test provides so the program parses.
-        let mut decls = String::new();
-        for (k, v) in consts {
-            decls.push_str(&format!(
-                "const {k} = {v};
-"
-            ));
+    /// The payload fields every test lowers onto.
+    fn layout() -> Layout {
+        ["a", "b", "c", "size", "u", "half"]
+            .map(String::from)
+            .to_vec()
+            .into()
+    }
+
+    /// `src` as the generated wrapper `__f`, next to two constants.
+    fn wrap(src: &str) -> Source {
+        let full = format!("const K = 3;\nconst ON = true;\nfn __f(t, ts) {{ return ({src}); }}");
+        Source::parse(&full).unwrap_or_else(|e| panic!("`{src}`: {e}"))
+    }
+
+    /// Lowering of `prog`'s wrappers with its evaluated constants.
+    fn lowered<R>(prog: &Source, f: impl FnOnce(&Lower) -> R) -> R {
+        let consts = eval_consts(prog.ast(), Limits::default()).unwrap();
+        let layout = layout();
+        f(&Lower {
+            prog: prog.ast(),
+            consts: &consts,
+            layout: &layout,
+        })
+    }
+
+    /// Asserts the lowering rule: a slot result `Some(x)` means the
+    /// spec, the interpreter's value of `__f` on `payloads`, is `x`, and
+    /// `None` means the spec fails.
+    fn assert_spec(src: &str, prog: &Source, payloads: &[Value], got: Option<Value>) {
+        let args = [payloads[0].clone(), Value::list(payloads.to_vec())];
+        match (
+            got,
+            Interp::new(prog.ast(), Limits::default()).call("__f", &args),
+        ) {
+            // Debug text compares NaN results as equal.
+            (Some(x), Ok(v)) => assert_eq!(format!("{x:?}"), format!("{v:?}"), "`{src}`"),
+            (None, Err(_)) => {}
+            (got, want) => panic!("`{src}` on {payloads:?}: slots {got:?}, spec {want:?}"),
         }
-        let full = format!("{decls}fn __f(t, ts) {{ return ({src}); }}");
-        let prog = Program::parse(&full).unwrap();
-        compile_fn(&prog.ast().functions[0], consts)
     }
 
-    fn tok(fields: Vec<(&'static str, f64)>) -> Value {
-        Value::record(fields.into_iter().map(|(k, v)| (k, Value::num(v))))
+    /// `payloads` as rows of a fresh arena, and their handles.
+    fn rows(payloads: &[Value]) -> (TokenArena, Vec<u32>) {
+        let mut arena = TokenArena::new(layout());
+        let hs = payloads
+            .iter()
+            .map(|p| {
+                let h = arena.alloc(0, 0);
+                arena.put(h, p.clone());
+                assert!(!arena.is_dyn(h), "{p:?} fits a row");
+                h
+            })
+            .collect();
+        (arena, hs)
     }
 
-    #[test]
-    fn compiles_arithmetic_over_fields() {
-        let consts = HashMap::new();
-        let c = compile_one("6 + ceil(t.bits / 4)", &consts).expect("compilable");
-        let t = tok(vec![("bits", 10.0)]);
-        assert_eq!(c.eval_num(&t, &[]).unwrap(), 6.0 + 3.0);
+    fn rec(fields: &[(&'static str, Value)]) -> Value {
+        Value::record(fields.iter().cloned())
     }
 
-    #[test]
-    fn resolves_constants_at_compile_time() {
-        let mut consts = HashMap::new();
-        consts.insert("MEM".to_string(), Value::num(120.0));
-        let c = compile_one("MEM * 2 + t.x", &consts).unwrap();
-        assert_eq!(c.eval_num(&tok(vec![("x", 1.0)]), &[]).unwrap(), 241.0);
+    /// Consumed-token sets: records with and without the fields read,
+    /// scalars, equal and unequal pairs, and a NaN.
+    fn payload_sets() -> Vec<Vec<Value>> {
+        let (n, b) = (Value::num, Value::bool);
+        vec![
+            vec![rec(&[("a", n(1.5)), ("b", b(true))])],
+            vec![rec(&[("a", n(-2.0)), ("c", n(0.0))])],
+            vec![n(3.0)],
+            vec![b(false)],
+            vec![
+                rec(&[("a", n(1.0))]),
+                rec(&[("a", n(1.0)), ("b", b(false))]),
+            ],
+            vec![rec(&[("a", n(0.0))]), rec(&[("a", n(0.0))])],
+            vec![n(2.0), n(f64::NAN)],
+            vec![rec(&[("size", n(8.0)), ("a", n(2.0))]), n(1.0)],
+        ]
     }
 
-    #[test]
-    fn unknown_names_fall_back() {
-        // The name exists in the program but not in the compile-time
-        // constant environment: the compiler declines.
-        let full = "const UNKNOWN = 1; fn __f(t, ts) { return (UNKNOWN + 1); }";
-        let prog = Program::parse(full).unwrap();
-        assert!(compile_fn(&prog.ast().functions[0], &HashMap::new()).is_none());
-    }
-
-    #[test]
-    fn user_function_calls_fall_back() {
-        // A call to a non-builtin cannot compile.
-        let consts = HashMap::new();
-        let full = "fn helper(t, ts) { return 1; } fn __f(t, ts) { return helper(t, ts); }";
-        let prog = Program::parse(full).unwrap();
-        assert!(compile_fn(&prog.ast().functions[1], &consts).is_none());
-    }
-
-    #[test]
-    fn guards_and_short_circuit() {
-        let consts = HashMap::new();
-        let c = compile_one("t.pp == 1 && t.pn == 0", &consts).unwrap();
-        let yes = tok(vec![("pp", 1.0), ("pn", 0.0)]);
-        let no = tok(vec![("pp", 0.0), ("pn", 0.0)]);
-        assert_eq!(c.eval(&yes, &[]).unwrap(), Value::bool(true));
-        assert_eq!(c.eval(&no, &[]).unwrap(), Value::bool(false));
-    }
-
-    #[test]
-    fn record_emit_compiles() {
-        let consts = HashMap::new();
-        let c = compile_one("{ u: 0, half: t.size / 2 }", &consts).unwrap();
-        let out = c.eval(&tok(vec![("size", 8.0)]), &[]).unwrap();
-        assert_eq!(out.field("half").unwrap().as_num(), Some(4.0));
-    }
-
-    #[test]
-    fn ts_indexing() {
-        let consts = HashMap::new();
-        let c = compile_one("ts[1].a + t.a", &consts).unwrap();
-        let t0 = tok(vec![("a", 1.0)]);
-        let t1 = tok(vec![("a", 2.0)]);
-        assert_eq!(c.eval_num(&t0, &[t0.clone(), t1]).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn matches_interpreter_semantics() {
-        // Division by zero yields infinity, like the interpreter.
-        let consts = HashMap::new();
-        let c = compile_one("1 / 0", &consts).unwrap();
-        assert_eq!(c.eval_num(&Value::num(0.0), &[]).unwrap(), f64::INFINITY);
+    /// The lowering rule for `src` on every payload set. `src` must
+    /// lower, so the constants it names must fold to literals.
+    fn check(src: &str) {
+        let prog = wrap(src);
+        let e = lowered(&prog, |l| l.expr("__f")).unwrap_or_else(|| panic!("`{src}` lowers"));
+        for payloads in payload_sets() {
+            let (arena, hs) = rows(&payloads);
+            let got = e.eval(&arena.cx(&hs)).map(|x| match slot::as_bool(x) {
+                Some(b) => Value::Bool(b),
+                None if slot::family(x) == slot::RECORD => payloads[slot::index(x)].clone(),
+                None => Value::Num(x),
+            });
+            assert_spec(src, &prog, &payloads, got);
+        }
     }
 
     #[test]
     fn slot_evaluation_matches_value_evaluation() {
-        use crate::token::{Layout, TokenArena};
-        let layout: Layout = vec!["a".to_string(), "b".to_string(), "c".to_string()].into();
-        let rec = |fields: Vec<(&'static str, Value)>| Value::record(fields);
-        let (n, b) = (Value::num, Value::bool);
-        let payload_sets = vec![
-            vec![rec(vec![("a", n(1.5)), ("b", b(true))])],
-            vec![rec(vec![("a", n(-2.0)), ("c", n(0.0))])],
-            vec![n(3.0)],
-            vec![b(false)],
-            vec![],
-            vec![
-                rec(vec![("a", n(1.0))]),
-                rec(vec![("a", n(1.0)), ("b", b(false))]),
-            ],
-            vec![rec(vec![("a", n(0.0))]), rec(vec![("a", n(0.0))])],
-            vec![n(2.0), n(f64::NAN)],
-        ];
-        let exprs = [
+        for src in [
             "t.a + 1",
+            "6 + ceil(t.a / 4)",
+            "K * 2 + t.a",
             "t.a * t.c",
             "-t.a",
             "-t",
@@ -758,12 +536,15 @@ mod tests {
             "!t",
             "t.b == 1",
             "t.b == true",
+            "t.b == ON",
+            "t",
             "t == ts[0]",
             "ts[1] == ts[0]",
             "ts[1] != t",
             "t != 3",
             "t.a < 2 && t.b",
             "t.a > 0 || t.c",
+            "t.a == 1 && t.c == 0",
             "t.c >= t.a",
             "ceil(t.a)",
             "floor(t)",
@@ -780,6 +561,7 @@ mod tests {
             "len(ts)",
             "sum(ts)",
             "ts[1].a",
+            "ts[1].a + t.a",
             "ts[t.a].a",
             "ts[0 - 1]",
             "ts[0.5]",
@@ -787,30 +569,110 @@ mod tests {
             "t.a % 0",
             "1 / 0",
             "t.a / t.a",
-        ];
-        // Debug text compares NaN results as equal.
-        let show = |r: Result<Value, PetriError>| format!("{r:?}");
-        for src in exprs {
-            let c = compile_one(src, &HashMap::new()).expect(src);
-            let s = c.to_slots(&layout).expect(src);
-            for payloads in &payload_sets {
-                let mut arena = TokenArena::new(layout.clone());
-                let hs: Vec<u32> = payloads
-                    .iter()
-                    .map(|p| {
-                        let h = arena.alloc(0, 0);
-                        arena.put(h, p.clone());
-                        h
-                    })
-                    .collect();
-                let t = payloads.first().cloned().unwrap_or(Value::num(0.0));
-                let want = c.eval(&t, payloads);
-                let got = s.eval(&arena.cx(&hs)).map(|x| match slot::as_bool(x) {
-                    Some(b) => Value::Bool(b),
-                    None => Value::Num(x),
-                });
-                assert_eq!(show(got), show(want), "`{src}` on {payloads:?}");
+        ] {
+            check(src);
+        }
+    }
+
+    #[test]
+    fn emits_write_the_spec_payload() {
+        for src in [
+            "{ u: 0, half: t.size / 2 }",
+            "{ half: ts[1] }",
+            "ts[1]",
+            "t",
+            "t.a + 1",
+        ] {
+            let prog = wrap(src);
+            let Some(emit) = lowered(&prog, |l| l.emit("__f")) else {
+                // A record field holding a whole payload declines.
+                assert_eq!(src, "{ half: ts[1] }");
+                continue;
+            };
+            for payloads in payload_sets() {
+                let (mut arena, hs) = rows(&payloads);
+                let out = arena.alloc(0, 0);
+                let got = emit.write(&mut arena, &hs, out).map(|()| arena.value(out));
+                assert_spec(src, &prog, &payloads, got);
             }
+        }
+    }
+
+    #[test]
+    fn declines_what_needs_the_spec() {
+        for src in [
+            "\"s\"",
+            "[1, 2]",
+            "ts",
+            "len(t)",
+            "sum(t)",
+            "ceil(1, 2)",
+            "t.zz",
+            "t.a.b",
+        ] {
+            assert!(lowered(&wrap(src), |l| l.expr("__f")).is_none(), "`{src}`");
+        }
+    }
+
+    #[test]
+    fn unknown_names_fall_back() {
+        // The name exists in the program but not in the constant
+        // environment the lowering is handed: it declines.
+        let prog =
+            Source::parse("const UNKNOWN = 1; fn __f(t, ts) { return (UNKNOWN + 1); }").unwrap();
+        let layout = layout();
+        let bare = Lower {
+            prog: prog.ast(),
+            consts: &HashMap::new(),
+            layout: &layout,
+        };
+        assert!(bare.expr("__f").is_none());
+    }
+
+    #[test]
+    fn user_function_calls_fall_back() {
+        let prog =
+            Source::parse("fn helper(t, ts) { return 1; } fn __f(t, ts) { return helper(t, ts); }")
+                .unwrap();
+        assert!(lowered(&prog, |l| l.expr("__f")).is_none());
+    }
+
+    /// A random expression over the lowerable subset: a binary
+    /// operation on two nested expressions over token fields and
+    /// payloads, literals and constants, using every operator and
+    /// builtin the lowering covers.
+    fn expr_strategy() -> impl Strategy<Value = String> {
+        const LEAVES: [&str; 14] = [
+            "t", "t.a", "t.b", "t.c", "ts[1]", "ts[0].a", "1", "0", "2.5", "true", "K", "ON",
+            "len(ts)", "sum(ts)",
+        ];
+        const BIN: [&str; 13] = [
+            "+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||",
+        ];
+        const CALL1: [&str; 7] = ["ceil", "floor", "round", "abs", "sqrt", "log2", "num"];
+        let bin = |l: String, op: usize, r: String| format!("({l} {} {r})", BIN[op]);
+        let leaf = (0..LEAVES.len()).prop_map(|i| LEAVES[i].to_string());
+        let expr = leaf.prop_recursive(3, 32, 2, move |inner| {
+            prop_oneof![
+                (inner.clone(), 0..BIN.len(), inner.clone())
+                    .prop_map(move |(l, op, r)| bin(l, op, r)),
+                (0..2usize, inner.clone()).prop_map(|(op, x)| format!("{}({x})", ["-", "!"][op])),
+                (0..CALL1.len(), inner.clone()).prop_map(|(f, x)| format!("{}({x})", CALL1[f])),
+                (0..3usize, inner.clone(), inner.clone())
+                    .prop_map(|(f, a, b)| { format!("{}({a}, {b})", ["pow", "min", "max"][f]) }),
+                inner.clone().prop_map(|i| format!("ts[{i}].a")),
+                inner.prop_map(|i| format!("ts[{i}]")),
+            ]
+        });
+        (expr.clone(), 0..BIN.len(), expr).prop_map(move |(l, op, r)| bin(l, op, r))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn generated_expressions_match_the_spec(src in expr_strategy()) {
+            check(&src);
         }
     }
 }

@@ -58,7 +58,7 @@
 pub mod analysis;
 pub mod behavior;
 pub mod bound;
-pub mod compile;
+mod compile;
 pub mod components;
 pub mod compose;
 pub mod dot;

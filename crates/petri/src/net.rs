@@ -5,6 +5,14 @@ use crate::token::Token;
 use crate::PetriError;
 use perf_iface_lang::Value;
 
+/// The largest capacity or server count a net may declare, and the most
+/// tokens one firing may consume or produce (its summed input or output
+/// arc weights). The compiled stepper keeps these as `u32` and adds a
+/// place's queue length, its reservations and one firing's output
+/// weights in `u32`, which this bound keeps far from overflow; it is
+/// also the most tokens `pnet run` injects.
+pub const MAX_PARAM: usize = 1 << 24;
+
 /// Identifier of a place within its net.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlaceId(pub(crate) usize);
@@ -294,6 +302,12 @@ fn validate(net: &Net) -> Result<(), PetriError> {
                 p.name
             )));
         }
+        if let Some(c) = p.capacity.filter(|&c| c > MAX_PARAM) {
+            return Err(PetriError::Structure(format!(
+                "place `{}` has capacity {c} (more than {MAX_PARAM})",
+                p.name
+            )));
+        }
     }
     let mut tnames = std::collections::HashSet::new();
     for t in &net.transitions {
@@ -319,6 +333,25 @@ fn validate(net: &Net) -> Result<(), PetriError> {
             if w == 0 {
                 return Err(PetriError::Structure(format!(
                     "transition `{}` has a zero-weight arc",
+                    t.name
+                )));
+            }
+        }
+        if t.servers > MAX_PARAM {
+            return Err(PetriError::Structure(format!(
+                "transition `{}` has {} servers (more than {MAX_PARAM})",
+                t.name, t.servers
+            )));
+        }
+        let weight =
+            |arcs: &[(PlaceId, usize)]| arcs.iter().fold(0usize, |n, &(_, w)| n.saturating_add(w));
+        for (verb, n) in [
+            ("consumes", weight(&t.inputs)),
+            ("produces", weight(&t.outputs)),
+        ] {
+            if n > MAX_PARAM {
+                return Err(PetriError::Structure(format!(
+                    "transition `{}` {verb} {n} tokens per firing (more than {MAX_PARAM})",
                     t.name
                 )));
             }

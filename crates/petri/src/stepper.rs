@@ -16,9 +16,12 @@
 //!   check is a handful of array reads;
 //! * **classified behaviors** — each transition's delay, guard and
 //!   emits are resolved at compile time to a constant, a slot
-//!   expression (a [`crate::compile::CExpr`] lowered onto the net's
-//!   slot layout), or the [`Behavior`] fallback, so the hot path never
-//!   touches the interpreter or a `Value`;
+//!   expression (the PIL expression lowered onto the net's slot
+//!   layout), or the [`Behavior`] fallback, so the hot path never
+//!   touches the interpreter or a `Value`. A slot expression computes
+//!   the interpreter's value or gives up; when one gives up, that guard
+//!   or firing re-runs through [`Behavior`], which reports the
+//!   interpreter's exact error;
 //! * **an incremental enabled set** — after each event only the
 //!   transitions the event could have enabled are re-tried, tracked in
 //!   a rank-ordered dirty bitmask; the set of transitions a firing or
@@ -246,15 +249,7 @@ impl CompiledNet {
         let mut names = Vec::new();
         for t in net.transitions() {
             if let Behavior::Expr(e) = &t.behavior {
-                let emits = e.compiled_emits().iter().flatten();
-                for c in e
-                    .compiled_delay()
-                    .into_iter()
-                    .chain(e.compiled_guard())
-                    .chain(emits)
-                {
-                    c.field_names(&mut names);
-                }
+                e.field_names(&mut names);
             }
         }
         let layout: Layout = names.into();
@@ -416,8 +411,8 @@ impl CompiledNet {
         }
         match b {
             Behavior::Expr(e) => e
-                .compiled_guard()
-                .and_then(|c| c.to_slots(layout))
+                .lower(layout)
+                .expr("__guard")
                 .map(GuardPlan::Slot)
                 .unwrap_or(GuardPlan::Dyn),
             Behavior::Native { .. } => GuardPlan::Dyn,
@@ -437,9 +432,10 @@ impl CompiledNet {
         // A provably constant, valid delay folds completely. An invalid
         // constant (negative, non-finite, non-numeric) falls through so
         // the per-firing validation error still surfaces.
+        let lower = e.lower(layout);
         let delay = match e.const_fn_value("__delay").and_then(|v| v.as_num()) {
             Some(d) if d.is_finite() && d >= 0.0 => DelayPlan::Const(d.round() as u64),
-            _ => match e.compiled_delay().and_then(|c| c.to_slots(layout)) {
+            _ => match lower.expr("__delay") {
                 Some(c) => DelayPlan::Slot(c),
                 None => return FirePlan::Dyn,
             },
@@ -447,9 +443,7 @@ impl CompiledNet {
         let mut emits = Vec::with_capacity(t.outputs.len());
         for (i, has) in e.emit_flags().iter().enumerate() {
             let emit = if *has {
-                e.compiled_emits()[i]
-                    .as_ref()
-                    .and_then(|c| c.to_slot_emit(layout))
+                lower.emit(&format!("__emit{i}"))
             } else {
                 Some(SlotEmit::Copy(SlotTok::First))
             };
@@ -1151,12 +1145,14 @@ impl<'a> Stepper<'a> {
             GuardPlan::Free => true,
             GuardPlan::Slot(g) => {
                 self.peek_heads(ti);
-                if self.any_dyn(&self.heads) {
-                    self.dyn_guard(ti)?
+                let ok = if self.any_dyn(&self.heads) {
+                    None
                 } else {
-                    let cx = self.arena.cx(&self.heads);
-                    slot::as_bool(g.eval(&cx)?)
-                        .ok_or_else(|| PetriError::Expr("guard must return a bool".into()))?
+                    g.eval(&self.arena.cx(&self.heads)).and_then(slot::as_bool)
+                };
+                match ok {
+                    Some(ok) => ok,
+                    None => self.dyn_guard(ti)?,
                 }
             }
             GuardPlan::Dyn => self.dyn_guard(ti)?,
@@ -1179,67 +1175,22 @@ impl<'a> Stepper<'a> {
             .min()
             .unwrap_or(now);
 
-        let d = match &plan.fire[ti] {
+        let fast = match &plan.fire[ti] {
             FirePlan::Fast {
                 delay,
                 emits,
                 reuse,
-            } if !self.any_dyn(&self.sel) => {
-                let d = match delay {
-                    DelayPlan::Const(d) => *d,
-                    DelayPlan::Slot(c) => {
-                        let d = c.eval(&self.arena.cx(&self.sel))?;
-                        if slot::is_mark(d) {
-                            return Err(PetriError::Expr("expected a number".into()));
-                        }
-                        if !d.is_finite() || d < 0.0 {
-                            return Err(PetriError::Expr(format!(
-                                "delay must be finite and >= 0, got {d}"
-                            )));
-                        }
-                        d.round() as u64
-                    }
-                };
-                if *reuse {
-                    let done = due(now, d)?;
-                    self.trace_firing(ti, now, d, done);
-                    // Re-stamp the consumed handle; zero payload moves.
-                    let tok = self.sel[0];
-                    self.arena.arrived[tok as usize] = done;
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.stamp_output(tok);
-                    }
-                    let arc = &plan.out_arcs[os as usize];
-                    self.places[arc.place as usize].reserved += 1;
-                    self.push_event(
-                        done,
-                        WEntry::Deliver1 {
-                            trans: ti as u32,
-                            place: arc.place,
-                            tok,
-                        },
-                    );
-                } else {
-                    // Emits are evaluated before the completion cycle
-                    // is checked, the order in which the reference's
-                    // `Behavior::fire` surfaces the two errors.
-                    self.outs.clear();
-                    for (j, emit) in emits.iter().enumerate() {
-                        let tok = self.arena.alloc(born, 0);
-                        write_emit(&mut self.arena, &self.sel, emit, tok)?;
-                        self.push_output(os as usize + j, tok);
-                    }
-                    let done = due(now, d)?;
-                    self.trace_firing(ti, now, d, done);
-                    self.schedule_outputs(ti, done);
-                }
-                d
-            }
-            _ => {
+            } if !self.any_dyn(&self.sel) => self.fire_fast(ti, now, born, delay, emits, *reuse)?,
+            _ => None,
+        };
+        let d = match fast {
+            Some(d) => d,
+            // No slot plan, a side-table payload, or a slot expression
+            // that gave up: the reference's route, and its exact error.
+            None => {
                 self.build_toks(true);
-                let n_outputs = (oe - os) as usize;
                 let behavior = &self.net.transitions()[ti].behavior;
-                let firing = behavior.fire(&self.toks, n_outputs)?;
+                let firing = behavior.fire(&self.toks, (oe - os) as usize)?;
                 self.outs.clear();
                 for (j, payload) in firing.outputs.into_iter().enumerate() {
                     let tok = self.arena.alloc(born, 0);
@@ -1260,6 +1211,66 @@ impl<'a> Stepper<'a> {
         // bounded input places.
         self.apply_mask(&plan.wake_fire[ti]);
         Ok(true)
+    }
+
+    /// Fires `ti` on the consumed handles in `sel` through its slot
+    /// plan and returns the delay, or `None`, before scheduling
+    /// anything, when an expression gives up: a failed evaluation or a
+    /// delay that is not a finite number `>= 0`. Emits are evaluated
+    /// before the completion cycle is checked, the order in which the
+    /// reference's `Behavior::fire` surfaces the two errors.
+    fn fire_fast(
+        &mut self,
+        ti: usize,
+        now: u64,
+        born: u64,
+        delay: &DelayPlan,
+        emits: &[SlotEmit],
+        reuse: bool,
+    ) -> Result<Option<u64>, PetriError> {
+        let d = match delay {
+            DelayPlan::Const(d) => *d,
+            DelayPlan::Slot(c) => match c.eval(&self.arena.cx(&self.sel)) {
+                Some(d) if d.is_finite() && d >= 0.0 => d.round() as u64,
+                _ => return Ok(None),
+            },
+        };
+        let os = self.plan.out_range[ti].0 as usize;
+        if reuse {
+            let done = due(now, d)?;
+            self.trace_firing(ti, now, d, done);
+            // Re-stamp the consumed handle; zero payload moves.
+            let tok = self.sel[0];
+            self.arena.arrived[tok as usize] = done;
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.stamp_output(tok);
+            }
+            let place = self.plan.out_arcs[os].place;
+            self.places[place as usize].reserved += 1;
+            self.push_event(
+                done,
+                WEntry::Deliver1 {
+                    trans: ti as u32,
+                    place,
+                    tok,
+                },
+            );
+        } else {
+            // A handle left unwritten when an emit gives up is never
+            // scheduled or released; the spec then ends the run.
+            self.outs.clear();
+            for (j, emit) in emits.iter().enumerate() {
+                let tok = self.arena.alloc(born, 0);
+                if emit.write(&mut self.arena, &self.sel, tok).is_none() {
+                    return Ok(None);
+                }
+                self.push_output(os + j, tok);
+            }
+            let done = due(now, d)?;
+            self.trace_firing(ti, now, d, done);
+            self.schedule_outputs(ti, done);
+        }
+        Ok(Some(d))
     }
 
     /// Records the firing whose consumed handles are in `sel` and sets
@@ -1445,34 +1456,6 @@ impl<'a> Stepper<'a> {
             trace: self.tracer.map(|t| t.trace),
         })
     }
-}
-
-/// Writes `emit`, evaluated on the consumed tokens `sel`, into token
-/// `tok`'s row.
-fn write_emit(
-    arena: &mut TokenArena,
-    sel: &[u32],
-    emit: &SlotEmit,
-    tok: u32,
-) -> Result<(), PetriError> {
-    match emit {
-        SlotEmit::Copy(t) => match t.resolve(&arena.cx(sel))? {
-            Some(k) => arena.copy(sel[k], tok),
-            None => arena.row_mut(tok)[0] = 0.0,
-        },
-        SlotEmit::Scalar(e) => {
-            let x = e.eval(&arena.cx(sel))?;
-            arena.row_mut(tok)[0] = x;
-        }
-        SlotEmit::Record(fields) => {
-            arena.clear_record(tok);
-            for (s, e) in fields {
-                let x = e.eval(&arena.cx(sel))?;
-                arena.row_mut(tok)[1 + *s as usize] = x;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A net paired with its compiled plan: what the accelerator adapters
@@ -1879,9 +1862,66 @@ mod tests {
                 )
             })
             .collect();
+        let plan = CompiledNet::compile(&net);
+        assert!(matches!(plan.guard[..], [GuardPlan::Free, GuardPlan::Free]));
+        // `s1` folds to a constant and takes the fused chain path; `s2`
+        // evaluates its delay on slots and re-stamps the token.
+        assert!(matches!(
+            plan.fire[0],
+            FirePlan::Fast {
+                delay: DelayPlan::Const(2),
+                reuse: true,
+                ..
+            }
+        ));
+        assert_ne!(plan.chain[0].servers, 0);
+        assert!(matches!(
+            plan.fire[1],
+            FirePlan::Fast {
+                delay: DelayPlan::Slot(_),
+                reuse: true,
+                ..
+            }
+        ));
         let (a, s) = run_both(&net, &injects);
         assert_equiv(&a, &s);
         assert!(s.makespan > 0);
+    }
+
+    /// Every shipped net's delays, guards and emits lower onto slots,
+    /// so no firing of theirs takes the [`Behavior`] route for want of
+    /// a lowering: the accelerator nets, the component library, and
+    /// the expression shapes the bitcoin net and the composites build
+    /// in code.
+    #[test]
+    fn shipped_nets_lower_completely() {
+        let shapes = "net shapes\nplace a\nsink z\n\
+                      trans report\n  in a\n  out z\n  guard t.golden == 1\n  delay 3\n\
+                      trans serve\n  in a\n  out z\n  delay floor(max(t.c0, 1))\n\
+                      trans route\n  in a\n  out z\n  guard t.r1 == 0\n  delay 0\n";
+        let mut nets: Vec<Net> = [
+            include_str!("../../accel-jpeg/assets/jpeg.pnet"),
+            include_str!("../../accel-protoacc/assets/protoacc.pnet"),
+            include_str!("../../accel-vta/assets/vta_full.pnet"),
+            include_str!("../../accel-vta/assets/vta_lite.pnet"),
+            shapes,
+        ]
+        .iter()
+        .map(|src| crate::text::parse(src).expect("shipped net parses"))
+        .collect();
+        use crate::components::{interconnect, memory_system, tlb};
+        nets.extend(
+            [memory_system(4, 20, 8), tlb(1, 40), interconnect(16, 2)]
+                .map(|n| n.expect("component builds")),
+        );
+        for net in &nets {
+            let plan = CompiledNet::compile(net);
+            for (ti, t) in net.transitions().iter().enumerate() {
+                let lowered = !matches!(plan.guard[ti], GuardPlan::Dyn)
+                    && !matches!(plan.fire[ti], FirePlan::Dyn);
+                assert!(lowered, "`{}` in `{}` does not lower", t.name, net.name);
+            }
+        }
     }
 
     #[test]
@@ -2186,6 +2226,46 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// Regression: the stepper stored capacities, server counts and arc
+    /// weights as `u32` and the reference did not, so `servers
+    /// 4294967297` ran as one server on the stepper (makespan 15
+    /// against the reference's 5) and a chain stage into a `cap
+    /// 4294967296` place panicked with a subtraction overflow in debug
+    /// builds. Such nets are now rejected when built, naming the place
+    /// or transition; at the bound both evaluators agree.
+    #[test]
+    fn net_parameters_past_the_bound_are_rejected() {
+        use crate::net::MAX_PARAM;
+        let pnet = |cap: usize, servers: usize, weight: usize| {
+            crate::text::parse(&format!(
+                "net n\nplace a\nplace m cap {cap}\nsink z\n\
+                 trans s\n  in a\n  out m\n  delay 5\n  servers {servers}\n\
+                 trans u\n  in m x {weight}\n  out z\n  delay 1\n"
+            ))
+        };
+        let rejected = |net: Result<Net, PetriError>, msg: &str| {
+            assert_eq!(net.unwrap_err(), PetriError::Structure(msg.to_string()));
+        };
+        rejected(
+            pnet(3, 4_294_967_297, 1),
+            "transition `s` has 4294967297 servers (more than 16777216)",
+        );
+        rejected(
+            pnet(4_294_967_296, 3, 1),
+            "place `m` has capacity 4294967296 (more than 16777216)",
+        );
+        rejected(
+            pnet(3, 3, MAX_PARAM + 1),
+            "transition `u` consumes 16777217 tokens per firing (more than 16777216)",
+        );
+        let net = pnet(MAX_PARAM, MAX_PARAM, 1).expect("at the bound");
+        let a = net.place_id("a").expect("declared");
+        assert_ne!(CompiledNet::compile(&net).chain[0].servers, 0);
+        let (refr, st) = run_both(&net, &zeros(a, 3));
+        assert_equiv(&refr, &st);
+        assert_eq!(st.makespan, 8);
     }
 
     #[test]

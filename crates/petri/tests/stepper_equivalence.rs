@@ -463,7 +463,9 @@ fn run_both_on(src: &str, data: Value) -> [Result<SimResult, PetriError>; 2] {
 
 /// A field read on a payload without that field fails the same way in
 /// both evaluators, whether the payload has a slot row (a record, a
-/// number, a bool) or not (a list, which takes the `Behavior` route).
+/// number, a bool) or not (a list, which takes the `Behavior` route):
+/// with the PIL interpreter's error, at the read's position in the
+/// generated `fn __delay(t, ts) { return (1 + t.w); }` on line 2.
 #[test]
 fn missing_field_reads_fail_identically() {
     let net = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay 1 + t.w\n";
@@ -474,7 +476,7 @@ fn missing_field_reads_fail_identically() {
         (Value::list(vec![Value::num(1.0)]), "list"),
     ] {
         let [st, refr] = run_both_on(net, data);
-        let want = PetriError::Expr(format!("{ty} has no field `w`"));
+        let want = PetriError::Expr(format!("runtime error at 2:34: {ty} has no field `w`"));
         assert_eq!(st.unwrap_err(), want);
         assert_eq!(refr.unwrap_err(), want);
     }

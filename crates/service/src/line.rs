@@ -11,6 +11,7 @@
 use crate::protocol::{Request, Response};
 use crate::server::{Service, ServiceConfig};
 use std::io::{BufRead, Read, Write};
+use std::net::TcpListener;
 use std::sync::mpsc;
 
 /// Longest input line accepted, in bytes (a 64-request batch line is
@@ -126,27 +127,29 @@ pub fn serve_lines<R: BufRead, W: Write>(
     Ok(served)
 }
 
-/// Binds a TCP listener on `addr` and serves one connection at a time
-/// with a fresh service per connection. Returns after `max_conns`
-/// connections (useful for tests; pass `u64::MAX` to serve forever).
-pub fn serve_tcp(addr: &str, cfg: ServiceConfig, max_conns: u64) -> std::io::Result<()> {
-    let listener = std::net::TcpListener::bind(addr)?;
+/// Serves one connection at a time on `listener`, with a fresh service
+/// per connection, and returns after `max_conns` connections (useful
+/// for tests; pass `u64::MAX` to serve forever). A connection that
+/// fails, from accepting it to writing its last response, is logged
+/// and counted, and serving goes on.
+pub fn serve_tcp(listener: TcpListener, cfg: ServiceConfig, max_conns: u64) {
     let mut served = 0u64;
     for stream in listener.incoming() {
-        let stream = stream?;
-        let peer = stream.peer_addr()?;
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        let mut writer = std::io::BufWriter::new(stream);
-        match serve_lines(reader, &mut writer, cfg) {
-            Ok(n) => eprintln!("perf-service: served {n} request(s) from {peer}"),
-            Err(e) => eprintln!("perf-service: connection from {peer} failed: {e}"),
+        match stream.and_then(|s| Ok((s.peer_addr()?, s.try_clone()?, s))) {
+            Err(e) => eprintln!("perf-service: accepting a connection failed: {e}"),
+            Ok((peer, reader, writer)) => {
+                let mut writer = std::io::BufWriter::new(writer);
+                match serve_lines(std::io::BufReader::new(reader), &mut writer, cfg) {
+                    Ok(n) => eprintln!("perf-service: served {n} request(s) from {peer}"),
+                    Err(e) => eprintln!("perf-service: connection from {peer} failed: {e}"),
+                }
+            }
         }
         served += 1;
         if served >= max_conns {
             break;
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -182,6 +185,35 @@ not json\n\
         for l in &lines {
             assert!(crate::json::Json::parse(l).is_ok(), "invalid JSON: {l}");
         }
+    }
+
+    /// Two sequential TCP connections are both served, each by a fresh
+    /// service that answers its request and closes with a stats line.
+    #[test]
+    fn tcp_serves_sequential_connections() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let server = std::thread::spawn(move || serve_tcp(listener, cfg, 2));
+        for id in 1..=2 {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            write!(
+                conn,
+                "{{\"id\":{id},\"accel\":\"vta\",\"metric\":\"latency\",\"spec\":{{\"kind\":\"finish_only\"}}}}\n\n"
+            )
+            .unwrap();
+            let mut text = String::new();
+            conn.read_to_string(&mut text).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 2, "{text}");
+            assert!(lines[0].contains(&format!("\"id\":{id}")), "{text}");
+            assert!(lines[0].contains("\"status\":\"ok\""), "{text}");
+            assert!(lines[1].starts_with("{\"stats\":"), "{text}");
+        }
+        server.join().unwrap();
     }
 
     /// Regression: a too-deeply nested line is answered with an error

@@ -13,6 +13,10 @@ use perf_petri::net::Net;
 use perf_petri::text;
 use perf_petri::token::RecordShape;
 use perf_petri::{NetExec, Options, PlaceId};
+use std::cell::OnceCell;
+
+/// Nonces in the exhaustive scan that measures the steady-state rate.
+const STEADY_NONCES: u64 = 1000;
 
 /// Renders the miner's `.pnet` source for a configuration.
 pub fn pnet_source(cfg: &MinerConfig) -> String {
@@ -55,6 +59,9 @@ pub struct BitcoinPetriInterface {
     /// Nonce token field `golden`.
     nonce: RecordShape,
     src: String,
+    /// The job-independent runs, indexed by `found` (see
+    /// [`Self::constant_run`]).
+    constant: [OnceCell<Result<u64, CoreError>>; 2],
 }
 
 impl BitcoinPetriInterface {
@@ -73,6 +80,7 @@ impl BitcoinPetriInterface {
             nonces,
             nonce,
             src,
+            constant: Default::default(),
         })
     }
 
@@ -94,8 +102,16 @@ impl BitcoinPetriInterface {
             let golden = found && i == hashes - 1;
             eng.inject_record(self.nonces, &self.nonce, &[f64::from(u8::from(golden))], 0);
         }
-        let res = eng.run().map_err(CoreError::from)?;
-        Ok(res.makespan)
+        Ok(eng.run()?.makespan)
+    }
+
+    /// `run(1, true)` if `found`, else `run(STEADY_NONCES, false)`. No
+    /// job changes these, so each (or its error) is a constant of the
+    /// net, run once, when first asked for.
+    fn constant_run(&self, found: bool) -> Result<u64, CoreError> {
+        let hashes = if found { 1 } else { STEADY_NONCES };
+        let cell = &self.constant[usize::from(found)];
+        cell.get_or_init(|| self.run(hashes, found)).clone()
     }
 }
 
@@ -105,39 +121,30 @@ impl PerfInterface<MineJob> for BitcoinPetriInterface {
     }
 
     fn predict(&self, job: &MineJob, metric: Metric) -> Result<Prediction, CoreError> {
-        match metric {
+        let n = job.nonce_count as u64;
+        let hard = job.difficulty_bits >= 200;
+        Ok(match metric {
+            // Steady state is a long exhaustive scan. A first-find scan
+            // stops after a data-dependent number of hashes k, observing
+            // k / (k*Loop + report): worst with the report amortized
+            // over a single hash, best the reportless steady state.
             Metric::Throughput => {
-                if job.difficulty_bits >= 200 {
-                    // Steady-state: measure a long exhaustive scan.
-                    let n = 1000u64;
-                    let span = self.run(n, false)?;
-                    Ok(Prediction::point(n as f64 / span as f64))
+                let rate = STEADY_NONCES as f64 / self.constant_run(false)? as f64;
+                if hard {
+                    Prediction::point(rate)
                 } else {
-                    // A first-find scan stops after a data-dependent
-                    // number of hashes k, observing k / (k*Loop +
-                    // report): worst with the report amortized over a
-                    // single hash, best the reportless steady state.
-                    let n = 1000u64;
-                    let lo = self.run(1, true)?;
-                    let hi = self.run(n, false)?;
-                    Ok(Prediction::bounds(1.0 / lo as f64, n as f64 / hi as f64))
+                    Prediction::bounds(1.0 / self.constant_run(true)? as f64, rate)
                 }
             }
+            Metric::Latency if hard => Prediction::point(self.run(n, false)? as f64),
+            // The cheapest outcomes are an instant find (one hash plus
+            // the report) or — for short scans — exhausting without any
+            // find, paying no report.
             Metric::Latency => {
-                if job.difficulty_bits >= 200 {
-                    let span = self.run(job.nonce_count as u64, false)?;
-                    Ok(Prediction::point(span as f64))
-                } else {
-                    // The cheapest outcomes are an instant find (one
-                    // hash plus the report) or — for short scans —
-                    // exhausting without any find, paying no report.
-                    let find = self.run(1, true)?;
-                    let exhaust = self.run(job.nonce_count as u64, false)?;
-                    let hi = self.run(job.nonce_count as u64, true)?;
-                    Ok(Prediction::bounds(find.min(exhaust) as f64, hi as f64))
-                }
+                let lo = self.constant_run(true)?.min(self.run(n, false)?);
+                Prediction::bounds(lo as f64, self.run(n, true)? as f64)
             }
-        }
+        })
     }
 }
 
@@ -172,6 +179,37 @@ mod tests {
         // exact latency (hashes x Loop + report).
         let span = iface.run(out.hashes_done, true).unwrap();
         assert_eq!(span, out.cycles);
+    }
+
+    /// Predictions agree with the net runs they are defined by, and a
+    /// repeated query on the same interface answers identically.
+    #[test]
+    fn predictions_equal_direct_runs() {
+        for l in [1u64, 8, 64] {
+            let iface = BitcoinPetriInterface::new(MinerConfig::with_loop(l).unwrap()).unwrap();
+            let run = |n: u64, found: bool| iface.run(n, found).unwrap() as f64;
+            for (difficulty, nonces) in [(10u32, 37u32), (199, 1), (200, 37), (256, 5)] {
+                let job = MineJob::random(4, nonces, difficulty);
+                let n = u64::from(nonces);
+                let (tput, lat) = if difficulty >= 200 {
+                    (
+                        Prediction::point(1000.0 / run(1000, false)),
+                        Prediction::point(run(n, false)),
+                    )
+                } else {
+                    (
+                        Prediction::bounds(1.0 / run(1, true), 1000.0 / run(1000, false)),
+                        Prediction::bounds(run(1, true).min(run(n, false)), run(n, true)),
+                    )
+                };
+                for _ in 0..2 {
+                    let got_t = iface.predict(&job, Metric::Throughput).unwrap();
+                    let got_l = iface.predict(&job, Metric::Latency).unwrap();
+                    assert_eq!(got_t, tput, "Loop {l} difficulty {difficulty}");
+                    assert_eq!(got_l, lat, "Loop {l} difficulty {difficulty}");
+                }
+            }
+        }
     }
 
     #[test]

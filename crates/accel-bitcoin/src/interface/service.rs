@@ -11,6 +11,7 @@ use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
 
 /// The miner's query-service backend.
+#[derive(Default)]
 pub struct BitcoinService {
     /// Interface bundles keyed by the `Loop` parameter (at most the
     /// eight divisors of 128 ever materialize).
@@ -21,9 +22,7 @@ impl BitcoinService {
     /// Builds an empty backend; bundles materialize per queried
     /// `Loop`.
     pub fn new() -> BitcoinService {
-        BitcoinService {
-            bundles: Vec::new(),
-        }
+        BitcoinService::default()
     }
 
     /// Realizes a spec into its hardware config and mining job.
@@ -35,8 +34,8 @@ impl BitcoinService {
             )));
         }
         let cfg = MinerConfig::with_loop(spec.get_uint("loop")?)?;
-        let nonce_count = spec.get_uint("nonce_count")?.clamp(1, 1 << 24) as u32;
-        let difficulty = spec.get_uint("difficulty")?.min(256) as u32;
+        let nonce_count = spec.get_uint_in("nonce_count", 1..=1 << 24)? as u32;
+        let difficulty = spec.get_uint_in("difficulty", 0..=256)? as u32;
         let seed = spec.get_or("seed", 1.0) as u64;
         Ok((cfg, MineJob::random(seed, nonce_count, difficulty)))
     }
@@ -48,12 +47,6 @@ impl BitcoinService {
         self.bundles
             .push((cfg.loop_, crate::interface::bundle(cfg)));
         &self.bundles.last().expect("just pushed").1
-    }
-}
-
-impl Default for BitcoinService {
-    fn default() -> Self {
-        BitcoinService::new()
     }
 }
 
@@ -170,6 +163,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected() {
+        let svc = BitcoinService::new();
+        let scan = |nonces: f64, difficulty: f64| {
+            WorkloadSpec::new("scan")
+                .with("loop", 8.0)
+                .with("nonce_count", nonces)
+                .with("difficulty", difficulty)
+        };
+        for (spec, want) in [
+            (
+                scan(0.0, 256.0),
+                "`nonce_count` = 0 is outside 1..=16777216",
+            ),
+            (
+                scan(1e8, 256.0),
+                "`nonce_count` = 100000000 is outside 1..=16777216",
+            ),
+            (scan(10.0, 257.0), "`difficulty` = 257 is outside 0..=256"),
+        ] {
+            let err = CoreError::Artifact(format!("spec `scan` field {want}"));
+            assert_eq!(svc.realize(&spec).unwrap_err(), err);
+        }
+        assert!(svc.realize(&scan(16_777_216.0, 256.0)).is_ok());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! search and cycle-accurate simulator.
 
 use crate::sha256;
-use perf_core::units::Cycles;
-use perf_core::units::Throughput;
+use perf_core::units::{Cycles, Throughput};
 use perf_core::{CoreError, GroundTruth, Observation};
 use perf_sim::fault::{FaultInjector, FaultPlan};
 use rand::rngs::StdRng;
@@ -143,11 +142,7 @@ impl MinerCycleSim {
     pub fn new(cfg: MinerConfig) -> MinerCycleSim {
         MinerCycleSim {
             cfg,
-            ticks: 0,
-            hash_cycles: 0,
-            report_cycles: 0,
-            fault_stall_cycles: 0,
-            fault: None,
+            ..MinerCycleSim::default()
         }
     }
 

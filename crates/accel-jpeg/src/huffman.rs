@@ -13,6 +13,11 @@
 //! JPEG Annex K tables (short codes for low-run/low-size symbols,
 //! 16-bit codes in the tail). The workspace's encoder and decoder share
 //! these tables, so all bit counts are self-consistent.
+//!
+//! Workload generation quantizes and costs every block of every image,
+//! so nothing here is rebuilt per block: the zig-zag order is a
+//! compile-time table ([`ZIGZAG`]), and the quality-scaled quantizer
+//! steps are computed once per image and quality ([`quant_steps`]).
 
 /// The standard JPEG luminance quantization matrix (Annex K.1), in
 /// natural (row-major) order.
@@ -37,34 +42,27 @@ pub const EOB_LEN: u8 = 4;
 /// Length in bits of the ZRL (sixteen-zero run) code.
 pub const ZRL_LEN: u8 = 11;
 
-/// Returns the zig-zag scan order: `ZIGZAG[k]` is the natural-order
-/// index of the `k`-th scanned coefficient.
-pub fn zigzag_order() -> [usize; 64] {
+/// The zig-zag scan order: `ZIGZAG[k]` is the natural-order index of
+/// the `k`-th scanned coefficient.
+pub const ZIGZAG: [usize; 64] = zigzag_order();
+
+const fn zigzag_order() -> [usize; 64] {
     let mut order = [0usize; 64];
-    let mut k = 0;
-    for diag in 0..15 {
-        // Walk each anti-diagonal, alternating direction.
-        let points: Vec<(usize, usize)> = (0..8)
-            .filter_map(|r| {
-                let c = diag as isize - r as isize;
-                if (0..8).contains(&c) {
-                    Some((r, c as usize))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let iter: Box<dyn Iterator<Item = &(usize, usize)>> = if diag % 2 == 0 {
-            Box::new(points.iter().rev())
-        } else {
-            Box::new(points.iter())
-        };
-        for &(r, c) in iter {
-            order[k] = r * 8 + c;
+    let (mut k, mut diag) = (0, 0usize);
+    while diag < 15 {
+        // Walk each anti-diagonal's rows, alternating direction: up
+        // the even diagonals, down the odd ones.
+        let (lo, hi) = (diag.saturating_sub(7), if diag < 7 { diag } else { 7 });
+        let mut i = 0;
+        while i <= hi - lo {
+            let r = if diag % 2 == 0 { hi - i } else { lo + i };
+            order[k] = r * 8 + diag - r;
             k += 1;
+            i += 1;
         }
+        diag += 1;
     }
-    debug_assert_eq!(k, 64);
+    assert!(k == 64);
     order
 }
 
@@ -128,15 +126,18 @@ pub fn quality_scale(quality: u8) -> f64 {
     }
 }
 
-/// Quantizes a natural-order coefficient block at the given quality.
-pub fn quantize(coefs: &[f64; 64], quality: u8) -> [i32; 64] {
+/// The quantizer step of each natural-order coefficient at `quality`:
+/// the luminance table scaled by [`quality_scale`], at least 1. An
+/// image computes it once and quantizes every block with it.
+pub fn quant_steps(quality: u8) -> [f64; 64] {
     let s = quality_scale(quality);
-    let mut out = [0i32; 64];
-    for i in 0..64 {
-        let q = (LUMA_QUANT[i] as f64 * s).max(1.0);
-        out[i] = (coefs[i] / q).round() as i32;
-    }
-    out
+    LUMA_QUANT.map(|q| (q as f64 * s).max(1.0))
+}
+
+/// Quantizes a natural-order coefficient block with the steps of
+/// [`quant_steps`].
+pub fn quantize(coefs: &[f64; 64], steps: &[f64; 64]) -> [i32; 64] {
+    std::array::from_fn(|i| (coefs[i] / steps[i]).round() as i32)
 }
 
 /// Entropy statistics of one coded block.
@@ -155,7 +156,6 @@ pub struct BlockCost {
 /// differentially). Returns the cost and the block's DC value for
 /// chaining.
 pub fn block_cost(quantized: &[i32; 64], dc_pred: i32) -> (BlockCost, i32) {
-    let zz = zigzag_order();
     let dc = quantized[0];
     let dc_cat = category(dc - dc_pred).min(11);
     let mut bits = DC_CODE_LEN[dc_cat as usize] as u32 + dc_cat as u32;
@@ -164,13 +164,13 @@ pub fn block_cost(quantized: &[i32; 64], dc_pred: i32) -> (BlockCost, i32) {
     let mut run = 0u8;
     let mut last_nonzero = 0usize;
     for k in (1..64).rev() {
-        if quantized[zz[k]] != 0 {
+        if quantized[ZIGZAG[k]] != 0 {
             last_nonzero = k;
             break;
         }
     }
     for k in 1..=last_nonzero {
-        let v = quantized[zz[k]];
+        let v = quantized[ZIGZAG[k]];
         if v == 0 {
             run += 1;
             if run == 16 {
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn zigzag_is_a_permutation_with_known_prefix() {
-        let z = zigzag_order();
+        let z = ZIGZAG;
         let mut seen = [false; 64];
         for &i in &z {
             assert!(!seen[i], "duplicate index {i}");
@@ -239,8 +239,7 @@ mod tests {
     #[test]
     fn single_ac_coefficient() {
         let mut q = [0i32; 64];
-        let zz = zigzag_order();
-        q[zz[1]] = 1; // First AC position, value 1 -> (run 0, size 1).
+        q[ZIGZAG[1]] = 1; // First AC position, value 1 -> (run 0, size 1).
         let (c, _) = block_cost(&q, 0);
         // DC cat 0 (2) + AC(0,1)=2 + 1 magnitude bit + EOB 4.
         assert_eq!(c.bits, 2 + 2 + 1 + 4);
@@ -250,8 +249,7 @@ mod tests {
     #[test]
     fn long_zero_run_uses_zrl() {
         let mut q = [0i32; 64];
-        let zz = zigzag_order();
-        q[zz[20]] = 1; // 19 zeros before it: one ZRL + (run 3, size 1).
+        q[ZIGZAG[20]] = 1; // 19 zeros before it: one ZRL + (run 3, size 1).
         let (c, _) = block_cost(&q, 0);
         let expect = 2 + ZRL_LEN as u32 + ac_code_len(3, 1) as u32 + 1 + 4;
         assert_eq!(c.bits, expect);
@@ -281,14 +279,13 @@ mod tests {
 
     #[test]
     fn denser_blocks_cost_more_bits() {
-        let zz = zigzag_order();
         let mut sparse = [0i32; 64];
         let mut dense = [0i32; 64];
         for k in 1..4 {
-            sparse[zz[k]] = 3;
+            sparse[ZIGZAG[k]] = 3;
         }
         for k in 1..32 {
-            dense[zz[k]] = 3;
+            dense[ZIGZAG[k]] = 3;
         }
         let (cs, _) = block_cost(&sparse, 0);
         let (cd, _) = block_cost(&dense, 0);
@@ -302,8 +299,8 @@ mod tests {
         for (i, c) in coefs.iter_mut().enumerate() {
             *c = 50.0 / (1.0 + i as f64 * 0.2);
         }
-        let hi = quantize(&coefs, 90);
-        let lo = quantize(&coefs, 10);
+        let hi = quantize(&coefs, &quant_steps(90));
+        let lo = quantize(&coefs, &quant_steps(10));
         let nz_hi = hi.iter().filter(|&&v| v != 0).count();
         let nz_lo = lo.iter().filter(|&&v| v != 0).count();
         assert!(nz_hi > nz_lo);

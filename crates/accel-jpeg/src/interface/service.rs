@@ -69,10 +69,10 @@ impl JpegService {
         match spec.kind.as_str() {
             "random" => Ok(ImageGen::new(seed).gen_image()),
             "sized" | "color" => {
-                let q = spec.get_uint("quality")?.clamp(1, 100) as u8;
+                let q = spec.get_uint_in("quality", 1..=100)? as u8;
                 let align = if spec.kind == "color" { 16 } else { 8 };
                 let dim = |name: &str| -> Result<u32, CoreError> {
-                    let v = spec.get_uint(name)?.clamp(align, 4096) as u32;
+                    let v = spec.get_uint_in(name, align..=4096)? as u32;
                     Ok(v.div_ceil(align as u32) * align as u32)
                 };
                 let (w, h) = (dim("width")?, dim("height")?);
@@ -84,9 +84,9 @@ impl JpegService {
                 })
             }
             "flat" => {
-                let blocks = spec.get_uint("blocks")?.clamp(1, 1 << 20) as u32;
-                let bits = spec.get_uint("bits")?.min(1 << 20) as u32;
-                let nonzero = spec.get_uint("nonzero")?.min(63) as u8;
+                let blocks = spec.get_uint_in("blocks", 1..=1 << 20)? as u32;
+                let bits = spec.get_uint_in("bits", 0..=1 << 20)? as u32;
+                let nonzero = spec.get_uint_in("nonzero", 0..=63)? as u8;
                 Ok(Image {
                     width: 8 * blocks,
                     height: 8,
@@ -271,6 +271,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Out-of-range fields are rejected with the field, the value and
+    /// the range, instead of being clamped into the domain.
+    #[test]
+    fn out_of_range_fields_are_rejected() {
+        let svc = JpegService::new().unwrap();
+        let flat = |bits: f64, nonzero: f64| {
+            WorkloadSpec::new("flat")
+                .with("blocks", 2.0)
+                .with("bits", bits)
+                .with("nonzero", nonzero)
+        };
+        let image = |kind: &str, width: f64, quality: f64| {
+            WorkloadSpec::new(kind)
+                .with("width", width)
+                .with("height", 64.0)
+                .with("quality", quality)
+        };
+        for (spec, want) in [
+            (
+                flat(100.0, 99.0),
+                "`flat` field `nonzero` = 99 is outside 0..=63",
+            ),
+            (
+                flat(1e9, 8.0),
+                "`flat` field `bits` = 1000000000 is outside 0..=1048576",
+            ),
+            (
+                image("sized", 100_000.0, 50.0),
+                "`sized` field `width` = 100000 is outside 8..=4096",
+            ),
+            (
+                image("sized", 64.0, 1000.0),
+                "`sized` field `quality` = 1000 is outside 1..=100",
+            ),
+            (
+                image("color", 8.0, 50.0),
+                "`color` field `width` = 8 is outside 16..=4096",
+            ),
+        ] {
+            let err = CoreError::Artifact(format!("spec {want}"));
+            assert_eq!(svc.realize(&spec).unwrap_err(), err);
+        }
+        assert!(svc.realize(&flat(1048576.0, 63.0)).is_ok());
+        assert_eq!(
+            svc.realize(&image("sized", 4095.0, 1.0)).unwrap().width,
+            4096
+        );
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! with the standard luminance table at the image's quality setting,
 //! and costed with the real Huffman bit model. Compression rate is then
 //! an *output* of the model, exactly as it would be for a real file.
+//!
+//! Realizing an image is on the query service's miss path, so what does
+//! not depend on the drawn content is computed once: the spectral decay
+//! divisors per generator, the quantizer steps per image and quality.
+//! The RNG draw order and every floating-point operation are fixed, so
+//! a seed names one image; `generator_output_is_pinned` holds them to
+//! a hash.
 
 use crate::huffman::{self, BlockCost};
 use crate::idct;
@@ -115,6 +122,9 @@ pub struct ImageGen {
     pub max_dim8: u32,
     /// Quality range (inclusive).
     pub quality: (u8, u8),
+    /// The spectral model's decay divisor at frequency `u + v`:
+    /// `(1 + u + v)^1.7`.
+    decay: [f64; 15],
 }
 
 impl ImageGen {
@@ -128,6 +138,7 @@ impl ImageGen {
             min_dim8: 6,
             max_dim8: 64,
             quality: (15, 95),
+            decay: std::array::from_fn(|d| (1.0 + d as f64).powf(1.7)),
         }
     }
 
@@ -147,37 +158,13 @@ impl ImageGen {
             width.is_multiple_of(8) && height.is_multiple_of(8),
             "dimensions must be multiples of 8"
         );
-        let nblocks = (width as usize / 8) * (height as usize / 8);
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut dc_pred = 0i32;
-        // Image-level "busyness": textured images cost more bits.
-        let busyness = self.rng.gen_range(0.5..2.0);
-        // Images are made of spatially-correlated regions (smooth sky,
-        // texture, edges): a persistent Markov chain over region types
-        // scales each block's activity. This heterogeneity is what the
-        // aggregate-statistics program interface cannot see.
-        const REGION_ACTIVITY: [f64; 3] = [0.15, 1.0, 3.0];
-        let mut region = 1usize;
-        for _ in 0..nblocks {
-            if self.rng.gen_bool(0.05) {
-                region = self.rng.gen_range(0..REGION_ACTIVITY.len());
-            }
-            let act = busyness * REGION_ACTIVITY[region];
-            let coefs = match self.mode {
-                SynthMode::Spectral => self.spectral_block(act),
-                SynthMode::Pixels => self.pixel_block(act),
-            };
-            let q = huffman::quantize(&coefs, quality);
-            let (cost, dc) = huffman::block_cost(&q, dc_pred);
-            dc_pred = dc;
-            blocks.push(cost);
-        }
+        let steps = huffman::quant_steps(quality);
         Image {
             width,
             height,
             quality,
             color: ColorMode::Grayscale,
-            blocks,
+            blocks: encode(self.luma_coefs(width, height), &steps).collect(),
         }
     }
 
@@ -191,23 +178,19 @@ impl ImageGen {
         );
         let luma = self.gen_sized(width, height, quality);
         let mut blocks = luma.blocks;
+        let steps = huffman::quant_steps(quality);
+        let nblocks = (width as usize / 16) * (height as usize / 16);
         for _chroma_plane in 0..2 {
-            let mut dc_pred = 0i32;
-            let nblocks = (width as usize / 16) * (height as usize / 16);
-            for _ in 0..nblocks {
+            let coefs = (0..nblocks).map(|_| {
                 let act = self.rng.gen_range(0.1..0.5) * 40.0;
                 let mut coefs = self.spectral_block(act / 60.0);
                 // Chroma planes are smoother: damp high frequencies.
-                for (i, c) in coefs.iter_mut().enumerate() {
-                    if i > 20 {
-                        *c *= 0.5;
-                    }
+                for c in &mut coefs[21..] {
+                    *c *= 0.5;
                 }
-                let q = huffman::quantize(&coefs, quality);
-                let (cost, dc) = huffman::block_cost(&q, dc_pred);
-                dc_pred = dc;
-                blocks.push(cost);
-            }
+                coefs
+            });
+            blocks.extend(encode(coefs, &steps));
         }
         Image {
             width,
@@ -229,43 +212,42 @@ impl ImageGen {
     /// claims are checked.
     pub fn gen_quality_sweep(&mut self, width: u32, height: u32, qualities: &[u8]) -> Vec<Image> {
         assert!(width.is_multiple_of(8) && height.is_multiple_of(8));
+        let coef_blocks: Vec<[f64; 64]> = self.luma_coefs(width, height).collect();
+        qualities
+            .iter()
+            .map(|&q| Image {
+                width,
+                height,
+                quality: q,
+                color: ColorMode::Grayscale,
+                blocks: encode(coef_blocks.iter().copied(), &huffman::quant_steps(q)).collect(),
+            })
+            .collect()
+    }
+
+    /// A `width`×`height` luma plane's coefficient blocks in scan
+    /// order. The image-level busyness is drawn on the call; each block
+    /// is drawn as the iterator reaches it.
+    fn luma_coefs(&mut self, width: u32, height: u32) -> impl Iterator<Item = [f64; 64]> + '_ {
         let nblocks = (width as usize / 8) * (height as usize / 8);
+        // Image-level "busyness": textured images cost more bits.
         let busyness = self.rng.gen_range(0.5..2.0);
+        // Images are made of spatially-correlated regions (smooth sky,
+        // texture, edges): a persistent Markov chain over region types
+        // scales each block's activity. This heterogeneity is what the
+        // aggregate-statistics program interface cannot see.
         const REGION_ACTIVITY: [f64; 3] = [0.15, 1.0, 3.0];
         let mut region = 1usize;
-        let mut coef_blocks = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
+        (0..nblocks).map(move |_| {
             if self.rng.gen_bool(0.05) {
                 region = self.rng.gen_range(0..REGION_ACTIVITY.len());
             }
             let act = busyness * REGION_ACTIVITY[region];
-            coef_blocks.push(match self.mode {
+            match self.mode {
                 SynthMode::Spectral => self.spectral_block(act),
                 SynthMode::Pixels => self.pixel_block(act),
-            });
-        }
-        qualities
-            .iter()
-            .map(|&q| {
-                let mut dc_pred = 0i32;
-                let blocks = coef_blocks
-                    .iter()
-                    .map(|c| {
-                        let quant = huffman::quantize(c, q);
-                        let (cost, dc) = huffman::block_cost(&quant, dc_pred);
-                        dc_pred = dc;
-                        cost
-                    })
-                    .collect();
-                Image {
-                    width,
-                    height,
-                    quality: q,
-                    color: ColorMode::Grayscale,
-                    blocks,
-                }
-            })
-            .collect()
+            }
+        })
     }
 
     /// Draws a Laplace sample with scale `b`.
@@ -285,7 +267,7 @@ impl ImageGen {
                 if u == 0 && v == 0 {
                     continue;
                 }
-                let scale = activity / (1.0 + (u + v) as f64).powf(1.7);
+                let scale = activity / self.decay[u + v];
                 coefs[u * 8 + v] = self.laplace(scale);
             }
         }
@@ -314,6 +296,20 @@ impl ImageGen {
         }
         idct::fdct8x8(&px)
     }
+}
+
+/// Quantizes one plane's coefficient blocks with `steps` and costs
+/// them in scan order, coding each DC against the previous block's.
+fn encode<'a>(
+    coefs: impl Iterator<Item = [f64; 64]> + 'a,
+    steps: &'a [f64; 64],
+) -> impl Iterator<Item = BlockCost> + 'a {
+    let mut dc_pred = 0i32;
+    coefs.map(move |c| {
+        let (cost, dc) = huffman::block_cost(&huffman::quantize(&c, steps), dc_pred);
+        dc_pred = dc;
+        cost
+    })
 }
 
 #[cfg(test)]
@@ -379,6 +375,37 @@ mod tests {
         );
         assert!(v.field("compress_rate").unwrap().as_num().unwrap() > 0.0);
         assert_eq!(v.field("num_blocks").unwrap().as_num(), Some(16.0));
+    }
+
+    /// FNV-1a over every block's `bits` and `nonzero` of a fixed corpus
+    /// that touches each generator path: `gen_sized` at every quality
+    /// 1–100 over a spread of sizes, `gen_color`, pixel synthesis and
+    /// quality sweeps. Any change to the RNG draw order or to the
+    /// arithmetic of synthesis, quantization or bit costing moves it.
+    #[test]
+    fn generator_output_is_pinned() {
+        let mut h = perf_core::query::Fnv1a::new();
+        let mut absorb = |img: &Image| {
+            for b in &img.blocks {
+                h.write(&b.bits.to_le_bytes());
+                h.write(&[b.nonzero]);
+            }
+        };
+        for q in 1..=100u8 {
+            let (w, ht) = (8 * (1 + u32::from(q) % 9), 8 * (1 + u32::from(q) % 7));
+            absorb(&ImageGen::new(u64::from(q)).gen_sized(w, ht, q));
+        }
+        for (seed, q) in [(1u64, 1u8), (2, 37), (3, 75), (4, 100)] {
+            absorb(&ImageGen::new(seed).gen_color(48, 32, q));
+            let mut g = ImageGen::new(seed);
+            g.mode = SynthMode::Pixels;
+            absorb(&g.gen_sized(40, 24, q));
+            for img in ImageGen::new(seed).gen_quality_sweep(32, 24, &[1, 15, 50, 51, 99, 100]) {
+                absorb(&img);
+            }
+        }
+        absorb(&ImageGen::new(5).gen_image());
+        assert_eq!(h.finish(), 15_574_557_554_222_094_415);
     }
 
     #[test]

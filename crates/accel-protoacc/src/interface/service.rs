@@ -31,7 +31,7 @@ impl ProtoaccService {
 
     /// Realizes a spec into a message stream.
     pub fn realize(&self, spec: &WorkloadSpec) -> Result<ProtoWorkload, CoreError> {
-        let n = spec.get_uint("n")?.clamp(1, 4096) as usize;
+        let n = spec.get_uint_in("n", 1..=4096)? as usize;
         let seed = spec.get_or("seed", 1.0) as u64;
         match spec.kind.as_str() {
             "format" => {
@@ -45,7 +45,7 @@ impl ProtoaccService {
                 Ok(ProtoWorkload::of_format(desc, n, seed))
             }
             "nested" => {
-                let depth = spec.get_uint("depth")?.min(24) as usize;
+                let depth = spec.get_uint_in("depth", 0..=24)? as usize;
                 Ok(ProtoWorkload::of_format(&nested(depth), n, seed))
             }
             other => Err(CoreError::Artifact(format!(
@@ -250,6 +250,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected() {
+        let svc = ProtoaccService::new();
+        let format = |n: f64| WorkloadSpec::new("format").with("idx", 0.0).with("n", n);
+        let nested = |depth: f64| {
+            WorkloadSpec::new("nested")
+                .with("depth", depth)
+                .with("n", 2.0)
+        };
+        for (spec, want) in [
+            (format(0.0), "`format` field `n` = 0 is outside 1..=4096"),
+            (
+                format(5000.0),
+                "`format` field `n` = 5000 is outside 1..=4096",
+            ),
+            (
+                nested(25.0),
+                "`nested` field `depth` = 25 is outside 0..=24",
+            ),
+        ] {
+            let err = CoreError::Artifact(format!("spec {want}"));
+            assert_eq!(svc.realize(&spec).err(), Some(err));
+        }
+        assert!(svc.realize(&format(4096.0)).is_ok());
+        assert!(svc.realize(&nested(24.0)).is_ok());
     }
 
     #[test]

@@ -32,7 +32,10 @@ impl VtaService {
         let seed = spec.get_or("seed", 1.0) as u64;
         match spec.kind.as_str() {
             "random" => {
-                let max_blocks = spec.get_or("max_blocks", 24.0).clamp(1.0, 256.0) as usize;
+                let max_blocks = match spec.get("max_blocks") {
+                    Some(_) => spec.get_uint_in("max_blocks", 1..=256)? as usize,
+                    None => 24,
+                };
                 let mut g = ProgGen::new(seed);
                 g.cfg.blocks = (1, max_blocks);
                 Ok(g.gen_program())
@@ -236,6 +239,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_max_blocks_is_rejected() {
+        let svc = VtaService::new();
+        let random = |m: f64| WorkloadSpec::new("random").with("max_blocks", m);
+        for m in [0.0, 257.0] {
+            let err = format!("spec `random` field `max_blocks` = {m} is outside 1..=256");
+            assert_eq!(
+                svc.realize(&random(m)).err(),
+                Some(CoreError::Artifact(err))
+            );
+        }
+        assert!(svc.realize(&random(256.0)).is_ok());
+        assert!(svc.realize(&WorkloadSpec::new("random")).is_ok());
     }
 
     #[test]

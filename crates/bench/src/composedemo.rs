@@ -26,7 +26,7 @@ queue = 3
 accel = "bitcoin-miner"
 queue = 2
 kind = "scan"
-fields = { loop = 4, nonce_count = 8, difficulty = 512, seed = 5 }
+fields = { loop = 4, nonce_count = 8, difficulty = 256, seed = 5 }
 
 [[stage]]
 accel = "protoacc"
@@ -54,7 +54,7 @@ accel = "bitcoin-miner"
 instance = "scan"
 queue = 2
 kind = "scan"
-fields = { loop = 4, nonce_count = 8, difficulty = 512, seed = 5 }
+fields = { loop = 4, nonce_count = 8, difficulty = 256, seed = 5 }
 
 [[stage]]
 accel = "protoacc"

@@ -24,6 +24,7 @@ use crate::budget::Budget;
 use crate::iface::{InterfaceKind, Metric};
 use crate::predict::{Observation, Prediction};
 use crate::CoreError;
+use std::ops::RangeInclusive;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -157,6 +158,22 @@ impl WorkloadSpec {
         Ok(v as u64)
     }
 
+    /// A field as by [`Self::get_uint`] that must also lie in `range`;
+    /// the error names the field, the value sent and the range.
+    pub fn get_uint_in(&self, name: &str, range: RangeInclusive<u64>) -> Result<u64, CoreError> {
+        let v = self.get_uint(name)?;
+        if range.contains(&v) {
+            return Ok(v);
+        }
+        Err(CoreError::Artifact(format!(
+            "spec `{}` field `{name}` = {} is outside {}..={}",
+            self.kind,
+            self.get_or(name, f64::NAN),
+            range.start(),
+            range.end()
+        )))
+    }
+
     /// A 64-bit content fingerprint: FNV-1a over the kind and the
     /// fields in name-sorted order, so field insertion order does not
     /// matter. Used as the service's cache key component.
@@ -265,6 +282,17 @@ mod tests {
         assert_eq!(s.get_uint("n").unwrap(), 3);
         assert!(s.get_uint("neg").is_err());
         assert!(s.get_uint("missing").is_err());
+    }
+
+    #[test]
+    fn get_uint_in_names_field_value_and_range() {
+        let s = WorkloadSpec::new("k").with("n", 9.5).with("big", 1e9);
+        assert_eq!(s.get_uint_in("n", 1..=9).unwrap(), 9);
+        let e = s.get_uint_in("big", 0..=63).unwrap_err();
+        let want = "spec `k` field `big` = 1000000000 is outside 0..=63";
+        assert_eq!(e, CoreError::Artifact(want.into()));
+        assert!(s.get_uint_in("n", 10..=20).is_err());
+        assert!(s.get_uint_in("missing", 0..=1).is_err());
     }
 
     #[test]

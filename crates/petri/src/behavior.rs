@@ -15,7 +15,7 @@ use crate::token::Token;
 use crate::PetriError;
 use perf_iface_lang::interp::eval_consts;
 use perf_iface_lang::lint::Interval;
-use perf_iface_lang::{Interp, Limits, Program, Value};
+use perf_iface_lang::{Interp, LangError, Limits, Program, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -158,12 +158,113 @@ impl Behavior {
 /// { return (EXPR); }` (likewise `__guard` and `__emit{i}` per output
 /// arc), which the PIL interpreter evaluates: that is the behavior's
 /// meaning, and the compiled stepper's slot lowering is held to it.
+///
+/// An error names the transition (for a `.pnet` net), the role
+/// (`delay`, `guard` or `emit i`) and the position in the expression's
+/// source, not in the generated wrapper.
 pub struct ExprBehavior {
     prog: Program,
     /// The program's constants, evaluated once.
     consts: Rc<HashMap<String, Value>>,
     emits: Vec<bool>,
     has_guard: bool,
+    origin: Origin,
+}
+
+/// One delay, guard or emit expression and where its text starts in
+/// its source: 1-based line and byte column.
+#[derive(Clone, Debug)]
+pub(crate) struct ExprSrc {
+    pub text: String,
+    pub line: usize,
+    pub col: usize,
+}
+
+impl ExprSrc {
+    /// An expression that is its own source, at line 1, column 1.
+    fn bare(text: &str) -> ExprSrc {
+        ExprSrc {
+            text: text.to_string(),
+            line: 1,
+            col: 1,
+        }
+    }
+}
+
+/// Where a behavior's generated wrappers come from, for error messages.
+struct Origin {
+    /// The transition's name; empty for a behavior built outside a
+    /// `.pnet` net.
+    trans: String,
+    /// One entry per wrapper, in program order.
+    sites: Vec<Site>,
+}
+
+/// One generated wrapper `fn NAME(t, ts) { return (EXPR); }`.
+struct Site {
+    /// The wrapper's name: `__delay`, `__guard` or `__emit{i}`.
+    func: String,
+    /// `delay`, `guard` or `emit i`.
+    role: String,
+    /// The wrapper's line in the generated program and the column its
+    /// expression starts at there.
+    gen: (usize, usize),
+    /// The expression's line and start column in its source.
+    src: (usize, usize),
+}
+
+impl Origin {
+    /// `msg`, raised at source position `at` of `site`'s expression.
+    fn msg(&self, site: &Site, at: (usize, usize), msg: &str) -> String {
+        let who = if self.trans.is_empty() {
+            site.role.clone()
+        } else {
+            format!("transition `{}` {}", self.trans, site.role)
+        };
+        format!("{who} at {}:{}: {msg}", at.0, at.1)
+    }
+
+    /// A failure of wrapper `func` that is not an interpreter error,
+    /// placed at the start of its expression.
+    fn role_err(&self, func: &str, msg: &str) -> PetriError {
+        let site = self.site(func);
+        PetriError::Expr(self.msg(site, site.src, msg))
+    }
+
+    /// An interpreter error raised running wrapper `func`, or, for
+    /// `None`, compiling the program (the wrapper is then the one the
+    /// error's position falls in), with the source line it points at.
+    /// `None` when that position is in no wrapper (a constant's
+    /// declaration).
+    fn lang_err(&self, func: Option<&str>, e: &LangError) -> Option<(usize, String)> {
+        let (span, msg) = match e {
+            LangError::Runtime { span, msg } => (Some(span), msg.clone()),
+            LangError::Lex { span, msg } => (Some(span), format!("lex error: {msg}")),
+            LangError::Parse { span, msg } => (Some(span), format!("parse error: {msg}")),
+            LangError::Check { span, msg } => (Some(span), format!("check error: {msg}")),
+            LangError::LimitExceeded(msg) => (None, format!("limit exceeded: {msg}")),
+        };
+        let line = span.map_or(0, |s| s.line as usize);
+        let site = match func {
+            Some(f) => self.site(f),
+            None => self.sites.iter().rev().find(|s| s.gen.0 <= line)?,
+        };
+        let at = match span {
+            Some(s) if line == site.gen.0 && s.col as usize >= site.gen.1 => {
+                (site.src.0, site.src.1 + s.col as usize - site.gen.1)
+            }
+            Some(s) if line > site.gen.0 => (site.src.0 + line - site.gen.0, s.col as usize),
+            _ => site.src,
+        };
+        Some((at.0, self.msg(site, at, &msg)))
+    }
+
+    fn site(&self, func: &str) -> &Site {
+        self.sites
+            .iter()
+            .find(|s| s.func == func)
+            .expect("every called wrapper has a site")
+    }
 }
 
 impl ExprBehavior {
@@ -174,34 +275,72 @@ impl ExprBehavior {
     /// * `guard_src` — optional boolean expression.
     /// * `emit_srcs` — one optional expression per output arc; `None`
     ///   passes the first input payload through unchanged.
+    ///
+    /// Error positions count from the start of each expression.
     pub fn compile(
         consts_src: &str,
         delay_src: &str,
         guard_src: Option<&str>,
         emit_srcs: &[Option<String>],
     ) -> Result<ExprBehavior, PetriError> {
+        let emits: Vec<_> = emit_srcs
+            .iter()
+            .map(|e| e.as_deref().map(ExprSrc::bare))
+            .collect();
+        let (delay, guard) = (ExprSrc::bare(delay_src), guard_src.map(ExprSrc::bare));
+        Self::compile_at("", consts_src, &delay, guard.as_ref(), &emits)
+            .map_err(|(_, msg)| PetriError::Expr(msg))
+    }
+
+    /// [`Self::compile`] for transition `trans` of a `.pnet` net, whose
+    /// expressions carry their `.pnet` positions. An error comes with
+    /// the source line it points at, or `None` when it lies in the
+    /// constants, which carry no positions.
+    pub(crate) fn compile_at(
+        trans: &str,
+        consts_src: &str,
+        delay: &ExprSrc,
+        guard: Option<&ExprSrc>,
+        emits: &[Option<ExprSrc>],
+    ) -> Result<ExprBehavior, (Option<usize>, String)> {
         let mut src = String::new();
         src.push_str(consts_src);
         src.push('\n');
-        src.push_str(&format!("fn __delay(t, ts) {{ return ({delay_src}); }}\n"));
-        if let Some(g) = guard_src {
-            src.push_str(&format!("fn __guard(t, ts) {{ return ({g}); }}\n"));
+        let mut origin = Origin {
+            trans: trans.to_string(),
+            sites: Vec::new(),
+        };
+        let roles = [(delay, "__delay".to_string(), "delay".to_string())]
+            .into_iter()
+            .chain(guard.map(|g| (g, "__guard".to_string(), "guard".to_string())))
+            .chain(emits.iter().enumerate().filter_map(|(i, e)| {
+                Some((e.as_ref()?, format!("__emit{i}"), format!("emit {i}")))
+            }));
+        for (e, func, role) in roles {
+            let head = format!("fn {func}(t, ts) {{ return (");
+            origin.sites.push(Site {
+                gen: (src.matches('\n').count() + 1, head.len() + 1),
+                src: (e.line, e.col),
+                func,
+                role,
+            });
+            src.push_str(&head);
+            src.push_str(&e.text);
+            src.push_str("); }\n");
         }
-        for (i, e) in emit_srcs.iter().enumerate() {
-            if let Some(e) = e {
-                src.push_str(&format!("fn __emit{i}(t, ts) {{ return ({e}); }}\n"));
-            }
-        }
-        let prog = Program::parse(&src).map_err(|e| PetriError::Expr(e.to_string()))?;
-        let consts = Rc::new(
-            eval_consts(prog.ast(), Limits::default())
-                .map_err(|e| PetriError::Expr(e.to_string()))?,
-        );
+        let fail = |e: LangError| match origin.lang_err(None, &e) {
+            Some((line, msg)) => (Some(line), msg),
+            None if trans.is_empty() => (None, e.to_string()),
+            None => (None, format!("transition `{trans}`: {e}")),
+        };
+        let prog = Program::parse(&src).map_err(fail)?;
+        let consts = Rc::new(eval_consts(prog.ast(), Limits::default()).map_err(fail)?);
         Ok(ExprBehavior {
             prog,
             consts,
-            emits: emit_srcs.iter().map(Option::is_some).collect(),
-            has_guard: guard_src.is_some(),
+            emits: emits.iter().map(Option::is_some).collect(),
+            has_guard: guard.is_some(),
+            origin,
         })
     }
 
@@ -232,7 +371,13 @@ impl ExprBehavior {
     fn call(&self, name: &str, args: &[Value; 2]) -> Result<Value, PetriError> {
         Interp::with_consts(self.prog.ast(), Limits::default(), Rc::clone(&self.consts))
             .call(name, args)
-            .map_err(|e| PetriError::Expr(e.to_string()))
+            .map_err(|e| {
+                let (_, msg) = self
+                    .origin
+                    .lang_err(Some(name), &e)
+                    .expect("a named wrapper has a site");
+                PetriError::Expr(msg)
+            })
     }
 
     fn guard(&self, inputs: &[Token]) -> Result<bool, PetriError> {
@@ -241,7 +386,8 @@ impl ExprBehavior {
         }
         let v = self.call("__guard", &Self::args(inputs))?;
         v.as_bool().ok_or_else(|| {
-            PetriError::Expr(format!("guard must return a bool, got {}", v.type_name()))
+            let msg = format!("guard must return a bool, got {}", v.type_name());
+            self.origin.role_err("__guard", &msg)
         })
     }
 
@@ -256,12 +402,12 @@ impl ExprBehavior {
         let args = Self::args(inputs);
         let v = self.call("__delay", &args)?;
         let d = v.as_num().ok_or_else(|| {
-            PetriError::Expr(format!("delay must return a number, got {}", v.type_name()))
+            let msg = format!("delay must return a number, got {}", v.type_name());
+            self.origin.role_err("__delay", &msg)
         })?;
         if !d.is_finite() || d < 0.0 {
-            return Err(PetriError::Expr(format!(
-                "delay must be finite and >= 0, got {d}"
-            )));
+            let msg = format!("delay must be finite and >= 0, got {d}");
+            return Err(self.origin.role_err("__delay", &msg));
         }
         let mut outputs = Vec::with_capacity(n_outputs);
         for (i, has) in self.emits.iter().enumerate() {
@@ -453,5 +599,17 @@ mod tests {
     fn expr_compile_errors_surface() {
         assert!(ExprBehavior::compile("", "1 +", None, &[None]).is_err());
         assert!(ExprBehavior::compile("", "nope(1)", None, &[None]).is_err());
+    }
+
+    /// A behavior built outside a `.pnet` net names the role and the
+    /// position within the expression.
+    #[test]
+    fn bare_expression_errors_count_from_the_expression() {
+        let e = ExprBehavior::compile("const K = 1;", "K + t.w", None, &[None]).unwrap();
+        let want = PetriError::Expr("delay at 1:6: number has no field `w`".into());
+        assert_eq!(Behavior::Expr(e).fire(&[tok(0.0)], 1).unwrap_err(), want);
+        let e = ExprBehavior::compile("", "(1", None, &[None]).err();
+        let want = "delay at 1:4: parse error: expected `)`, found Semi";
+        assert_eq!(e, Some(PetriError::Expr(want.into())));
     }
 }

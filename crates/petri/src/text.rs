@@ -42,7 +42,7 @@
 //!   * `servers N` — concurrent firings (`0` = unlimited, default 1).
 //!   * `priority N` — conflict-resolution priority (default 0).
 
-use crate::behavior::{Behavior, ExprBehavior};
+use crate::behavior::{Behavior, ExprBehavior, ExprSrc};
 use crate::net::{Net, NetBuilder, PlaceId, Transition};
 use crate::PetriError;
 use std::collections::HashMap;
@@ -52,9 +52,9 @@ struct PendingTrans {
     line: usize,
     inputs: Vec<(String, usize)>,
     outputs: Vec<(String, usize)>,
-    delay: Option<String>,
-    guard: Option<String>,
-    emits: HashMap<String, String>,
+    delay: Option<ExprSrc>,
+    guard: Option<ExprSrc>,
+    emits: HashMap<String, ExprSrc>,
     servers: usize,
     priority: i32,
 }
@@ -74,6 +74,7 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
             Some(i) => &raw[..i],
             None => raw,
         };
+        let indent = line.len() - line.trim_start().len();
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -81,6 +82,12 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
         let (head, rest) = match line.split_once(char::is_whitespace) {
             Some((h, r)) => (h, r.trim()),
             None => (line, ""),
+        };
+        // `rest` and an emit's expression are suffixes of `line`.
+        let at = |text: &str| ExprSrc {
+            text: text.to_string(),
+            line: lineno,
+            col: indent + line.len() - text.len() + 1,
         };
         match head {
             "net" => {
@@ -165,13 +172,13 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
                 if t.delay.is_some() {
                     return Err(err(lineno, "duplicate `delay`".into()));
                 }
-                t.delay = Some(rest.to_string());
+                t.delay = Some(at(rest));
             }
             "guard" => {
                 let t = transes
                     .last_mut()
                     .ok_or_else(|| err(lineno, "`guard` outside a transition".into()))?;
-                t.guard = Some(rest.to_string());
+                t.guard = Some(at(rest));
             }
             "emit" => {
                 let t = transes
@@ -180,7 +187,7 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
                 let (pname, expr) = rest
                     .split_once(char::is_whitespace)
                     .ok_or_else(|| err(lineno, "`emit PLACE EXPR`".into()))?;
-                t.emits.insert(pname.to_string(), expr.trim().to_string());
+                t.emits.insert(pname.to_string(), at(expr.trim()));
             }
             "servers" => {
                 let t = transes
@@ -255,16 +262,17 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
             line: t.line,
             msg: format!("transition `{}` has no `delay`", t.name),
         })?;
-        let emit_srcs: Vec<Option<String>> = t
+        let emit_srcs: Vec<Option<ExprSrc>> = t
             .outputs
             .iter()
             .map(|(n, _)| t.emits.get(n).cloned())
             .collect();
-        let behavior = ExprBehavior::compile(&consts, &delay, t.guard.as_deref(), &emit_srcs)
-            .map_err(|e| PetriError::Parse {
-                line: t.line,
-                msg: format!("in transition `{}`: {e}", t.name),
-            })?;
+        let behavior =
+            ExprBehavior::compile_at(&t.name, &consts, &delay, t.guard.as_ref(), &emit_srcs)
+                .map_err(|(line, msg)| PetriError::Parse {
+                    line: line.unwrap_or(t.line),
+                    msg,
+                })?;
         b.add_transition(Transition {
             name: t.name,
             inputs,
@@ -417,10 +425,35 @@ trans batch
         assert!(matches!(e, PetriError::Parse { .. }));
     }
 
+    /// A malformed expression is reported at its own line and column,
+    /// naming the transition and the role.
     #[test]
     fn bad_expression_reported() {
-        let src = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay 1 +\n";
-        assert!(parse(src).is_err());
+        let head = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n";
+        for (tail, line, msg) in [
+            ("  delay 1 +\n", 7, "delay at 7:12"),
+            ("  delay 1\n  guard (1 <\n", 8, "guard at 8:13"),
+        ] {
+            let msg =
+                format!("transition `t` {msg}: parse error: expected expression, found RParen");
+            let want = PetriError::Parse { line, msg };
+            assert_eq!(parse(&format!("{head}{tail}")).unwrap_err(), want);
+        }
+    }
+
+    /// A malformed constant has no expression position: it is reported
+    /// at the first transition that compiles it.
+    #[test]
+    fn bad_constant_reported_at_its_transition() {
+        let src = "net n\nconst K = 1 +;\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay K\n";
+        let PetriError::Parse { line, msg } = parse(src).unwrap_err() else {
+            panic!("expected a parse error")
+        };
+        assert_eq!(line, 5);
+        assert!(
+            msg.starts_with("transition `t`: parse error at 1:"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -464,8 +464,8 @@ fn run_both_on(src: &str, data: Value) -> [Result<SimResult, PetriError>; 2] {
 /// A field read on a payload without that field fails the same way in
 /// both evaluators, whether the payload has a slot row (a record, a
 /// number, a bool) or not (a list, which takes the `Behavior` route):
-/// with the PIL interpreter's error, at the read's position in the
-/// generated `fn __delay(t, ts) { return (1 + t.w); }` on line 2.
+/// with the PIL interpreter's error, attributed to the transition, the
+/// role and the read's position in the `.pnet` text (line 7, column 14).
 #[test]
 fn missing_field_reads_fail_identically() {
     let net = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay 1 + t.w\n";
@@ -476,9 +476,38 @@ fn missing_field_reads_fail_identically() {
         (Value::list(vec![Value::num(1.0)]), "list"),
     ] {
         let [st, refr] = run_both_on(net, data);
-        let want = PetriError::Expr(format!("runtime error at 2:34: {ty} has no field `w`"));
+        let want = PetriError::Expr(format!(
+            "transition `t` delay at 7:14: {ty} has no field `w`"
+        ));
         assert_eq!(st.unwrap_err(), want);
         assert_eq!(refr.unwrap_err(), want);
+    }
+}
+
+/// Guard and emit errors, and a guard that is not a bool, name their
+/// transition, role and `.pnet` position, identically in both
+/// evaluators.
+#[test]
+fn guard_and_emit_errors_name_their_pnet_position() {
+    let head = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay 1\n";
+    for (tail, want) in [
+        (
+            "  guard t.v < 3\n",
+            "transition `t` guard at 8:10: number has no field `v`",
+        ),
+        (
+            "  guard 1 + 1\n",
+            "transition `t` guard at 8:9: guard must return a bool, got number",
+        ),
+        (
+            "  emit z { x: t.q }\n",
+            "transition `t` emit 0 at 8:16: number has no field `q`",
+        ),
+    ] {
+        let [st, refr] = run_both_on(&format!("{head}{tail}"), Value::num(1.0));
+        let want = PetriError::Expr(want.to_string());
+        assert_eq!(st.unwrap_err(), want, "{tail}");
+        assert_eq!(refr.unwrap_err(), want, "{tail}");
     }
 }
 

@@ -301,7 +301,7 @@ fn fresh_spec(i: u64) -> (&'static str, WorkloadSpec) {
                 .with("loop", (1u64 << (i % 4)) as f64)
                 .with("seed", seed)
                 .with("nonce_count", 8.0 + (i % 16) as f64)
-                .with("difficulty", 4096.0),
+                .with("difficulty", 256.0),
         ),
         _ => (
             "protoacc",

@@ -57,7 +57,7 @@ fn mixed_corpus(n: u64) -> Vec<Request> {
                         .with("loop", 8.0)
                         .with("seed", seed)
                         .with("nonce_count", 200.0)
-                        .with("difficulty", 4096.0),
+                        .with("difficulty", 256.0),
                     metric,
                 ),
                 _ => req(

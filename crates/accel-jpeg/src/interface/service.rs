@@ -2,11 +2,10 @@
 //!
 //! Implements [`perf_core::query::QueryBackend`] so the `perf-service`
 //! server can answer latency/throughput queries for decoder workloads
-//! from any of the three interface representations. The spec kinds
-//! follow the conformance harness's generator-level specs, and both
-//! read their error budgets from [`crate::interface::budget`], so
-//! service answers are accountable to the budgets
-//! `BENCH_conformance.json` reports.
+//! from any of the three interface representations. The conformance
+//! harness checks this same backend on the same specs, so service
+//! answers are accountable to the budgets `BENCH_conformance.json`
+//! reports.
 
 use crate::cycle::JpegCycleSim;
 use crate::huffman::BlockCost;
@@ -62,8 +61,8 @@ impl JpegService {
         }
     }
 
-    /// Realizes a spec into a concrete image, exactly like the
-    /// conformance subject does (same generators, same seeds).
+    /// Realizes a spec into a concrete image (the conformance subject
+    /// measures what this returns).
     pub fn realize(&self, spec: &WorkloadSpec) -> Result<Image, CoreError> {
         let seed = spec.get_or("seed", 1.0) as u64;
         match spec.kind.as_str() {

@@ -24,29 +24,10 @@ pub fn interface() -> NlInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::{FieldDesc, FieldKind, MessageDesc};
+    use crate::interface::service::nested;
     use crate::simx::{ProtoWorkload, ProtoaccSim};
     use perf_core::iface::Metric;
     use perf_core::GroundTruth;
-
-    fn nested(depth: usize) -> MessageDesc {
-        let mut d = MessageDesc::new(
-            "leaf",
-            (0..4)
-                .map(|i| FieldDesc::single(i + 1, FieldKind::Uint64))
-                .collect(),
-        );
-        for _ in 0..depth {
-            d = MessageDesc::new(
-                "wrap",
-                vec![
-                    FieldDesc::single(1, FieldKind::Uint64),
-                    FieldDesc::single(2, FieldKind::Message(Box::new(d))),
-                ],
-            );
-        }
-        d
-    }
 
     #[test]
     fn nesting_claims_hold() {

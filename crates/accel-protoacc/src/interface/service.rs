@@ -1,9 +1,9 @@
 //! Query-service adapter for the Protoacc serializer.
 //!
-//! Implements [`perf_core::query::QueryBackend`] for `perf-service`.
-//! Spec kinds follow the conformance harness: `format` picks one of
-//! the 32 suite formats, `nested` builds a pointer-chase-heavy
-//! wrap-chain of the given depth.
+//! Implements [`perf_core::query::QueryBackend`] for `perf-service`;
+//! the conformance harness checks the same backend. Spec kinds:
+//! `format` picks one of the 32 suite formats, `nested` builds a
+//! pointer-chase-heavy wrap-chain of the given depth.
 
 use crate::descriptor::{FieldDesc, FieldKind, Message, MessageDesc};
 use crate::interface;
@@ -61,9 +61,10 @@ impl Default for ProtoaccService {
     }
 }
 
-/// Builds the `depth`-level nested format (mirrors the conformance
-/// subject's generator so the same specs hash identically).
-fn nested(depth: usize) -> MessageDesc {
+/// Builds the `depth`-level nested format behind the `nested` spec
+/// kind: a leaf of four `uint64` fields wrapped `depth` times, each
+/// wrapper one more pointer chase.
+pub fn nested(depth: usize) -> MessageDesc {
     let mut d = MessageDesc::new(
         "leaf",
         (0..4)

@@ -1,8 +1,8 @@
 //! Query-service adapter for the VTA tensor accelerator.
 //!
 //! Implements [`perf_core::query::QueryBackend`] for `perf-service`.
-//! Spec kinds follow the conformance harness's generator-level specs;
-//! the cache fingerprint hashes the realized instruction stream
+//! The conformance harness checks this same backend. The cache
+//! fingerprint hashes the realized instruction stream
 //! ([`Program::fingerprint`]), so different generator seeds that emit
 //! the same program share a cache slot.
 

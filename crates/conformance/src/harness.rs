@@ -1,10 +1,11 @@
 //! The differential conformance harness.
 //!
 //! A [`Subject`] adapts one accelerator to the harness: it enumerates
-//! workload specs (randomized plus adversarial edge cases), realizes
-//! them into workloads, measures ground truth on the cycle-accurate
-//! simulator, queries each interface representation, and declares the
-//! error [`Budget`] each channel is held to. [`run_subject`] then
+//! workload specs (randomized plus adversarial edge cases), measures
+//! ground truth on the cycle-accurate simulator, and hands the harness
+//! the query backend the service answers from. The harness predicts
+//! and reads each channel's error [`perf_core::Budget`] through that
+//! backend, so what is checked is what is served. [`run_subject`] then
 //! drives three phases:
 //!
 //! 1. **Nominal**: every case through every (representation, metric)
@@ -20,10 +21,10 @@
 
 use perf_core::diag::{Diagnostic, Diagnostics};
 use perf_core::iface::{InterfaceKind, Metric};
-use perf_core::{CoreError, Observation, Prediction};
+use perf_core::query::{QueryBackend, WorkloadSpec};
+use perf_core::{Contract, CoreError, Observation, Prediction};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::report::{AccelReport, ChannelReport, Counterexample, FaultRegion, NlResult};
 
 /// The (representation, metric) channels every subject is checked on.
@@ -39,20 +40,20 @@ const MAX_SHRINK_STEPS: usize = 64;
 
 /// One generated conformance case: a labelled workload spec.
 #[derive(Clone, Debug)]
-pub struct CaseSpec<S> {
+pub struct CaseSpec {
     /// Short label for reports (`random-3`, `single-block`, ...).
     pub label: String,
     /// Whether this is a hand-built adversarial edge case.
     pub adversarial: bool,
-    /// The generator-level spec (shrunk instead of the raw workload so
-    /// structural invariants — e.g. VTA dependency-validity — are
-    /// preserved by construction).
-    pub spec: S,
+    /// The spec as the served backend takes it. Shrinking steps over
+    /// its fields and the backend realizes every step, so structural
+    /// invariants (e.g. VTA dependency-validity) hold by construction.
+    pub spec: WorkloadSpec,
 }
 
-impl<S> CaseSpec<S> {
+impl CaseSpec {
     /// A randomized case.
-    pub fn random(label: impl Into<String>, spec: S) -> CaseSpec<S> {
+    pub fn random(label: impl Into<String>, spec: WorkloadSpec) -> CaseSpec {
         CaseSpec {
             label: label.into(),
             adversarial: false,
@@ -61,7 +62,7 @@ impl<S> CaseSpec<S> {
     }
 
     /// An adversarial edge case.
-    pub fn adversarial(label: impl Into<String>, spec: S) -> CaseSpec<S> {
+    pub fn adversarial(label: impl Into<String>, spec: WorkloadSpec) -> CaseSpec {
         CaseSpec {
             label: label.into(),
             adversarial: true,
@@ -70,45 +71,24 @@ impl<S> CaseSpec<S> {
     }
 }
 
-/// Adapts one accelerator (simulator + interface bundle) to the
+/// Adapts one accelerator (simulator + served query backend) to the
 /// harness.
 pub trait Subject {
-    /// Generator-level workload description; shrinking operates on
-    /// these, regenerating workloads so invariants hold.
-    type Spec: Clone;
-    /// The realized workload type.
-    type Workload;
-
-    /// Accelerator name for reports.
-    fn name(&self) -> &'static str;
+    /// The query backend the service answers from: the harness
+    /// predicts and reads budgets through it.
+    fn backend(&mut self) -> &mut dyn QueryBackend;
 
     /// Enumerates the conformance cases (smaller set when `quick`).
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<Self::Spec>>;
-
-    /// Deterministically realizes a spec into a workload.
-    fn realize(&mut self, spec: &Self::Spec) -> Self::Workload;
-
-    /// Human-readable description of a spec (for counterexamples).
-    fn describe(&self, spec: &Self::Spec) -> String;
+    fn specs(&self, quick: bool) -> Vec<CaseSpec>;
 
     /// Smaller specs to try when minimizing a violation (may be
     /// empty when the spec is already minimal).
-    fn shrink(&mut self, spec: &Self::Spec) -> Vec<Self::Spec>;
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec>;
 
-    /// Ground truth: runs the cycle-accurate simulator (fresh per
-    /// call, with the currently armed fault plan applied).
-    fn measure(&mut self, w: &Self::Workload) -> Result<Observation, CoreError>;
-
-    /// Queries one interface representation.
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &Self::Workload,
-        metric: Metric,
-    ) -> Result<Prediction, CoreError>;
-
-    /// The error budget for one channel.
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget;
+    /// Ground truth: realizes the spec through the backend's adapter
+    /// and runs the cycle-accurate simulator (fresh per call, with the
+    /// currently armed fault plan applied).
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError>;
 
     /// The fault-operating contract.
     fn contract(&self) -> Contract;
@@ -138,19 +118,19 @@ struct CaseEval {
     actual: f64,
 }
 
-fn eval_case<S: Subject + ?Sized>(
-    s: &mut S,
-    spec: &S::Spec,
+fn eval_case(
+    s: &mut dyn Subject,
+    spec: &WorkloadSpec,
     kind: InterfaceKind,
     metric: Metric,
 ) -> Result<Option<CaseEval>, CoreError> {
-    let w = s.realize(spec);
-    let Ok(obs) = s.measure(&w) else {
+    let Ok(obs) = s.measure(spec) else {
         return Ok(None); // Simulator rejects this workload: skip.
     };
-    let pred = s.predict(kind, &w, metric)?;
+    let backend = s.backend();
+    let pred = backend.predict(spec, kind, metric)?;
     let actual = metric.of(&obs);
-    let atol = s.budget(kind, metric).atol;
+    let atol = backend.budget(kind, metric).atol;
     let rel = if pred.is_finite() {
         channel_error(&pred, actual, metric, atol)
     } else {
@@ -161,13 +141,13 @@ fn eval_case<S: Subject + ?Sized>(
 
 /// Greedily shrinks `start` while some shrink candidate still exceeds
 /// `threshold` on the given channel.
-fn shrink_violation<S: Subject>(
-    s: &mut S,
-    start: &S::Spec,
+fn shrink_violation(
+    s: &mut dyn Subject,
+    start: &WorkloadSpec,
     kind: InterfaceKind,
     metric: Metric,
     threshold: f64,
-) -> (S::Spec, CaseEval, usize) {
+) -> (WorkloadSpec, CaseEval, usize) {
     let mut cur = start.clone();
     let mut cur_eval = match eval_case(s, &cur, kind, metric) {
         Ok(Some(e)) => e,
@@ -247,24 +227,25 @@ impl ChannelAcc {
 /// Evaluates all `specs` on all channels with the currently armed
 /// fault state, returning one accumulator per channel plus the number
 /// of simulator-rejected cases.
-fn sweep<S: Subject>(
-    s: &mut S,
-    specs: &[CaseSpec<S::Spec>],
+fn sweep(
+    s: &mut dyn Subject,
+    name: &'static str,
+    specs: &[CaseSpec],
     diags: &mut Diagnostics,
     phase: &str,
 ) -> ([ChannelAcc; 4], usize) {
     let mut accs: [ChannelAcc; 4] = Default::default();
     let mut rejected = 0;
     for (idx, case) in specs.iter().enumerate() {
-        let w = s.realize(&case.spec);
-        let Ok(obs) = s.measure(&w) else {
+        let Ok(obs) = s.measure(&case.spec) else {
             rejected += 1;
             continue;
         };
+        let backend = s.backend();
         for (ci, &(kind, metric)) in CHANNELS.iter().enumerate() {
             let actual = metric.of(&obs);
-            let atol = s.budget(kind, metric).atol;
-            match s.predict(kind, &w, metric) {
+            let atol = backend.budget(kind, metric).atol;
+            match backend.predict(&case.spec, kind, metric) {
                 Ok(pred) => {
                     let rel = if pred.is_finite() {
                         channel_error(&pred, actual, metric, atol)
@@ -282,7 +263,7 @@ fn sweep<S: Subject>(
                                     phase
                                 ),
                             )
-                            .with_origin(s.name()),
+                            .with_origin(name),
                         );
                         f64::INFINITY
                     };
@@ -306,7 +287,7 @@ fn sweep<S: Subject>(
                                     e
                                 ),
                             )
-                            .with_origin(s.name()),
+                            .with_origin(name),
                         );
                     }
                 }
@@ -320,8 +301,9 @@ fn sweep<S: Subject>(
 /// violations; returns the reports plus, for per-case (max) budget
 /// violations, the index of the worst offending spec per channel.
 #[allow(clippy::type_complexity)]
-fn settle<S: Subject>(
-    s: &mut S,
+fn settle(
+    s: &mut dyn Subject,
+    name: &'static str,
     accs: &[ChannelAcc; 4],
     widen_by: f64,
     diags: &mut Diagnostics,
@@ -334,7 +316,7 @@ fn settle<S: Subject>(
         if acc.rels.is_empty() && acc.rejected == 0 {
             continue;
         }
-        let budget = s.budget(kind, metric).widen(widen_by);
+        let budget = s.backend().budget(kind, metric).widen(widen_by);
         let (avg, max) = (acc.avg(), acc.max());
         let mut pass = acc.non_finite == 0;
         if phase == "nominal" && acc.rejected > 0 {
@@ -354,7 +336,7 @@ fn settle<S: Subject>(
                         phase
                     ),
                 )
-                .with_origin(s.name()),
+                .with_origin(name),
             );
         }
         if max > budget.max {
@@ -381,21 +363,23 @@ fn settle<S: Subject>(
     (reports, to_shrink)
 }
 
-/// Runs the full three-phase conformance check for one subject.
-pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
+/// Runs the full three-phase conformance check for one subject,
+/// reported under `name`.
+pub fn run_subject(name: &'static str, s: &mut dyn Subject, quick: bool) -> AccelReport {
     let mut diags = Diagnostics::new();
     s.set_fault(None);
     let specs = s.specs(quick);
     let adversarial = specs.iter().filter(|c| c.adversarial).count();
 
     // Phase 1: nominal differential check, with shrinking.
-    let (accs, rejected) = sweep(s, &specs, &mut diags, "nominal");
-    let (nominal, to_shrink) = settle(s, &accs, 0.0, &mut diags, "nominal");
+    let (accs, rejected) = sweep(s, name, &specs, &mut diags, "nominal");
+    let (nominal, to_shrink) = settle(s, name, &accs, 0.0, &mut diags, "nominal");
     let mut counterexamples = Vec::new();
     for (idx, kind, metric, threshold) in to_shrink {
         let case = &specs[idx];
-        let (min_spec, e, steps) = shrink_violation(s, &case.spec.clone(), kind, metric, threshold);
-        let desc = s.describe(&min_spec);
+        let (min_spec, e, steps) = shrink_violation(s, &case.spec, kind, metric, threshold);
+        let mut desc = String::new();
+        min_spec.write_json(&mut desc);
         diags.push(
             Diagnostic::error(
                 "CONF01",
@@ -407,7 +391,7 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
                     threshold
                 ),
             )
-            .with_origin(s.name())
+            .with_origin(name)
             .with_at(case.label.clone())
             .with_note(format!(
                 "minimal counterexample ({} shrink steps): {} -> predicted {}, simulated {:.0}",
@@ -438,7 +422,7 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
                         r.claim, r.worst
                     ),
                 )
-                .with_origin(s.name()),
+                .with_origin(name),
             );
         }
     }
@@ -455,10 +439,11 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
         } else {
             "fault-out-of-contract"
         };
-        let (accs, _) = sweep(s, &specs, &mut diags, phase);
+        let (accs, _) = sweep(s, name, &specs, &mut diags, phase);
         let (channels, pass) = if in_contract {
             let before = diags.count(perf_core::diag::Severity::Error);
-            let (ch, violations) = settle(s, &accs, contract.slack(intensity), &mut diags, phase);
+            let (ch, violations) =
+                settle(s, name, &accs, contract.slack(intensity), &mut diags, phase);
             for (idx, kind, metric, threshold) in violations {
                 diags.push(
                     Diagnostic::error(
@@ -474,7 +459,7 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
                             specs[idx].label
                         ),
                     )
-                    .with_origin(s.name()),
+                    .with_origin(name),
                 );
             }
             let pass = diags.count(perf_core::diag::Severity::Error) == before;
@@ -493,7 +478,7 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
                         plan.seed, intensity, contract.max_intensity
                     ),
                 )
-                .with_origin(s.name()),
+                .with_origin(name),
             );
             (Vec::new(), non_finite == 0)
         };
@@ -508,7 +493,7 @@ pub fn run_subject<S: Subject>(s: &mut S, quick: bool) -> AccelReport {
     }
 
     AccelReport {
-        name: s.name(),
+        name,
         cases: specs.len(),
         adversarial,
         rejected,
@@ -589,55 +574,67 @@ mod tests {
 
     /// A toy subject whose program interface is wrong for workloads
     /// above a threshold: the harness must catch it and shrink to the
-    /// smallest still-failing size.
+    /// smallest still-failing size. It is its own backend.
     struct Toy {
         bad_above: u64,
     }
 
-    impl Subject for Toy {
-        type Spec = u64;
-        type Workload = u64;
+    fn toy(size: u64) -> WorkloadSpec {
+        WorkloadSpec::new("toy").with("size", size as f64)
+    }
 
-        fn name(&self) -> &'static str {
+    impl QueryBackend for Toy {
+        fn accel(&self) -> &'static str {
             "toy"
         }
-        fn specs(&mut self, _quick: bool) -> Vec<CaseSpec<u64>> {
-            vec![CaseSpec::random("small", 4), CaseSpec::random("large", 64)]
-        }
-        fn realize(&mut self, spec: &u64) -> u64 {
-            *spec
-        }
-        fn describe(&self, spec: &u64) -> String {
-            format!("size={spec}")
-        }
-        fn shrink(&mut self, spec: &u64) -> Vec<u64> {
-            if *spec > 1 {
-                vec![spec / 2, spec - 1]
-            } else {
-                vec![]
-            }
-        }
-        fn measure(&mut self, w: &u64) -> Result<Observation, CoreError> {
-            Ok(Observation::single_item(Cycles(10 * *w)))
+        fn spec_kinds(&self) -> &'static [&'static str] {
+            &["toy"]
         }
         fn predict(
             &mut self,
-            _kind: InterfaceKind,
-            w: &u64,
+            spec: &WorkloadSpec,
+            _repr: InterfaceKind,
             metric: Metric,
         ) -> Result<Prediction, CoreError> {
-            let lat = if *w > self.bad_above {
-                20.0 * *w as f64 // Model bug: double latency.
+            let w = spec.get_uint("size")?;
+            let lat = if w > self.bad_above {
+                20.0 * w as f64 // Model bug: double latency.
             } else {
-                10.0 * *w as f64
+                10.0 * w as f64
             };
             Ok(match metric {
                 Metric::Latency => Prediction::point(lat),
                 Metric::Throughput => Prediction::point(1.0 / lat),
             })
         }
-        fn budget(&self, _kind: InterfaceKind, _metric: Metric) -> Budget {
-            Budget::new(0.05, 0.10)
+        fn budget(&self, _repr: InterfaceKind, _metric: Metric) -> perf_core::Budget {
+            perf_core::Budget::new(0.05, 0.10)
+        }
+        fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+            Ok(Observation::single_item(Cycles(
+                10 * spec.get_uint("size")?,
+            )))
+        }
+    }
+
+    impl Subject for Toy {
+        fn backend(&mut self) -> &mut dyn QueryBackend {
+            self
+        }
+        fn specs(&self, _quick: bool) -> Vec<CaseSpec> {
+            vec![
+                CaseSpec::random("small", toy(4)),
+                CaseSpec::random("large", toy(64)),
+            ]
+        }
+        fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
+            match spec.get_uint("size") {
+                Ok(n) if n > 1 => vec![toy(n / 2), toy(n - 1)],
+                _ => vec![],
+            }
+        }
+        fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+            QueryBackend::measure(self, spec)
         }
         fn contract(&self) -> Contract {
             Contract::new(1.0, 0.5)
@@ -657,23 +654,26 @@ mod tests {
 
     #[test]
     fn catches_and_shrinks_divergence() {
-        let mut toy = Toy { bad_above: 16 };
-        let rep = run_subject(&mut toy, true);
+        let rep = run_subject("toy", &mut Toy { bad_above: 16 }, true);
         assert!(!rep.pass());
         assert!(rep.diags.has_code("CONF01"));
         assert!(rep.diags.has_code("CONF02"));
-        // Greedy shrink must land on the smallest failing size, 17.
+        // Greedy shrink must land on the smallest failing size, 17,
+        // rendered as the spec object a served request carries.
         let cx = &rep.counterexamples[0];
-        assert_eq!(cx.desc, "size=17");
+        assert_eq!(cx.desc, r#"{"kind":"toy","size":17.0}"#);
         assert!(cx.shrink_steps > 0);
     }
 
     #[test]
     fn correct_toy_passes() {
-        let mut toy = Toy {
-            bad_above: u64::MAX,
-        };
-        let rep = run_subject(&mut toy, true);
+        let rep = run_subject(
+            "toy",
+            &mut Toy {
+                bad_above: u64::MAX,
+            },
+            true,
+        );
         assert!(rep.pass(), "{}", rep.diags.render());
         assert!(rep.counterexamples.is_empty());
         assert_eq!(rep.nominal.len(), 4);

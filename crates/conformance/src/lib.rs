@@ -22,38 +22,30 @@
 //! It runs as experiment E12 (`repro --experiments --only E12`); the
 //! `committed_report` test keeps `BENCH_conformance.json` current.
 
-pub mod budget;
 pub mod harness;
 pub mod report;
-pub mod subjects;
+mod subjects;
 
-pub use budget::{Budget, Contract};
 pub use harness::{relative_error, run_subject, CaseSpec, Subject, CHANNELS};
 pub use report::{AccelReport, ChannelReport, ConformanceReport, Counterexample, NlResult};
 
 use subjects::{bitcoin::BitcoinSubject, composite::CompositeSubject, jpeg::JpegSubject};
 use subjects::{protoacc::ProtoaccSubject, vta::VtaSubject};
 
-/// Runs one subject's harness; the flag is `quick`.
-pub type RunSubject = fn(bool) -> AccelReport;
+/// Builds one conformance subject.
+pub type MakeSubject = fn() -> Box<dyn Subject>;
 
 /// Every conformance subject by report name: the four shipped
 /// accelerators (named as in `perf_compose::ACCELS`), then the two
 /// composite pipelines — composed simulators vs composed interfaces,
 /// over a linear chain and a fan-out/fan-in DAG.
-pub static SUBJECTS: [(&str, RunSubject); 6] = [
-    ("jpeg-decoder", |q| run_subject(&mut JpegSubject::new(), q)),
-    ("bitcoin-miner", |q| {
-        run_subject(&mut BitcoinSubject::new(), q)
-    }),
-    ("protoacc", |q| run_subject(&mut ProtoaccSubject::new(), q)),
-    ("vta", |q| run_subject(&mut VtaSubject::new(), q)),
-    ("pipeline", |q| {
-        run_subject(&mut CompositeSubject::chain(), q)
-    }),
-    ("pipeline-dag", |q| {
-        run_subject(&mut CompositeSubject::dag(), q)
-    }),
+pub static SUBJECTS: [(&str, MakeSubject); 6] = [
+    ("jpeg-decoder", || Box::new(JpegSubject::new())),
+    ("bitcoin-miner", || Box::new(BitcoinSubject::new())),
+    ("protoacc", || Box::new(ProtoaccSubject::new())),
+    ("vta", || Box::new(VtaSubject::new())),
+    ("pipeline", || Box::new(CompositeSubject::chain())),
+    ("pipeline-dag", || Box::new(CompositeSubject::dag())),
 ];
 
 /// Runs one subject from [`SUBJECTS`]; `None` if no subject has that
@@ -62,13 +54,16 @@ pub fn run_named(name: &str, quick: bool) -> Option<AccelReport> {
     SUBJECTS
         .iter()
         .find(|(n, _)| *n == name)
-        .map(|(_, run)| run(quick))
+        .map(|(n, make)| run_subject(n, &mut *make(), quick))
 }
 
 /// Runs the conformance harness over every subject in [`SUBJECTS`].
 pub fn run_all(quick: bool) -> ConformanceReport {
     ConformanceReport {
         quick,
-        accels: SUBJECTS.iter().map(|(_, run)| run(quick)).collect(),
+        accels: SUBJECTS
+            .iter()
+            .map(|(n, make)| run_subject(n, &mut *make(), quick))
+            .collect(),
     }
 }

@@ -4,8 +4,7 @@
 
 use perf_core::diag::Diagnostics;
 use perf_core::trace::json_escape;
-
-use crate::budget::Budget;
+use perf_core::Budget;
 
 /// Accumulated error statistics for one (representation, metric)
 /// channel of one accelerator.
@@ -63,7 +62,8 @@ pub struct Counterexample {
     pub metric: &'static str,
     /// Label of the originating case.
     pub label: String,
-    /// Description of the minimized workload spec.
+    /// The minimized workload spec as the line protocol's `spec`
+    /// object, ready to paste into a `repro --serve` request.
     pub desc: String,
     /// The interface's prediction, rendered.
     pub predicted: String,
@@ -78,12 +78,12 @@ pub struct Counterexample {
 impl Counterexample {
     fn to_json(&self) -> String {
         format!(
-            "{{\"kind\":\"{}\",\"metric\":\"{}\",\"label\":\"{}\",\"workload\":\"{}\",\
+            "{{\"kind\":\"{}\",\"metric\":\"{}\",\"label\":\"{}\",\"workload\":{},\
              \"predicted\":\"{}\",\"actual\":{:.3},\"rel_error\":{:.6},\"shrink_steps\":{}}}",
             self.kind,
             self.metric,
             json_escape(&self.label),
-            json_escape(&self.desc),
+            self.desc,
             json_escape(&self.predicted),
             self.actual,
             self.rel,
@@ -246,12 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_workload_descriptions() {
+    fn json_escapes_labels_and_embeds_the_spec() {
         let cx = Counterexample {
             kind: "program",
             metric: "latency",
             label: "flat \"blocks\"".into(),
-            desc: "a\\b".into(),
+            desc: r#"{"kind":"flat","blocks":2.0}"#.into(),
             predicted: "12.0".into(),
             actual: 10.0,
             rel: 0.2,
@@ -259,6 +259,6 @@ mod tests {
         };
         let j = cx.to_json();
         assert!(j.contains("flat \\\"blocks\\\""));
-        assert!(j.contains("a\\\\b"));
+        assert!(j.contains(r#""workload":{"kind":"flat","blocks":2.0},"#));
     }
 }

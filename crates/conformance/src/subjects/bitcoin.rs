@@ -1,34 +1,28 @@
 //! Conformance subject for the Bitcoin miner.
 
-use std::collections::HashMap;
-
-use accel_bitcoin::interface;
+use accel_bitcoin::interface::service::BitcoinService;
 use accel_bitcoin::miner::{MineJob, MinerConfig, MinerCycleSim};
-use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::{CoreError, GroundTruth, Observation, Prediction};
+use perf_core::query::{QueryBackend, WorkloadSpec};
+use perf_core::{Contract, CoreError, GroundTruth, Observation};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::harness::{CaseSpec, Subject};
 use crate::report::NlResult;
 
-/// Generator-level description of one mining job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BitcoinSpec {
-    /// Hardware configuration parameter `Loop`.
-    pub loop_: u64,
-    /// Job seed (header + start nonce).
-    pub seed: u64,
-    /// Nonces to scan.
-    pub nonce_count: u32,
-    /// Required leading zero bits.
-    pub difficulty: u32,
+/// A scan of `nonce_count` nonces at `difficulty` leading zero bits on
+/// the `Loop = loop_` miner; `seed` picks the header and start nonce.
+fn scan(loop_: u64, seed: u64, nonce_count: u64, difficulty: u64) -> WorkloadSpec {
+    WorkloadSpec::new("scan")
+        .with("loop", loop_ as f64)
+        .with("seed", seed as f64)
+        .with("nonce_count", nonce_count as f64)
+        .with("difficulty", difficulty as f64)
 }
 
-/// Bitcoin miner subject; interfaces are per-`Loop`, so the bundle is
-/// built lazily per configuration.
+/// Bitcoin miner subject; the backend builds one interface bundle per
+/// queried `Loop`.
 pub struct BitcoinSubject {
-    bundles: HashMap<u64, InterfaceBundle<MineJob>>,
+    service: BitcoinService,
     fault: Option<FaultPlan>,
 }
 
@@ -36,170 +30,67 @@ impl BitcoinSubject {
     /// Creates the subject.
     pub fn new() -> BitcoinSubject {
         BitcoinSubject {
-            bundles: HashMap::new(),
+            service: BitcoinService::new(),
             fault: None,
         }
-    }
-
-    fn bundle(&mut self, loop_: u64) -> &InterfaceBundle<MineJob> {
-        self.bundles.entry(loop_).or_insert_with(|| {
-            interface::bundle(MinerConfig::with_loop(loop_).expect("valid loop"))
-        })
-    }
-}
-
-impl Default for BitcoinSubject {
-    fn default() -> Self {
-        BitcoinSubject::new()
     }
 }
 
 impl Subject for BitcoinSubject {
-    type Spec = BitcoinSpec;
-    type Workload = (u64, MineJob);
-
-    fn name(&self) -> &'static str {
-        "bitcoin-miner"
+    fn backend(&mut self) -> &mut dyn QueryBackend {
+        &mut self.service
     }
 
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<BitcoinSpec>> {
+    fn specs(&self, quick: bool) -> Vec<CaseSpec> {
         let mut v = Vec::new();
         let loops: &[u64] = if quick { &[1, 8] } else { &[1, 8, 64] };
         for &l in loops {
             v.push(CaseSpec::random(
                 format!("exhaustive-loop{l}"),
-                BitcoinSpec {
-                    loop_: l,
-                    seed: 2,
-                    nonce_count: 200,
-                    difficulty: 256,
-                },
+                scan(l, 2, 200, 256),
             ));
+            let nonces = if quick { 5_000 } else { 20_000 };
             v.push(CaseSpec::random(
                 format!("stochastic-loop{l}"),
-                BitcoinSpec {
-                    loop_: l,
-                    seed: 3,
-                    nonce_count: if quick { 5_000 } else { 20_000 },
-                    difficulty: 8,
-                },
+                scan(l, 3, nonces, 8),
             ));
         }
         // Adversarial: single-nonce scans, an immediate find, a
         // near-empty stochastic scan and the widest hardware variant.
-        v.push(CaseSpec::adversarial(
-            "single-nonce-exhaustive",
-            BitcoinSpec {
-                loop_: 8,
-                seed: 4,
-                nonce_count: 1,
-                difficulty: 256,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "single-nonce-instant-find",
-            BitcoinSpec {
-                loop_: 8,
-                seed: 5,
-                nonce_count: 1,
-                difficulty: 0,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "two-nonce-easy",
-            BitcoinSpec {
-                loop_: 8,
-                seed: 6,
-                nonce_count: 2,
-                difficulty: 2,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "single-nonce-loop1",
-            BitcoinSpec {
-                loop_: 1,
-                seed: 7,
-                nonce_count: 1,
-                difficulty: 0,
-            },
-        ));
-        // Stochastic difficulty (interfaces must treat the scan as
-        // first-find) but a target this seed never hits in one nonce:
-        // the scan exhausts unfound and pays no report, undercutting
-        // the instant-find latency floor.
-        v.push(CaseSpec::adversarial(
-            "single-nonce-no-find",
-            BitcoinSpec {
-                loop_: 8,
-                seed: 9,
-                nonce_count: 1,
-                difficulty: 64,
-            },
-        ));
+        // `single-nonce-no-find` has a stochastic difficulty (interfaces
+        // must treat the scan as first-find) but a target this seed
+        // never hits in one nonce: the scan exhausts unfound and pays
+        // no report, undercutting the instant-find latency floor.
+        for (label, spec) in [
+            ("single-nonce-exhaustive", scan(8, 4, 1, 256)),
+            ("single-nonce-instant-find", scan(8, 5, 1, 0)),
+            ("two-nonce-easy", scan(8, 6, 2, 2)),
+            ("single-nonce-loop1", scan(1, 7, 1, 0)),
+            ("single-nonce-no-find", scan(8, 9, 1, 64)),
+        ] {
+            v.push(CaseSpec::adversarial(label, spec));
+        }
         if !quick {
-            v.push(CaseSpec::adversarial(
-                "max-unroll",
-                BitcoinSpec {
-                    loop_: 128,
-                    seed: 8,
-                    nonce_count: 100,
-                    difficulty: 256,
-                },
-            ));
+            v.push(CaseSpec::adversarial("max-unroll", scan(128, 8, 100, 256)));
         }
         v
     }
 
-    fn realize(&mut self, spec: &BitcoinSpec) -> (u64, MineJob) {
-        (
-            spec.loop_,
-            MineJob::random(spec.seed, spec.nonce_count, spec.difficulty),
-        )
-    }
-
-    fn describe(&self, spec: &BitcoinSpec) -> String {
-        format!(
-            "Loop={} scan of {} nonce(s) at difficulty {}",
-            spec.loop_, spec.nonce_count, spec.difficulty
-        )
-    }
-
-    fn shrink(&mut self, spec: &BitcoinSpec) -> Vec<BitcoinSpec> {
-        let mut out = Vec::new();
-        if spec.nonce_count > 1 {
-            out.push(BitcoinSpec {
-                nonce_count: spec.nonce_count / 2,
-                ..*spec
-            });
-            out.push(BitcoinSpec {
-                nonce_count: spec.nonce_count - 1,
-                ..*spec
-            });
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
+        match spec.get_uint("nonce_count") {
+            Ok(n) if n > 1 => vec![
+                spec.clone().with("nonce_count", (n / 2) as f64),
+                spec.clone().with("nonce_count", (n - 1) as f64),
+            ],
+            _ => vec![],
         }
-        out
     }
 
-    fn measure(&mut self, w: &(u64, MineJob)) -> Result<Observation, CoreError> {
-        let cfg = MinerConfig::with_loop(w.0).expect("valid loop");
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+        let (cfg, job) = self.service.realize(spec)?;
         let mut sim = MinerCycleSim::new(cfg);
         sim.set_fault(self.fault);
-        sim.measure(&w.1)
-    }
-
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &(u64, MineJob),
-        metric: Metric,
-    ) -> Result<Prediction, CoreError> {
-        self.bundle(w.0)
-            .get(kind)
-            .ok_or_else(|| CoreError::Artifact(format!("no {} interface", kind.name())))?
-            .predict(&w.1, metric)
-    }
-
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        accel_bitcoin::interface::budget(kind, metric)
+        sim.measure(&job)
     }
 
     fn contract(&self) -> Contract {

@@ -17,44 +17,37 @@
 use perf_compose::PipelineBackend;
 use perf_core::iface::{InterfaceKind, Metric};
 use perf_core::query::{QueryBackend, WorkloadSpec};
-use perf_core::{CoreError, Observation, Prediction};
+use perf_core::{Contract, CoreError, Observation};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::harness::{CaseSpec, Subject};
 use crate::report::NlResult;
 
-/// Generator-level description of one stream workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamSpec {
-    /// Items pushed through the pipeline.
-    pub items: usize,
-    /// Base seed; every item/stage derives its workload from it.
-    pub seed: u64,
+/// `items` items pushed through the pipeline; every item and stage
+/// derives its workload from `seed`.
+fn stream(items: u64, seed: u64) -> WorkloadSpec {
+    WorkloadSpec::new("stream")
+        .with("items", items as f64)
+        .with("seed", seed as f64)
 }
 
 /// Composite pipeline subject: composed cycle-accurate system vs the
 /// composite NL, program and Petri-net interfaces.
 pub struct CompositeSubject {
-    name: &'static str,
-    chain: &'static str,
     first_seed: u64,
-    extra_case: Option<(&'static str, StreamSpec)>,
+    extra_case: Option<(&'static str, WorkloadSpec)>,
     claim_prefix: &'static str,
     backend: PipelineBackend,
 }
 
 impl CompositeSubject {
     fn new(
-        name: &'static str,
-        chain: &'static str,
+        chain: &str,
         first_seed: u64,
-        extra_case: Option<(&'static str, StreamSpec)>,
+        extra_case: Option<(&'static str, WorkloadSpec)>,
         claim_prefix: &'static str,
     ) -> CompositeSubject {
         CompositeSubject {
-            name,
-            chain,
             first_seed,
             extra_case,
             claim_prefix,
@@ -66,7 +59,7 @@ impl CompositeSubject {
     /// The `pipeline` subject: a decode→serialize chain with tight
     /// queues, so backpressure actually engages on short streams.
     pub fn chain() -> CompositeSubject {
-        CompositeSubject::new("pipeline", "jpeg-decoder:2>protoacc:2", 3, None, "")
+        CompositeSubject::new("jpeg-decoder:2>protoacc:2", 3, None, "")
     }
 
     /// The `pipeline-dag` subject: a decode stage fanning out
@@ -76,32 +69,22 @@ impl CompositeSubject {
     /// case is an odd-length stream (branch loads unbalanced by one).
     pub fn dag() -> CompositeSubject {
         CompositeSubject::new(
-            "pipeline-dag",
             "jpeg-decoder:2>(protoacc:2|bitcoin-miner:2)>protoacc:3",
             5,
-            Some(("odd-split", StreamSpec { items: 7, seed: 13 })),
+            Some(("odd-split", stream(7, 13))),
             "DAG ",
         )
     }
 }
 
-fn to_spec(s: &StreamSpec) -> WorkloadSpec {
-    WorkloadSpec::new("stream")
-        .with("items", s.items as f64)
-        .with("seed", s.seed as f64)
-}
-
 impl Subject for CompositeSubject {
-    type Spec = StreamSpec;
-    type Workload = WorkloadSpec;
-
-    fn name(&self) -> &'static str {
-        self.name
+    fn backend(&mut self) -> &mut dyn QueryBackend {
+        &mut self.backend
     }
 
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<StreamSpec>> {
+    fn specs(&self, quick: bool) -> Vec<CaseSpec> {
         let mut v = Vec::new();
-        let sizes: &[usize] = if quick {
+        let sizes: &[u64] = if quick {
             &[2, 4, 6]
         } else {
             &[2, 4, 6, 8, 10, 12]
@@ -109,10 +92,7 @@ impl Subject for CompositeSubject {
         for (i, &items) in sizes.iter().enumerate() {
             v.push(CaseSpec::random(
                 format!("stream-{items}"),
-                StreamSpec {
-                    items,
-                    seed: self.first_seed + i as u64,
-                },
+                stream(items, self.first_seed + i as u64),
             ));
         }
         // Adversarial: a singleton stream (no pipelining at all — the
@@ -120,64 +100,30 @@ impl Subject for CompositeSubject {
         // branch never sees a token yet the merge must still drain),
         // the subject's own extra case, and a stream long enough to
         // saturate the 2-deep queues.
-        v.push(CaseSpec::adversarial(
-            "single-item",
-            StreamSpec { items: 1, seed: 9 },
-        ));
-        if let Some((label, spec)) = self.extra_case {
-            v.push(CaseSpec::adversarial(label, spec));
+        v.push(CaseSpec::adversarial("single-item", stream(1, 9)));
+        if let Some((label, spec)) = &self.extra_case {
+            v.push(CaseSpec::adversarial(*label, spec.clone()));
         }
         v.push(CaseSpec::adversarial(
             "queue-saturating",
-            StreamSpec {
-                items: if quick { 10 } else { 20 },
-                seed: 17,
-            },
+            stream(if quick { 10 } else { 20 }, 17),
         ));
         v
     }
 
-    fn realize(&mut self, spec: &StreamSpec) -> WorkloadSpec {
-        to_spec(spec)
-    }
-
-    fn describe(&self, spec: &StreamSpec) -> String {
-        format!(
-            "{} items through {} (seed {})",
-            spec.items, self.chain, spec.seed
-        )
-    }
-
-    fn shrink(&mut self, spec: &StreamSpec) -> Vec<StreamSpec> {
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
         let mut out = Vec::new();
-        if spec.items > 1 {
-            out.push(StreamSpec {
-                items: spec.items / 2,
-                ..*spec
-            });
+        if let Ok(items @ 2..) = spec.get_uint("items") {
+            out.push(spec.clone().with("items", (items / 2) as f64));
         }
-        if spec.seed != 1 {
-            out.push(StreamSpec { seed: 1, ..*spec });
+        if spec.get("seed") != Some(1.0) {
+            out.push(spec.clone().with("seed", 1.0));
         }
-        out.retain(|c| c != spec);
         out
     }
 
-    fn measure(&mut self, w: &WorkloadSpec) -> Result<Observation, CoreError> {
-        self.backend.measure(w)
-    }
-
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &WorkloadSpec,
-        metric: Metric,
-    ) -> Result<Prediction, CoreError> {
-        self.backend.predict(w, kind, metric)
-    }
-
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        self.backend.budget(kind, metric)
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+        self.backend.measure(spec)
     }
 
     fn contract(&self) -> Contract {
@@ -217,7 +163,7 @@ impl Subject for CompositeSubject {
     }
 
     fn check_nl(&mut self) -> Vec<NlResult> {
-        let sweep: Vec<usize> = vec![2, 4, 6, 8, 10];
+        let sweep = [2, 4, 6, 8, 10];
         let mut makespans = Vec::new();
         let mut worst_bound = 0.0_f64;
         let mut bounds_hold = true;
@@ -225,8 +171,7 @@ impl Subject for CompositeSubject {
             // One shared seed: a longer stream is then a strict prefix
             // extension of a shorter one, so makespan must be
             // monotone; mixing seeds would compare unrelated streams.
-            let s = StreamSpec { items, seed: 23 };
-            let w = to_spec(&s);
+            let w = stream(items, 23);
             let Ok(obs) = self.backend.measure(&w) else {
                 continue;
             };

@@ -1,85 +1,68 @@
 //! Conformance subject for the JPEG decoder.
 
 use accel_jpeg::cycle::JpegCycleSim;
-use accel_jpeg::huffman::BlockCost;
 use accel_jpeg::hw::JpegHwConfig;
-use accel_jpeg::interface;
-use accel_jpeg::workload::{ColorMode, Image, ImageGen};
-use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
+use accel_jpeg::interface::nl;
+use accel_jpeg::interface::service::JpegService;
+use accel_jpeg::workload::ImageGen;
+use perf_core::iface::Metric;
+use perf_core::query::{QueryBackend, WorkloadSpec};
 use perf_core::validate::collect_axis_samples;
-use perf_core::{CoreError, GroundTruth, Observation, Prediction};
+use perf_core::{Contract, CoreError, GroundTruth, Observation};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::harness::{CaseSpec, Subject};
 use crate::report::NlResult;
 
-/// Generator-level description of one JPEG workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JpegSpec {
-    /// Fully randomized image from the default generator.
-    Random { seed: u64 },
-    /// Sized grayscale image (dims in pixels, multiples of 8).
-    Sized {
-        seed: u64,
-        width: u32,
-        height: u32,
-        quality: u8,
-    },
-    /// Sized 4:2:0 color image (dims multiples of 16).
-    Color {
-        seed: u64,
-        width: u32,
-        height: u32,
-        quality: u8,
-    },
-    /// Hand-built image of identical blocks — lets the harness hit
-    /// pathological Huffman tables (huge `bits`) and degenerate
-    /// all-zero blocks the random generator never produces.
-    Flat { blocks: u32, bits: u32, nonzero: u8 },
+/// A grayscale (`sized`) or 4:2:0 (`color`) image spec.
+fn image(kind: &str, seed: u64, width: u64, height: u64, quality: u64) -> WorkloadSpec {
+    WorkloadSpec::new(kind)
+        .with("seed", seed as f64)
+        .with("width", width as f64)
+        .with("height", height as f64)
+        .with("quality", quality as f64)
+}
+
+/// An image of `blocks` identical blocks — lets the harness hit
+/// pathological Huffman tables (huge `bits`) and degenerate all-zero
+/// blocks the random generator never produces.
+fn flat(blocks: u64, bits: u64, nonzero: u64) -> WorkloadSpec {
+    WorkloadSpec::new("flat")
+        .with("blocks", blocks as f64)
+        .with("bits", bits as f64)
+        .with("nonzero", nonzero as f64)
 }
 
 /// JPEG decoder subject: cycle-accurate pipeline sim vs the NL,
 /// program and Petri-net interfaces.
 pub struct JpegSubject {
-    bundle: InterfaceBundle<Image>,
+    service: JpegService,
     fault: Option<FaultPlan>,
 }
 
 impl JpegSubject {
-    /// Creates the subject with the shipped interface bundle.
+    /// Creates the subject with the shipped query backend.
     pub fn new() -> JpegSubject {
         JpegSubject {
-            bundle: interface::bundle(),
+            service: JpegService::new().expect("shipped interfaces parse"),
             fault: None,
         }
     }
 }
 
-impl Default for JpegSubject {
-    fn default() -> Self {
-        JpegSubject::new()
-    }
-}
-
 impl Subject for JpegSubject {
-    type Spec = JpegSpec;
-    type Workload = Image;
-
-    fn name(&self) -> &'static str {
-        "jpeg-decoder"
+    fn backend(&mut self) -> &mut dyn QueryBackend {
+        &mut self.service
     }
 
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<JpegSpec>> {
+    fn specs(&self, quick: bool) -> Vec<CaseSpec> {
         let mut v = Vec::new();
         let n_random = if quick { 5 } else { 18 };
         for seed in 0..n_random {
-            v.push(CaseSpec::random(
-                format!("random-{seed}"),
-                JpegSpec::Random { seed },
-            ));
+            let spec = WorkloadSpec::new("random").with("seed", seed as f64);
+            v.push(CaseSpec::random(format!("random-{seed}"), spec));
         }
-        let sized: &[(u32, u32, u8)] = if quick {
+        let sized: &[(u64, u64, u64)] = if quick {
             &[(64, 64, 30), (128, 128, 60)]
         } else {
             &[(64, 64, 30), (128, 128, 60), (256, 256, 85), (384, 128, 50)]
@@ -87,261 +70,78 @@ impl Subject for JpegSubject {
         for &(w, h, q) in sized {
             v.push(CaseSpec::random(
                 format!("sized-{w}x{h}-q{q}"),
-                JpegSpec::Sized {
-                    seed: 101,
-                    width: w,
-                    height: h,
-                    quality: q,
-                },
+                image("sized", 101, w, h, q),
             ));
         }
         v.push(CaseSpec::random(
             "color-128x64",
-            JpegSpec::Color {
-                seed: 44,
-                width: 128,
-                height: 64,
-                quality: 70,
-            },
+            image("color", 44, 128, 64, 70),
         ));
         // Adversarial edge cases: singleton, extreme-quality,
         // pathological Huffman, IDCT-floor and page-crossing images.
-        v.push(CaseSpec::adversarial(
-            "single-block",
-            JpegSpec::Sized {
-                seed: 7,
-                width: 8,
-                height: 8,
-                quality: 50,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "single-block-q95",
-            JpegSpec::Sized {
-                seed: 7,
-                width: 8,
-                height: 8,
-                quality: 95,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "tiny-color",
-            JpegSpec::Color {
-                seed: 9,
-                width: 16,
-                height: 16,
-                quality: 40,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "flat-minimal",
-            JpegSpec::Flat {
-                blocks: 1,
-                bits: 0,
-                nonzero: 0,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "huffman-bomb",
-            JpegSpec::Flat {
-                blocks: 1,
-                bits: 4000,
-                nonzero: 63,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "huffman-bomb-pages",
-            JpegSpec::Flat {
-                blocks: 129,
-                bits: 3000,
-                nonzero: 63,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "idct-floor-pages",
-            JpegSpec::Flat {
-                blocks: 128,
-                bits: 0,
-                nonzero: 0,
-            },
-        ));
-        v.push(CaseSpec::adversarial(
-            "dequant-heavy",
-            JpegSpec::Flat {
-                blocks: 16,
-                bits: 40,
-                nonzero: 63,
-            },
-        ));
+        for (label, spec) in [
+            ("single-block", image("sized", 7, 8, 8, 50)),
+            ("single-block-q95", image("sized", 7, 8, 8, 95)),
+            ("tiny-color", image("color", 9, 16, 16, 40)),
+            ("flat-minimal", flat(1, 0, 0)),
+            ("huffman-bomb", flat(1, 4000, 63)),
+            ("huffman-bomb-pages", flat(129, 3000, 63)),
+            ("idct-floor-pages", flat(128, 0, 0)),
+            ("dequant-heavy", flat(16, 40, 63)),
+        ] {
+            v.push(CaseSpec::adversarial(label, spec));
+        }
         if !quick {
             v.push(CaseSpec::adversarial(
                 "max-size",
-                JpegSpec::Sized {
-                    seed: 70,
-                    width: 512,
-                    height: 512,
-                    quality: 60,
-                },
+                image("sized", 70, 512, 512, 60),
             ));
         }
         v
     }
 
-    fn realize(&mut self, spec: &JpegSpec) -> Image {
-        match *spec {
-            JpegSpec::Random { seed } => ImageGen::new(seed).gen_image(),
-            JpegSpec::Sized {
-                seed,
-                width,
-                height,
-                quality,
-            } => ImageGen::new(seed).gen_sized(width, height, quality),
-            JpegSpec::Color {
-                seed,
-                width,
-                height,
-                quality,
-            } => ImageGen::new(seed).gen_color(width, height, quality),
-            JpegSpec::Flat {
-                blocks,
-                bits,
-                nonzero,
-            } => Image {
-                width: 8 * blocks,
-                height: 8,
-                quality: 50,
-                color: ColorMode::Grayscale,
-                blocks: vec![BlockCost { bits, nonzero }; blocks as usize],
-            },
-        }
-    }
-
-    fn describe(&self, spec: &JpegSpec) -> String {
-        match *spec {
-            JpegSpec::Random { seed } => format!("random image (seed {seed})"),
-            JpegSpec::Sized {
-                width,
-                height,
-                quality,
-                ..
-            } => format!("{width}x{height} grayscale, quality {quality}"),
-            JpegSpec::Color {
-                width,
-                height,
-                quality,
-                ..
-            } => format!("{width}x{height} 4:2:0 color, quality {quality}"),
-            JpegSpec::Flat {
-                blocks,
-                bits,
-                nonzero,
-            } => format!("{blocks} identical blocks ({bits} bits, {nonzero} nonzero each)"),
-        }
-    }
-
-    fn shrink(&mut self, spec: &JpegSpec) -> Vec<JpegSpec> {
-        let half_dim = |d: u32| ((d / 2 + 7) & !7).max(8);
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
+        let n = |k: &str| spec.get_uint(k).unwrap_or(0);
+        let half_dim = |d: u64| ((d / 2 + 7) & !7).max(8);
         let mut out = Vec::new();
-        match *spec {
-            JpegSpec::Random { seed } => {
-                for (w, h) in [(64, 64), (16, 16), (8, 8)] {
-                    out.push(JpegSpec::Sized {
-                        seed,
-                        width: w,
-                        height: h,
-                        quality: 60,
-                    });
+        match spec.kind.as_str() {
+            "random" => {
+                for d in [64, 16, 8] {
+                    out.push(image("sized", n("seed"), d, d, 60));
                 }
             }
-            JpegSpec::Sized {
-                seed,
-                width,
-                height,
-                quality,
-            } => {
-                if width > 8 {
-                    out.push(JpegSpec::Sized {
-                        seed,
-                        width: half_dim(width),
-                        height,
-                        quality,
-                    });
-                }
-                if height > 8 {
-                    out.push(JpegSpec::Sized {
-                        seed,
-                        width,
-                        height: half_dim(height),
-                        quality,
-                    });
+            "sized" => {
+                for dim in ["width", "height"] {
+                    if n(dim) > 8 {
+                        out.push(spec.clone().with(dim, half_dim(n(dim)) as f64));
+                    }
                 }
             }
-            JpegSpec::Color {
-                seed,
-                width,
-                height,
-                quality,
-            } => {
-                // Drop color first, then let the Sized rules shrink.
-                out.push(JpegSpec::Sized {
-                    seed,
-                    width,
-                    height,
-                    quality,
-                });
-            }
-            JpegSpec::Flat {
-                blocks,
-                bits,
-                nonzero,
-            } => {
-                if blocks > 1 {
-                    out.push(JpegSpec::Flat {
-                        blocks: blocks / 2,
-                        bits,
-                        nonzero,
-                    });
+            // Drop color first, then let the `sized` rules shrink.
+            "color" => out.push(WorkloadSpec {
+                kind: "sized".into(),
+                fields: spec.fields.clone(),
+            }),
+            "flat" => {
+                if n("blocks") > 1 {
+                    out.push(spec.clone().with("blocks", (n("blocks") / 2) as f64));
                 }
-                if bits > 0 {
-                    out.push(JpegSpec::Flat {
-                        blocks,
-                        bits: bits / 2,
-                        nonzero,
-                    });
-                }
-                if nonzero > 0 {
-                    out.push(JpegSpec::Flat {
-                        blocks,
-                        bits,
-                        nonzero: nonzero / 2,
-                    });
+                for field in ["bits", "nonzero"] {
+                    if n(field) > 0 {
+                        out.push(spec.clone().with(field, (n(field) / 2) as f64));
+                    }
                 }
             }
+            _ => {}
         }
-        out.retain(|c| c != spec);
         out
     }
 
-    fn measure(&mut self, w: &Image) -> Result<Observation, CoreError> {
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+        let img = self.service.realize(spec)?;
         let mut sim = JpegCycleSim::new(JpegHwConfig::default());
         sim.set_fault(self.fault);
-        sim.measure(w)
-    }
-
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &Image,
-        metric: Metric,
-    ) -> Result<Prediction, CoreError> {
-        self.bundle
-            .get(kind)
-            .ok_or_else(|| CoreError::Artifact(format!("no {} interface", kind.name())))?
-            .predict(w, metric)
-    }
-
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        interface::budget(kind, metric)
+        sim.measure(&img)
     }
 
     fn contract(&self) -> Contract {
@@ -377,7 +177,7 @@ impl Subject for JpegSubject {
 
     fn check_nl(&mut self) -> Vec<NlResult> {
         let mut sim = JpegCycleSim::new(JpegHwConfig::default());
-        let nl = &self.bundle.natural_language;
+        let nl = nl::interface();
         let mut out = Vec::new();
 
         let mut g = ImageGen::new(77);

@@ -1,212 +1,108 @@
 //! Conformance subject for the Protoacc serializer.
 
-use accel_protoacc::descriptor::{FieldDesc, FieldKind, MessageDesc};
-use accel_protoacc::interface;
+use accel_protoacc::interface::nl;
+use accel_protoacc::interface::service::{nested, ProtoaccService};
 use accel_protoacc::simx::{ProtoWorkload, ProtoaccSim};
 use accel_protoacc::suite;
-use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::{CoreError, GroundTruth, Observation, Prediction};
+use perf_core::iface::Metric;
+use perf_core::query::{QueryBackend, WorkloadSpec};
+use perf_core::{Contract, CoreError, GroundTruth, Observation};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::harness::{CaseSpec, Subject};
 use crate::report::NlResult;
 
-/// Generator-level description of one message-stream workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtoSpec {
-    /// `n` random messages of one of the 32 suite formats.
-    Format { idx: usize, n: usize, seed: u64 },
-    /// `n` messages nested `depth` levels deep (each level costs the
-    /// hardware a pointer chase).
-    Nested { depth: usize, n: usize, seed: u64 },
+/// `n` random messages of suite format `idx`.
+fn format_spec(idx: usize, n: u64, seed: u64) -> WorkloadSpec {
+    WorkloadSpec::new("format")
+        .with("idx", idx as f64)
+        .with("n", n as f64)
+        .with("seed", seed as f64)
 }
 
-/// Builds the `depth`-level nested format used by the NL sweeps and
-/// the adversarial deep-nesting cases.
-fn nested(depth: usize) -> MessageDesc {
-    let mut d = MessageDesc::new(
-        "leaf",
-        (0..4)
-            .map(|i| FieldDesc::single(i + 1, FieldKind::Uint64))
-            .collect(),
-    );
-    for _ in 0..depth {
-        d = MessageDesc::new(
-            "wrap",
-            vec![
-                FieldDesc::single(1, FieldKind::Uint64),
-                FieldDesc::single(2, FieldKind::Message(Box::new(d))),
-            ],
-        );
-    }
-    d
+/// `n` messages nested `depth` levels deep (each level costs the
+/// hardware a pointer chase).
+fn nested_spec(depth: u64, n: u64, seed: u64) -> WorkloadSpec {
+    WorkloadSpec::new("nested")
+        .with("depth", depth as f64)
+        .with("n", n as f64)
+        .with("seed", seed as f64)
 }
 
 /// Protoacc subject: two-engine serializer sim vs the interfaces.
 pub struct ProtoaccSubject {
-    bundle: InterfaceBundle<ProtoWorkload>,
-    formats: Vec<MessageDesc>,
+    service: ProtoaccService,
     fault: Option<FaultPlan>,
 }
 
 impl ProtoaccSubject {
-    /// Creates the subject with the shipped interface bundle.
+    /// Creates the subject with the shipped query backend.
     pub fn new() -> ProtoaccSubject {
         ProtoaccSubject {
-            bundle: interface::bundle(),
-            formats: suite::formats(),
+            service: ProtoaccService::new(),
             fault: None,
         }
     }
 }
 
-impl Default for ProtoaccSubject {
-    fn default() -> Self {
-        ProtoaccSubject::new()
-    }
-}
-
 impl Subject for ProtoaccSubject {
-    type Spec = ProtoSpec;
-    type Workload = ProtoWorkload;
-
-    fn name(&self) -> &'static str {
-        "protoacc"
+    fn backend(&mut self) -> &mut dyn QueryBackend {
+        &mut self.service
     }
 
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<ProtoSpec>> {
+    fn specs(&self, quick: bool) -> Vec<CaseSpec> {
         let mut v = Vec::new();
+        let formats = suite::formats().len();
         let stride = if quick { 4 } else { 1 };
         let n = if quick { 10 } else { 25 };
-        for idx in (0..self.formats.len()).step_by(stride) {
+        for idx in (0..formats).step_by(stride) {
             v.push(CaseSpec::random(
                 format!("format-{idx}"),
-                ProtoSpec::Format {
-                    idx,
-                    n,
-                    seed: 40 + idx as u64,
-                },
+                format_spec(idx, n, 40 + idx as u64),
             ));
         }
         // Adversarial: singleton streams (no steady state to average
         // over) and deep nesting (saturates the pointer-chase path).
         v.push(CaseSpec::adversarial(
             "singleton-stream",
-            ProtoSpec::Format {
-                idx: 0,
-                n: 1,
-                seed: 90,
-            },
+            format_spec(0, 1, 90),
         ));
         v.push(CaseSpec::adversarial(
             "singleton-last-format",
-            ProtoSpec::Format {
-                idx: self.formats.len() - 1,
-                n: 1,
-                seed: 91,
-            },
+            format_spec(formats - 1, 1, 91),
         ));
-        v.push(CaseSpec::adversarial(
-            "deep-nesting",
-            ProtoSpec::Nested {
-                depth: 8,
-                n: 6,
-                seed: 92,
-            },
-        ));
+        v.push(CaseSpec::adversarial("deep-nesting", nested_spec(8, 6, 92)));
         if !quick {
             v.push(CaseSpec::adversarial(
                 "deeper-nesting-singleton",
-                ProtoSpec::Nested {
-                    depth: 12,
-                    n: 1,
-                    seed: 93,
-                },
+                nested_spec(12, 1, 93),
             ));
         }
         v
     }
 
-    fn realize(&mut self, spec: &ProtoSpec) -> ProtoWorkload {
-        match *spec {
-            ProtoSpec::Format { idx, n, seed } => {
-                ProtoWorkload::of_format(&self.formats[idx], n, seed)
-            }
-            ProtoSpec::Nested { depth, n, seed } => {
-                ProtoWorkload::of_format(&nested(depth), n, seed)
-            }
-        }
-    }
-
-    fn describe(&self, spec: &ProtoSpec) -> String {
-        match *spec {
-            ProtoSpec::Format { idx, n, .. } => {
-                format!("{n} message(s) of format `{}`", self.formats[idx].name)
-            }
-            ProtoSpec::Nested { depth, n, .. } => {
-                format!("{n} message(s) nested {depth} level(s) deep")
-            }
-        }
-    }
-
-    fn shrink(&mut self, spec: &ProtoSpec) -> Vec<ProtoSpec> {
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
+        let n = spec.get_uint("n").unwrap_or(0);
         let mut out = Vec::new();
-        match *spec {
-            ProtoSpec::Format { idx, n, seed } => {
-                if n > 1 {
-                    out.push(ProtoSpec::Format {
-                        idx,
-                        n: n / 2,
-                        seed,
-                    });
-                    out.push(ProtoSpec::Format {
-                        idx,
-                        n: n - 1,
-                        seed,
-                    });
-                }
+        if n > 1 {
+            out.push(spec.clone().with("n", (n / 2) as f64));
+            if spec.kind == "format" {
+                out.push(spec.clone().with("n", (n - 1) as f64));
             }
-            ProtoSpec::Nested { depth, n, seed } => {
-                if n > 1 {
-                    out.push(ProtoSpec::Nested {
-                        depth,
-                        n: n / 2,
-                        seed,
-                    });
-                }
-                if depth > 0 {
-                    out.push(ProtoSpec::Nested {
-                        depth: depth - 1,
-                        n,
-                        seed,
-                    });
-                }
+        }
+        if spec.kind == "nested" {
+            if let Ok(depth @ 1..) = spec.get_uint("depth") {
+                out.push(spec.clone().with("depth", (depth - 1) as f64));
             }
         }
         out
     }
 
-    fn measure(&mut self, w: &ProtoWorkload) -> Result<Observation, CoreError> {
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+        let w = self.service.realize(spec)?;
         let mut sim = ProtoaccSim::default();
         sim.set_fault(self.fault);
-        sim.measure(w)
-    }
-
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &ProtoWorkload,
-        metric: Metric,
-    ) -> Result<Prediction, CoreError> {
-        self.bundle
-            .get(kind)
-            .ok_or_else(|| CoreError::Artifact(format!("no {} interface", kind.name())))?
-            .predict(w, metric)
-    }
-
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        accel_protoacc::interface::budget(kind, metric)
+        sim.measure(&w)
     }
 
     fn contract(&self) -> Contract {
@@ -227,7 +123,7 @@ impl Subject for ProtoaccSubject {
     }
 
     fn check_nl(&mut self) -> Vec<NlResult> {
-        let nl = &self.bundle.natural_language;
+        let nl = nl::interface();
         let mut tput_samples = Vec::new();
         let mut lat_samples = Vec::new();
         for depth in [0usize, 1, 2, 4, 6] {

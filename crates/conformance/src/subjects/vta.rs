@@ -1,159 +1,96 @@
 //! Conformance subject for the VTA tensor accelerator.
 
 use accel_vta::cycle::VtaCycleSim;
-use accel_vta::gen::ProgGen;
-use accel_vta::interface;
+use accel_vta::interface::nl;
+use accel_vta::interface::service::VtaService;
 use accel_vta::isa::{DepFlags, Insn, MemBuffer, Opcode, Program};
-use perf_core::iface::{InterfaceBundle, InterfaceKind, Metric};
-use perf_core::{CoreError, GroundTruth, Observation, Prediction};
+use perf_core::query::{QueryBackend, WorkloadSpec};
+use perf_core::{Contract, CoreError, GroundTruth, Observation};
 use perf_sim::FaultPlan;
 
-use crate::budget::{Budget, Contract};
 use crate::harness::{CaseSpec, Subject};
 use crate::report::NlResult;
 
-/// Generator-level description of one VTA program.
-///
+/// A random dependency-correct program of up to `max_blocks` blocks.
 /// Shrinking regenerates from a smaller block budget instead of
 /// deleting instructions, so dependency-token validity (balanced
 /// push/pop) holds by construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VtaSpec {
-    /// Random dependency-correct program of up to `max_blocks` blocks.
-    Random { seed: u64, max_blocks: usize },
-    /// Single-block random program.
-    Single { seed: u64 },
-    /// The degenerate one-instruction program: just `Finish`.
-    FinishOnly,
+fn random(seed: u64, max_blocks: u64) -> WorkloadSpec {
+    WorkloadSpec::new("random")
+        .with("seed", seed as f64)
+        .with("max_blocks", max_blocks as f64)
+}
+
+/// A single-block random program.
+fn single(seed: u64) -> WorkloadSpec {
+    WorkloadSpec::new("single").with("seed", seed as f64)
 }
 
 /// VTA subject: tick-accurate four-engine sim vs the interfaces.
 pub struct VtaSubject {
-    bundle: InterfaceBundle<Program>,
+    service: VtaService,
     fault: Option<FaultPlan>,
 }
 
 impl VtaSubject {
-    /// Creates the subject with the shipped interface bundle.
+    /// Creates the subject with the shipped query backend.
     pub fn new() -> VtaSubject {
         VtaSubject {
-            bundle: interface::bundle(),
+            service: VtaService::new(),
             fault: None,
         }
     }
 }
 
-impl Default for VtaSubject {
-    fn default() -> Self {
-        VtaSubject::new()
-    }
-}
-
 impl Subject for VtaSubject {
-    type Spec = VtaSpec;
-    type Workload = Program;
-
-    fn name(&self) -> &'static str {
-        "vta"
+    fn backend(&mut self) -> &mut dyn QueryBackend {
+        &mut self.service
     }
 
-    fn specs(&mut self, quick: bool) -> Vec<CaseSpec<VtaSpec>> {
+    fn specs(&self, quick: bool) -> Vec<CaseSpec> {
         let mut v = Vec::new();
         let n_random = if quick { 6 } else { 16 };
         for seed in 0..n_random {
             // The default generator's block ceiling (24) saturates the
             // dependency queues; keep it.
-            v.push(CaseSpec::random(
-                format!("random-{seed}"),
-                VtaSpec::Random {
-                    seed,
-                    max_blocks: 24,
-                },
-            ));
+            v.push(CaseSpec::random(format!("random-{seed}"), random(seed, 24)));
         }
         for seed in [100, 101, 102] {
             v.push(CaseSpec::adversarial(
                 format!("single-block-{seed}"),
-                VtaSpec::Single { seed },
+                single(seed),
             ));
         }
-        v.push(CaseSpec::adversarial("finish-only", VtaSpec::FinishOnly));
+        // The degenerate one-instruction program: just `Finish`.
+        v.push(CaseSpec::adversarial(
+            "finish-only",
+            WorkloadSpec::new("finish_only"),
+        ));
         v
     }
 
-    fn realize(&mut self, spec: &VtaSpec) -> Program {
-        match *spec {
-            VtaSpec::Random { seed, max_blocks } => {
-                let mut g = ProgGen::new(seed);
-                g.cfg.blocks = (1, max_blocks.max(1));
-                g.gen_program()
-            }
-            VtaSpec::Single { seed } => {
-                let mut g = ProgGen::new(seed);
-                g.cfg.blocks = (1, 1);
-                g.gen_program()
-            }
-            VtaSpec::FinishOnly => Program {
-                insns: vec![Insn::plain(Opcode::Finish)],
-            },
-        }
-    }
-
-    fn describe(&self, spec: &VtaSpec) -> String {
-        match *spec {
-            VtaSpec::Random { seed, max_blocks } => {
-                let mut g = ProgGen::new(seed);
-                g.cfg.blocks = (1, max_blocks.max(1));
-                let p = g.gen_program();
-                format!(
-                    "random program (seed {seed}, <= {max_blocks} blocks, {} insns)",
-                    p.len()
-                )
-            }
-            VtaSpec::Single { seed } => format!("single-block program (seed {seed})"),
-            VtaSpec::FinishOnly => "finish-only program (1 insn, no memory traffic)".into(),
-        }
-    }
-
-    fn shrink(&mut self, spec: &VtaSpec) -> Vec<VtaSpec> {
-        match *spec {
-            VtaSpec::Random { seed, max_blocks } => {
+    fn shrink(&self, spec: &WorkloadSpec) -> Vec<WorkloadSpec> {
+        let seed = spec.get_uint("seed").unwrap_or(0);
+        match spec.kind.as_str() {
+            "random" => {
                 let mut out = Vec::new();
-                if max_blocks > 1 {
-                    out.push(VtaSpec::Random {
-                        seed,
-                        max_blocks: max_blocks / 2,
-                    });
+                if let Ok(m @ 2..) = spec.get_uint("max_blocks") {
+                    out.push(random(seed, m / 2));
                 }
-                out.push(VtaSpec::Single { seed });
-                out.push(VtaSpec::FinishOnly);
+                out.push(single(seed));
+                out.push(WorkloadSpec::new("finish_only"));
                 out
             }
-            VtaSpec::Single { .. } => vec![VtaSpec::FinishOnly],
-            VtaSpec::FinishOnly => vec![],
+            "single" => vec![WorkloadSpec::new("finish_only")],
+            _ => vec![],
         }
     }
 
-    fn measure(&mut self, w: &Program) -> Result<Observation, CoreError> {
+    fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+        let prog = self.service.realize(spec)?;
         let mut sim = VtaCycleSim::default();
         sim.set_fault(self.fault);
-        sim.measure(w)
-    }
-
-    fn predict(
-        &mut self,
-        kind: InterfaceKind,
-        w: &Program,
-        metric: Metric,
-    ) -> Result<Prediction, CoreError> {
-        self.bundle
-            .get(kind)
-            .ok_or_else(|| CoreError::Artifact(format!("no {} interface", kind.name())))?
-            .predict(w, metric)
-    }
-
-    fn budget(&self, kind: InterfaceKind, metric: Metric) -> Budget {
-        interface::budget(kind, metric)
+        sim.measure(&prog)
     }
 
     fn contract(&self) -> Contract {
@@ -222,7 +159,7 @@ impl Subject for VtaSubject {
             }
         }
 
-        let nl = &self.bundle.natural_language;
+        let nl = nl::interface();
         let mut sim = VtaCycleSim::default();
         let mut out = Vec::new();
 

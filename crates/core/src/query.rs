@@ -23,7 +23,9 @@
 use crate::budget::Budget;
 use crate::iface::{InterfaceKind, Metric};
 use crate::predict::{Observation, Prediction};
+use crate::trace::json_escape;
 use crate::CoreError;
+use std::fmt::Write;
 use std::ops::RangeInclusive;
 
 /// FNV-1a offset basis.
@@ -81,10 +83,10 @@ impl Default for Fnv1a {
 /// from the backend's [`QueryBackend::spec_kinds`] plus named numeric
 /// fields.
 ///
-/// Specs are generator-level, like the conformance harness's case
-/// specs: the backend deterministically realizes them into concrete
-/// workloads, so a spec is both small on the wire and a stable cache
-/// key.
+/// Specs are generator-level (the conformance harness's case specs
+/// are `WorkloadSpec`s too): the backend deterministically realizes
+/// them into concrete workloads, so a spec is both small on the wire
+/// and a stable cache key.
 ///
 /// # Examples
 ///
@@ -172,6 +174,21 @@ impl WorkloadSpec {
             range.start(),
             range.end()
         )))
+    }
+
+    /// Appends the spec as the line protocol's `spec` object, fields
+    /// in insertion order: `{"kind":"sized","width":128.0}`. Integral
+    /// values keep one decimal place; other values print in full.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"kind\":\"{}\"", json_escape(&self.kind));
+        for (name, v) in &self.fields {
+            let _ = if *v == v.trunc() && v.abs() < 1e15 {
+                write!(out, ",\"{}\":{v:.1}", json_escape(name))
+            } else {
+                write!(out, ",\"{}\":{v}", json_escape(name))
+            };
+        }
+        out.push('}');
     }
 
     /// A 64-bit content fingerprint: FNV-1a over the kind and the
@@ -293,6 +310,19 @@ mod tests {
         assert_eq!(e, CoreError::Artifact(want.into()));
         assert!(s.get_uint_in("n", 10..=20).is_err());
         assert!(s.get_uint_in("missing", 0..=1).is_err());
+    }
+
+    #[test]
+    fn write_json_renders_the_protocol_spec_object() {
+        let s = WorkloadSpec::new("k\"q")
+            .with("n", 3.0)
+            .with("x", 0.25)
+            .with("big", 1e15)
+            .with("neg", -2.0);
+        let mut out = String::from("spec=");
+        s.write_json(&mut out);
+        let want = r#"spec={"kind":"k\"q","n":3.0,"x":0.25,"big":1000000000000000,"neg":-2.0}"#;
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -136,11 +136,17 @@ impl<'a> Cursor<'a> {
 ///
 /// Comments run from `#` to end of line. Whitespace is insignificant.
 pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
+    lex_at(src, 1, 1)
+}
+
+/// [`lex`] for text that starts at `line`:`col` of a larger source,
+/// so every span is a position in that source.
+pub fn lex_at(src: &str, line: u32, col: u32) -> Result<Vec<Token>, LangError> {
     let mut cur = Cursor {
         src: src.as_bytes(),
         pos: 0,
-        line: 1,
-        col: 1,
+        line,
+        col,
     };
     let mut out = Vec::new();
     loop {
@@ -339,6 +345,13 @@ mod tests {
 
     fn kinds(src: &str) -> Vec<Tok> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+    }
+
+    #[test]
+    fn lex_at_offsets_every_span() {
+        let toks = lex_at("a +\n b", 7, 12).unwrap();
+        let at: Vec<_> = toks.iter().map(|t| (t.span.line, t.span.col)).collect();
+        assert_eq!(at, vec![(7, 12), (7, 14), (8, 2), (8, 3)]);
     }
 
     #[test]

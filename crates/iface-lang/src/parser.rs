@@ -26,6 +26,22 @@ pub fn parse(toks: &[Token]) -> Result<Program, LangError> {
     }
 }
 
+/// Parses a token stream that holds exactly one expression.
+pub fn parse_expr(toks: &[Token]) -> Result<Expr, LangError> {
+    let mut p = Parser { toks, pos: 0 };
+    let e = p.expr()?;
+    p.expect(&Tok::Eof, "end of expression")?;
+    Ok(e)
+}
+
+/// How an error message names a token it did not expect.
+fn found(tok: &Tok) -> String {
+    match tok {
+        Tok::Eof => "end of input".into(),
+        other => format!("{other:?}"),
+    }
+}
+
 impl<'a> Parser<'a> {
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
@@ -54,7 +70,7 @@ impl<'a> Parser<'a> {
         if self.peek() == want {
             Ok(self.bump().span)
         } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
+            Err(self.err(format!("expected {what}, found {}", found(self.peek()))))
         }
     }
 
@@ -64,7 +80,7 @@ impl<'a> Parser<'a> {
                 let span = self.bump().span;
                 Ok((name, span))
             }
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
+            other => Err(self.err(format!("expected {what}, found {}", found(&other)))),
         }
     }
 
@@ -367,7 +383,7 @@ impl<'a> Parser<'a> {
                 self.expect(&Tok::RBrace, "`}`")?;
                 Ok(Expr::Record(fields, span))
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            other => Err(self.err(format!("expected expression, found {}", found(&other)))),
         }
     }
 }
@@ -411,6 +427,21 @@ mod tests {
         let src = "fn f(xs) { let c = 0; for x in xs { if x > 2 { c = c + x; } else { c = c - 1; } } while c > 100 { c = c - 100; } return c; }";
         let p = parse_src(src).unwrap();
         assert_eq!(p.functions[0].body.len(), 4);
+    }
+
+    #[test]
+    fn parse_expr_takes_exactly_one_expression() {
+        let e = |src: &str| parse_expr(&lex(src).unwrap());
+        assert!(matches!(e("(1 + 2) * 3"), Ok(Expr::Binary(BinOp::Mul, ..))));
+        let err = |src: &str| e(src).unwrap_err().to_string();
+        assert_eq!(
+            err("(1"),
+            "parse error at 1:3: expected `)`, found end of input"
+        );
+        assert_eq!(
+            err("1); 2"),
+            "parse error at 1:2: expected end of expression, found RParen"
+        );
     }
 
     #[test]

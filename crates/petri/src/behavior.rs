@@ -13,9 +13,12 @@
 use crate::compile::{field_names, Lower};
 use crate::token::Token;
 use crate::PetriError;
+use perf_iface_lang::ast::{ConstDecl, FnDecl, Program, Stmt};
 use perf_iface_lang::interp::eval_consts;
+use perf_iface_lang::lexer::lex_at;
 use perf_iface_lang::lint::Interval;
-use perf_iface_lang::{Interp, LangError, Limits, Program, Value};
+use perf_iface_lang::parser::{self, parse_expr};
+use perf_iface_lang::{check, Interp, LangError, Limits, Span, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -117,7 +120,7 @@ impl Behavior {
             Behavior::Native { .. } => Interval::NONNEG,
             Behavior::Expr(e) => {
                 let ts = BoxVal::list(tok.clone(), 0.0, f64::INFINITY);
-                match bound_call(e.prog.ast(), "__delay", &[tok.clone(), ts]) {
+                match bound_call(&e.prog, "__delay", &[tok.clone(), ts]) {
                     Ok(iv) => Interval::new(iv.lo.max(0.0), iv.hi.max(0.0)),
                     Err(_) => Interval::NONNEG,
                 }
@@ -154,25 +157,25 @@ impl Behavior {
 /// Expressions see two bindings: `t`, the payload of the first consumed
 /// token, and `ts`, the list of all consumed payloads (so a join
 /// transition can write `ts[1].bytes`). Net-level constants are visible
-/// too. Each expression becomes a generated function `fn __delay(t, ts)
-/// { return (EXPR); }` (likewise `__guard` and `__emit{i}` per output
+/// too. Each expression becomes the body of a generated function
+/// `__delay(t, ts)` (likewise `__guard` and `__emit{i}` per output
 /// arc), which the PIL interpreter evaluates: that is the behavior's
 /// meaning, and the compiled stepper's slot lowering is held to it.
 ///
-/// An error names the transition (for a `.pnet` net), the role
-/// (`delay`, `guard` or `emit i`) and the position in the expression's
-/// source, not in the generated wrapper.
+/// Every expression is lexed at its own source position, so an error
+/// names the transition (for a `.pnet` net), the role (`delay`, `guard`
+/// or `emit i`) and a position in the user's text.
 pub struct ExprBehavior {
     prog: Program,
-    /// The program's constants, evaluated once.
+    /// The net's constants, evaluated once.
     consts: Rc<HashMap<String, Value>>,
     emits: Vec<bool>,
     has_guard: bool,
     origin: Origin,
 }
 
-/// One delay, guard or emit expression and where its text starts in
-/// its source: 1-based line and byte column.
+/// One delay, guard, emit or `const` text and where it starts in its
+/// source: 1-based line and byte column.
 #[derive(Clone, Debug)]
 pub(crate) struct ExprSrc {
     pub text: String,
@@ -181,7 +184,7 @@ pub(crate) struct ExprSrc {
 }
 
 impl ExprSrc {
-    /// An expression that is its own source, at line 1, column 1.
+    /// A text that is its own source, at line 1, column 1.
     fn bare(text: &str) -> ExprSrc {
         ExprSrc {
             text: text.to_string(),
@@ -189,6 +192,65 @@ impl ExprSrc {
             col: 1,
         }
     }
+
+    /// Lexes the text at its source position.
+    fn lex(&self) -> Result<Vec<perf_iface_lang::lexer::Token>, LangError> {
+        lex_at(&self.text, self.line as u32, self.col as u32)
+    }
+}
+
+/// A net's constants, parsed, checked and evaluated once and shared by
+/// every behavior of the net.
+#[derive(Default)]
+pub(crate) struct Consts {
+    decls: Vec<ConstDecl>,
+    values: Rc<HashMap<String, Value>>,
+}
+
+impl Consts {
+    /// Compiles `const NAME = EXPR;` declarations. An error names the
+    /// position it points at in its declaration (`const at 2:14: ...`)
+    /// and comes with that line.
+    pub(crate) fn compile(decls: &[ExprSrc]) -> Result<Consts, (usize, String)> {
+        let Some(first) = decls.first() else {
+            return Ok(Consts::default());
+        };
+        let fail = |e: LangError| {
+            let (span, msg) = describe(&e);
+            let (line, col) = span.unwrap_or((first.line, first.col));
+            (line, format!("const at {line}:{col}: {msg}"))
+        };
+        let mut toks = Vec::new();
+        for d in decls {
+            toks.pop(); // The previous declaration's end of input.
+            toks.extend(d.lex().map_err(fail)?);
+        }
+        let prog = parser::parse(&toks).map_err(fail)?;
+        if let Some(f) = prog.functions.first() {
+            let msg = "expected `const`, found `fn`".into();
+            return Err(fail(LangError::Parse { span: f.span, msg }));
+        }
+        check::check(&prog).map_err(fail)?;
+        let values = eval_consts(&prog, Limits::default()).map_err(fail)?;
+        Ok(Consts {
+            decls: prog.consts,
+            values: Rc::new(values),
+        })
+    }
+}
+
+/// An interpreter error's source position, if it has one, and its
+/// message.
+fn describe(e: &LangError) -> (Option<(usize, usize)>, String) {
+    let (span, msg) = match e {
+        LangError::Runtime { span, msg } => (Some(span), msg.clone()),
+        LangError::Lex { span, msg } => (Some(span), format!("lex error: {msg}")),
+        LangError::Parse { span, msg } => (Some(span), format!("parse error: {msg}")),
+        LangError::Check { span, msg } => (Some(span), format!("check error: {msg}")),
+        LangError::LimitExceeded(msg) => (None, format!("limit exceeded: {msg}")),
+    };
+    let at = span.filter(|s| s.line > 0);
+    (at.map(|s| (s.line as usize, s.col as usize)), msg)
 }
 
 /// Where a behavior's generated wrappers come from, for error messages.
@@ -200,15 +262,12 @@ struct Origin {
     sites: Vec<Site>,
 }
 
-/// One generated wrapper `fn NAME(t, ts) { return (EXPR); }`.
+/// One generated wrapper `__delay`, `__guard` or `__emit{i}`.
 struct Site {
-    /// The wrapper's name: `__delay`, `__guard` or `__emit{i}`.
+    /// The wrapper's name.
     func: String,
     /// `delay`, `guard` or `emit i`.
     role: String,
-    /// The wrapper's line in the generated program and the column its
-    /// expression starts at there.
-    gen: (usize, usize),
     /// The expression's line and start column in its source.
     src: (usize, usize),
 }
@@ -231,32 +290,13 @@ impl Origin {
         PetriError::Expr(self.msg(site, site.src, msg))
     }
 
-    /// An interpreter error raised running wrapper `func`, or, for
-    /// `None`, compiling the program (the wrapper is then the one the
-    /// error's position falls in), with the source line it points at.
-    /// `None` when that position is in no wrapper (a constant's
-    /// declaration).
-    fn lang_err(&self, func: Option<&str>, e: &LangError) -> Option<(usize, String)> {
-        let (span, msg) = match e {
-            LangError::Runtime { span, msg } => (Some(span), msg.clone()),
-            LangError::Lex { span, msg } => (Some(span), format!("lex error: {msg}")),
-            LangError::Parse { span, msg } => (Some(span), format!("parse error: {msg}")),
-            LangError::Check { span, msg } => (Some(span), format!("check error: {msg}")),
-            LangError::LimitExceeded(msg) => (None, format!("limit exceeded: {msg}")),
-        };
-        let line = span.map_or(0, |s| s.line as usize);
-        let site = match func {
-            Some(f) => self.site(f),
-            None => self.sites.iter().rev().find(|s| s.gen.0 <= line)?,
-        };
-        let at = match span {
-            Some(s) if line == site.gen.0 && s.col as usize >= site.gen.1 => {
-                (site.src.0, site.src.1 + s.col as usize - site.gen.1)
-            }
-            Some(s) if line > site.gen.0 => (site.src.0 + line - site.gen.0, s.col as usize),
-            _ => site.src,
-        };
-        Some((at.0, self.msg(site, at, &msg)))
+    /// An interpreter error raised compiling or running wrapper `func`,
+    /// with the source line it points at.
+    fn lang_err(&self, func: &str, e: &LangError) -> (usize, String) {
+        let site = self.site(func);
+        let (span, msg) = describe(e);
+        let at = span.unwrap_or(site.src);
+        (at.0, self.msg(site, at, &msg))
     }
 
     fn site(&self, func: &str) -> &Site {
@@ -288,27 +328,29 @@ impl ExprBehavior {
             .map(|e| e.as_deref().map(ExprSrc::bare))
             .collect();
         let (delay, guard) = (ExprSrc::bare(delay_src), guard_src.map(ExprSrc::bare));
-        Self::compile_at("", consts_src, &delay, guard.as_ref(), &emits)
+        Consts::compile(&[ExprSrc::bare(consts_src)])
+            .and_then(|consts| Self::compile_at("", &consts, &delay, guard.as_ref(), &emits))
             .map_err(|(_, msg)| PetriError::Expr(msg))
     }
 
     /// [`Self::compile`] for transition `trans` of a `.pnet` net, whose
-    /// expressions carry their `.pnet` positions. An error comes with
-    /// the source line it points at, or `None` when it lies in the
-    /// constants, which carry no positions.
+    /// expressions carry their `.pnet` positions, over the net's
+    /// compiled constants. An error comes with the source line it
+    /// points at.
     pub(crate) fn compile_at(
         trans: &str,
-        consts_src: &str,
+        consts: &Consts,
         delay: &ExprSrc,
         guard: Option<&ExprSrc>,
         emits: &[Option<ExprSrc>],
-    ) -> Result<ExprBehavior, (Option<usize>, String)> {
-        let mut src = String::new();
-        src.push_str(consts_src);
-        src.push('\n');
+    ) -> Result<ExprBehavior, (usize, String)> {
         let mut origin = Origin {
             trans: trans.to_string(),
             sites: Vec::new(),
+        };
+        let mut prog = Program {
+            consts: consts.decls.clone(),
+            functions: Vec::new(),
         };
         let roles = [(delay, "__delay".to_string(), "delay".to_string())]
             .into_iter()
@@ -317,27 +359,32 @@ impl ExprBehavior {
                 Some((e.as_ref()?, format!("__emit{i}"), format!("emit {i}")))
             }));
         for (e, func, role) in roles {
-            let head = format!("fn {func}(t, ts) {{ return (");
+            let span = Span::at(e.line as u32, e.col as u32);
+            let body = e.lex().and_then(|toks| parse_expr(&toks));
+            // Checking after each wrapper is added pins an error on the
+            // wrapper just added: the ones before it passed.
+            let checked = body.and_then(|expr| {
+                prog.functions.push(FnDecl {
+                    name: func.clone(),
+                    params: vec!["t".into(), "ts".into()],
+                    body: vec![Stmt::Return(expr, span)],
+                    span,
+                });
+                check::check(&prog)
+            });
             origin.sites.push(Site {
-                gen: (src.matches('\n').count() + 1, head.len() + 1),
                 src: (e.line, e.col),
                 func,
                 role,
             });
-            src.push_str(&head);
-            src.push_str(&e.text);
-            src.push_str("); }\n");
+            if let Err(err) = checked {
+                let func = &origin.sites.last().expect("just pushed").func;
+                return Err(origin.lang_err(func, &err));
+            }
         }
-        let fail = |e: LangError| match origin.lang_err(None, &e) {
-            Some((line, msg)) => (Some(line), msg),
-            None if trans.is_empty() => (None, e.to_string()),
-            None => (None, format!("transition `{trans}`: {e}")),
-        };
-        let prog = Program::parse(&src).map_err(fail)?;
-        let consts = Rc::new(eval_consts(prog.ast(), Limits::default()).map_err(fail)?);
         Ok(ExprBehavior {
             prog,
-            consts,
+            consts: Rc::clone(&consts.values),
             emits: emits.iter().map(Option::is_some).collect(),
             has_guard: guard.is_some(),
             origin,
@@ -349,7 +396,7 @@ impl ExprBehavior {
     /// returning the constant result. Evaluation failures (e.g. a
     /// division by zero inside constants) yield `None`.
     pub(crate) fn const_fn_value(&self, name: &str) -> Option<Value> {
-        let f = self.prog.ast().function(name)?;
+        let f = self.prog.function(name)?;
         if f.body.iter().any(stmt_mentions_inputs) {
             return None;
         }
@@ -369,15 +416,9 @@ impl ExprBehavior {
 
     /// Calls generated function `name` through the interpreter.
     fn call(&self, name: &str, args: &[Value; 2]) -> Result<Value, PetriError> {
-        Interp::with_consts(self.prog.ast(), Limits::default(), Rc::clone(&self.consts))
+        Interp::with_consts(&self.prog, Limits::default(), Rc::clone(&self.consts))
             .call(name, args)
-            .map_err(|e| {
-                let (_, msg) = self
-                    .origin
-                    .lang_err(Some(name), &e)
-                    .expect("a named wrapper has a site");
-                PetriError::Expr(msg)
-            })
+            .map_err(|e| PetriError::Expr(self.origin.lang_err(name, &e).1))
     }
 
     fn guard(&self, inputs: &[Token]) -> Result<bool, PetriError> {
@@ -427,7 +468,7 @@ impl ExprBehavior {
     /// `layout` of a compiled net.
     pub(crate) fn lower<'a>(&'a self, layout: &'a [String]) -> Lower<'a> {
         Lower {
-            prog: self.prog.ast(),
+            prog: &self.prog,
             consts: &self.consts,
             layout,
         }
@@ -436,7 +477,7 @@ impl ExprBehavior {
     /// Appends every payload field name this behavior's expressions
     /// read or write (see [`crate::compile::field_names`]).
     pub(crate) fn field_names(&self, out: &mut Vec<String>) {
-        field_names(self.prog.ast(), out);
+        field_names(&self.prog, out);
     }
 
     /// Per-output-arc flags: `true` when the arc has an emit expression,
@@ -609,7 +650,10 @@ mod tests {
         let want = PetriError::Expr("delay at 1:6: number has no field `w`".into());
         assert_eq!(Behavior::Expr(e).fire(&[tok(0.0)], 1).unwrap_err(), want);
         let e = ExprBehavior::compile("", "(1", None, &[None]).err();
-        let want = "delay at 1:4: parse error: expected `)`, found Semi";
+        let want = "delay at 1:3: parse error: expected `)`, found end of input";
+        assert_eq!(e, Some(PetriError::Expr(want.into())));
+        let e = ExprBehavior::compile("const K = ;", "K", None, &[None]).err();
+        let want = "const at 1:11: parse error: expected expression, found Semi";
         assert_eq!(e, Some(PetriError::Expr(want.into())));
     }
 }

@@ -42,7 +42,7 @@
 //!   * `servers N` — concurrent firings (`0` = unlimited, default 1).
 //!   * `priority N` — conflict-resolution priority (default 0).
 
-use crate::behavior::{Behavior, ExprBehavior, ExprSrc};
+use crate::behavior::{Behavior, Consts, ExprBehavior, ExprSrc};
 use crate::net::{Net, NetBuilder, PlaceId, Transition};
 use crate::PetriError;
 use std::collections::HashMap;
@@ -62,7 +62,7 @@ struct PendingTrans {
 /// Parses `.pnet` source into a [`Net`].
 pub fn parse(src: &str) -> Result<Net, PetriError> {
     let mut name: Option<String> = None;
-    let mut consts = String::new();
+    let mut consts: Vec<ExprSrc> = Vec::new();
     let mut places: Vec<(String, Option<usize>, bool)> = Vec::new();
     let mut transes: Vec<PendingTrans> = Vec::new();
 
@@ -103,9 +103,7 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
                 if !rest.contains('=') || !rest.ends_with(';') {
                     return Err(err(lineno, "const syntax: `const NAME = EXPR;`".into()));
                 }
-                consts.push_str("const ");
-                consts.push_str(rest);
-                consts.push('\n');
+                consts.push(at(line));
             }
             "place" | "sink" => {
                 let mut parts = rest.split_whitespace();
@@ -217,6 +215,7 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
         msg: "missing `net NAME` directive".into(),
     })?;
 
+    let consts = Consts::compile(&consts).map_err(|(line, msg)| err(line, msg))?;
     let mut b = NetBuilder::new(name);
     let mut ids: HashMap<String, PlaceId> = HashMap::new();
     for (pname, cap, is_sink) in places {
@@ -269,10 +268,7 @@ pub fn parse(src: &str) -> Result<Net, PetriError> {
             .collect();
         let behavior =
             ExprBehavior::compile_at(&t.name, &consts, &delay, t.guard.as_ref(), &emit_srcs)
-                .map_err(|(line, msg)| PetriError::Parse {
-                    line: line.unwrap_or(t.line),
-                    msg,
-                })?;
+                .map_err(|(line, msg)| err(line, msg))?;
         b.add_transition(Transition {
             name: t.name,
             inputs,
@@ -426,34 +422,87 @@ trans batch
     }
 
     /// A malformed expression is reported at its own line and column,
-    /// naming the transition and the role.
+    /// naming the transition and the role, and in terms of the user's
+    /// text: an unbalanced expression ends, it does not run into
+    /// generated code.
     #[test]
     fn bad_expression_reported() {
         let head = "net n\nplace a\nsink z\ntrans t\n  in a\n  out z\n";
+        let end = "found end of input";
         for (tail, line, msg) in [
-            ("  delay 1 +\n", 7, "delay at 7:12"),
-            ("  delay 1\n  guard (1 <\n", 8, "guard at 8:13"),
+            (
+                "  delay 1 +\n",
+                7,
+                format!("delay at 7:12: parse error: expected expression, {end}"),
+            ),
+            (
+                "  delay 1\n  guard (1 <\n",
+                8,
+                format!("guard at 8:13: parse error: expected expression, {end}"),
+            ),
+            (
+                "  delay (1\n",
+                7,
+                format!("delay at 7:11: parse error: expected `)`, {end}"),
+            ),
+            (
+                "  delay 1); 2\n",
+                7,
+                "delay at 7:10: parse error: expected end of expression, found RParen".into(),
+            ),
+            (
+                "  delay 1\n  emit z {v: (t}\n",
+                8,
+                "emit 0 at 8:16: parse error: expected `)`, found RBrace".into(),
+            ),
         ] {
-            let msg =
-                format!("transition `t` {msg}: parse error: expected expression, found RParen");
+            let msg = format!("transition `t` {msg}");
             let want = PetriError::Parse { line, msg };
             assert_eq!(parse(&format!("{head}{tail}")).unwrap_err(), want);
         }
     }
 
-    /// A malformed constant has no expression position: it is reported
-    /// at the first transition that compiles it.
+    /// A malformed constant is reported at its own line and column,
+    /// once, whether or not any transition reads it.
     #[test]
-    fn bad_constant_reported_at_its_transition() {
+    fn bad_constant_reported_at_its_own_line() {
+        let want = |line| PetriError::Parse {
+            line,
+            msg: format!("const at {line}:14: parse error: expected expression, found Semi"),
+        };
         let src = "net n\nconst K = 1 +;\nplace a\nsink z\ntrans t\n  in a\n  out z\n  delay K\n";
+        assert_eq!(parse(src).unwrap_err(), want(2));
+        // No transition compiles the constants here; they are still
+        // checked.
+        let src = "net n\nplace a\n\n  const K = 1 +;\n";
+        let want = PetriError::Parse {
+            line: 4,
+            msg: "const at 4:16: parse error: expected expression, found Semi".into(),
+        };
+        assert_eq!(parse(src).unwrap_err(), want);
+        // A constant that fails to evaluate names its own position too.
+        let src = "net n\nconst A = 2;\nconst B = [1][A];\n";
         let PetriError::Parse { line, msg } = parse(src).unwrap_err() else {
             panic!("expected a parse error")
         };
-        assert_eq!(line, 5);
-        assert!(
-            msg.starts_with("transition `t`: parse error at 1:"),
-            "{msg}"
-        );
+        assert_eq!(line, 3);
+        assert!(msg.starts_with("const at 3:"), "{msg}");
+    }
+
+    /// Constants are evaluated once per net and shared: every
+    /// transition sees the same values, later constants see earlier
+    /// ones.
+    #[test]
+    fn constants_are_shared_by_every_transition() {
+        let src = "net n\nconst A = 2;\nconst B = A * 3;\nplace a\nplace m\nsink z\n\
+                   trans s\n  in a\n  out m\n  delay A\ntrans u\n  in m\n  out z\n  delay B\n";
+        let net = parse(src).unwrap();
+        let delays: Vec<_> = net
+            .transitions()
+            .iter()
+            .map(|t| t.behavior.const_delay())
+            .collect();
+        assert_eq!(delays, vec![Some(2.0), Some(6.0)]);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use perf_core::iface::{InterfaceKind, Metric};
 use perf_core::query::WorkloadSpec;
 use perf_core::trace::json_escape;
 use perf_core::{Budget, Prediction};
+use std::fmt::Write;
 
 /// Which representation the client wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +196,9 @@ impl Request {
     /// Encodes the request as one JSON line (used by the load
     /// generator and the protocol doc-tests).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
+        let mut s = String::with_capacity(192);
+        let _ = write!(
+            s,
             "{{\"id\":{},\"accel\":\"{}\",\"metric\":\"{}\",\"repr\":\"{}\"",
             self.id,
             json_escape(&self.accel),
@@ -209,25 +212,12 @@ impl Request {
             }
         );
         if let Some(d) = self.deadline_us {
-            s.push_str(&format!(",\"deadline_us\":{d}"));
+            let _ = write!(s, ",\"deadline_us\":{d}");
         }
-        s.push_str(&format!(
-            ",\"spec\":{{\"kind\":\"{}\"",
-            json_escape(&self.spec.kind)
-        ));
-        for (name, value) in &self.spec.fields {
-            s.push_str(&format!(",\"{}\":{}", json_escape(name), fmt_f64(*value)));
-        }
-        s.push_str("}}");
+        s.push_str(",\"spec\":");
+        self.spec.write_json(&mut s);
+        s.push('}');
         s
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
     }
 }
 
@@ -299,6 +289,33 @@ mod tests {
         // Re-encode and re-parse: same content.
         let again = Request::batch_from_line(&r.to_json()).unwrap();
         assert_eq!(again[0].spec.fingerprint(), r.spec.fingerprint());
+    }
+
+    #[test]
+    fn request_json_bytes_are_pinned() {
+        let spec = WorkloadSpec::new("sized")
+            .with("width", 128.0)
+            .with("quality", 60.0)
+            .with("seed", 0.5)
+            .with("big", 1e15);
+        let mut r = Request {
+            id: 7,
+            accel: "jpeg-decoder".into(),
+            spec,
+            metric: Metric::Latency,
+            repr: ReprChoice::Ceiling(InterfaceKind::PetriNet),
+            deadline_us: Some(1500),
+        };
+        assert_eq!(
+            r.to_json(),
+            r#"{"id":7,"accel":"jpeg-decoder","metric":"latency","repr":"petri","deadline_us":1500,"spec":{"kind":"sized","width":128.0,"quality":60.0,"seed":0.5,"big":1000000000000000}}"#
+        );
+        (r.repr, r.deadline_us, r.metric) = (ReprChoice::Auto, None, Metric::Throughput);
+        r.spec = WorkloadSpec::new("finish_only");
+        assert_eq!(
+            r.to_json(),
+            r#"{"id":7,"accel":"jpeg-decoder","metric":"throughput","repr":"auto","spec":{"kind":"finish_only"}}"#
+        );
     }
 
     #[test]

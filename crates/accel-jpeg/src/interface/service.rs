@@ -19,27 +19,10 @@ use perf_core::{Budget, CoreError, GroundTruth, Observation, Prediction};
 /// The decoder's query-service backend.
 ///
 /// Holds the parsed program and Petri-net interfaces (built once, at
-/// worker startup); the Petri interface's net keys deep cache
-/// fingerprints.
+/// worker startup); the Petri interface's net keys deep fingerprints.
 pub struct JpegService {
     program: program::JpegProgramInterface,
     petri: petri::JpegPetriInterface,
-    /// The image the last Petri-tier fingerprint realized, with its
-    /// spec: a cache miss fingerprints a spec and then predicts it, so
-    /// `predict` takes this image instead of realizing it again. At
-    /// most one image is kept.
-    realized: Option<(WorkloadSpec, Image)>,
-}
-
-/// Whether `a` and `b` are the same spec: same kind, and the same
-/// fields in the same order with bit-identical values.
-fn same_spec(a: &WorkloadSpec, b: &WorkloadSpec) -> bool {
-    a.kind == b.kind
-        && a.fields.len() == b.fields.len()
-        && a.fields
-            .iter()
-            .zip(&b.fields)
-            .all(|((ka, va), (kb, vb))| ka == kb && va.to_bits() == vb.to_bits())
 }
 
 impl JpegService {
@@ -48,17 +31,7 @@ impl JpegService {
         Ok(JpegService {
             program: program::JpegProgramInterface::new()?,
             petri: petri::JpegPetriInterface::new()?,
-            realized: None,
         })
-    }
-
-    /// `spec`'s image: the one the last fingerprint realized when it
-    /// was for exactly this spec, else a fresh realization.
-    fn take_realized(&mut self, spec: &WorkloadSpec) -> Result<Image, CoreError> {
-        match self.realized.take() {
-            Some((s, img)) if same_spec(&s, spec) => Ok(img),
-            _ => self.realize(spec),
-        }
     }
 
     /// Realizes a spec into a concrete image (the conformance subject
@@ -155,7 +128,7 @@ impl QueryBackend for JpegService {
         repr: InterfaceKind,
         metric: Metric,
     ) -> Result<Prediction, CoreError> {
-        let img = self.take_realized(spec)?;
+        let img = self.realize(spec)?;
         match repr {
             InterfaceKind::NaturalLanguage => Ok(nl_bounds(&img, metric)),
             InterfaceKind::Program => {
@@ -186,13 +159,11 @@ impl QueryBackend for JpegService {
         h.write(self.accel().as_bytes());
         h.write(&[repr as u8]);
         h.write_u64(self.petri.net().fingerprint());
-        self.realized = None;
         if let Ok(img) = self.realize(spec) {
             for blk in &img.blocks {
                 h.write_u64(blk.bits as u64);
                 h.write(&[blk.nonzero]);
             }
-            self.realized = Some((spec.clone(), img));
         } else {
             h.write_u64(spec.fingerprint());
         }
@@ -362,7 +333,6 @@ mod tests {
             let mut svc = JpegService::new().unwrap();
             svc.fingerprint(&a, InterfaceKind::PetriNet);
             assert_eq!(svc.predict(&b, repr, Metric::Latency).unwrap(), fresh);
-            // The image realized for a spec is reused by that spec only.
             svc.fingerprint(&b, InterfaceKind::PetriNet);
             assert_eq!(svc.predict(&b, repr, Metric::Latency).unwrap(), fresh);
             assert_ne!(svc.predict(&a, repr, Metric::Latency).unwrap(), fresh);

@@ -160,7 +160,14 @@ fn shrink_violation(
     let mut steps = 0;
     while steps < MAX_SHRINK_STEPS {
         let mut advanced = false;
+        let mut tried: Vec<WorkloadSpec> = Vec::new();
         for cand in s.shrink(&cur) {
+            // Subjects may offer one spec twice (at `n: 2`, both `n / 2`
+            // and `n - 1` are 1); simulate it once.
+            if tried.contains(&cand) {
+                continue;
+            }
+            tried.push(cand.clone());
             if let Ok(Some(e)) = eval_case(s, &cand, kind, metric) {
                 if e.rel > threshold {
                     cur = cand;
@@ -577,6 +584,17 @@ mod tests {
     /// smallest still-failing size. It is its own backend.
     struct Toy {
         bad_above: u64,
+        /// Simulator runs so far.
+        measures: usize,
+    }
+
+    impl Toy {
+        fn new(bad_above: u64) -> Toy {
+            Toy {
+                bad_above,
+                measures: 0,
+            }
+        }
     }
 
     fn toy(size: u64) -> WorkloadSpec {
@@ -634,6 +652,7 @@ mod tests {
             }
         }
         fn measure(&mut self, spec: &WorkloadSpec) -> Result<Observation, CoreError> {
+            self.measures += 1;
             QueryBackend::measure(self, spec)
         }
         fn contract(&self) -> Contract {
@@ -654,7 +673,7 @@ mod tests {
 
     #[test]
     fn catches_and_shrinks_divergence() {
-        let rep = run_subject("toy", &mut Toy { bad_above: 16 }, true);
+        let rep = run_subject("toy", &mut Toy::new(16), true);
         assert!(!rep.pass());
         assert!(rep.diags.has_code("CONF01"));
         assert!(rep.diags.has_code("CONF02"));
@@ -667,16 +686,28 @@ mod tests {
 
     #[test]
     fn correct_toy_passes() {
-        let rep = run_subject(
-            "toy",
-            &mut Toy {
-                bad_above: u64::MAX,
-            },
-            true,
-        );
+        let rep = run_subject("toy", &mut Toy::new(u64::MAX), true);
         assert!(rep.pass(), "{}", rep.diags.render());
         assert!(rep.counterexamples.is_empty());
         assert_eq!(rep.nominal.len(), 4);
         assert!(rep.nominal.iter().all(|c| c.pass));
+    }
+
+    #[test]
+    fn shrinker_simulates_each_candidate_once() {
+        // From size 2 the toy offers `n / 2` and `n - 1`: size 1 twice.
+        // Size 2 fails and size 1 does not, so the step tries size 1,
+        // which must be simulated once, not twice.
+        let mut subject = Toy::new(1);
+        let (min, eval, steps) = shrink_violation(
+            &mut subject,
+            &toy(2),
+            InterfaceKind::Program,
+            Metric::Latency,
+            0.1,
+        );
+        assert_eq!((min, steps), (toy(2), 0));
+        assert!(eval.rel > 0.1);
+        assert_eq!(subject.measures, 2, "the start once and size 1 once");
     }
 }

@@ -6,7 +6,8 @@
 //! interfaces ([`iface`]), machine-checkable natural-language claims
 //! ([`nl`]), the validation harness that scores an interface against a
 //! ground truth ([`validate`]), the interface-complexity metric
-//! ([`complexity`]), small statistics helpers ([`stats`]), plain-text
+//! ([`complexity`]), small statistics helpers ([`stats`]) and a
+//! fixed-size latency histogram ([`hist`]), plain-text
 //! report rendering ([`report`]), the [`trace`] observability
 //! interface every execution substrate emits into, the [`diag`]
 //! diagnostics model shared by the `perf-lint` static analyses, the
@@ -27,6 +28,7 @@ pub mod budget;
 pub mod complexity;
 pub mod diag;
 pub mod error;
+pub mod hist;
 pub mod iface;
 pub mod nl;
 pub mod predict;

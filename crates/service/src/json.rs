@@ -235,13 +235,25 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one step:
+            // each byte is scanned once, so a line parses in linear
+            // time. Both stop bytes are ASCII, so a run of valid UTF-8
+            // never ends inside a character.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -269,14 +281,6 @@ impl<'a> Parser<'a> {
                         }
                         other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -417,5 +421,28 @@ mod tests {
     fn roundtrips_unicode_and_escapes() {
         let v = Json::parse(r#""café \"quoted\"""#).unwrap();
         assert_eq!(v.as_str(), Some("café \"quoted\""));
+        let v = Json::parse(r#""\u00e9\\\/\n\t\r\b\fé€𝄞\"""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\\/\n\t\r\u{8}\u{c}é€𝄞\""));
+        for (text, msg) in [
+            (r#""abc"#, "unterminated string"),
+            (r#""a\"#, "bad escape"),
+            (r#""a\q""#, "bad escape `\\q`"),
+            (r#""\u12zz""#, "bad \\u escape"),
+            (r#""\u1"#, "truncated \\u escape"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().msg, msg, "{text}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Regression: each character re-validated the rest of the line
+        // as UTF-8, so a string of n characters took O(n^2) steps:
+        // about a minute for this 512 KiB line in a debug build.
+        let body = "é".repeat(1 << 18);
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(body.as_str()));
+        assert!(t0.elapsed().as_secs() < 5, "{:?}", t0.elapsed());
     }
 }

@@ -18,9 +18,10 @@
 //! * [`registry`] — per-accelerator backend constructors
 //!   ([`perf_core::query::QueryBackend`] implementations live in the
 //!   `accel-*` crates);
-//! * [`server`] — the bounded admission queue, worker pool,
-//!   fingerprint-keyed result cache, and the Petri-net → program → NL
-//!   degradation ladder;
+//! * [`server`] — admission that answers cache hits on the caller's
+//!   thread, the bounded queue, worker pool, exact request-keyed
+//!   result cache, and the Petri-net → program → NL degradation
+//!   ladder;
 //! * [`metrics`] — counters and latency percentiles, exportable as
 //!   JSON or into a [`perf_core::trace::TraceSink`];
 //! * [`line`](mod@line) — the line-delimited stdio/TCP front end used by

@@ -1,13 +1,17 @@
 //! Service counters and latency histograms.
 //!
-//! One [`ServiceMetrics`] instance lives behind the server's shared
-//! state; workers record into it under a short lock, and observers
-//! take [`MetricsSnapshot`]s for reports, the `svcbench` JSON, or a
-//! [`TraceSink`] export.
+//! One [`ServiceMetrics`] instance lives in the server's shared state.
+//! Every field is an atomic, so the submitting threads and the workers
+//! record into it without a lock, and each answer is counted before
+//! its response is sent. Latencies go into fixed-size
+//! [`LogHistogram`]s, so the metrics take the same memory after a
+//! billion answers as after one. Observers take [`MetricsSnapshot`]s
+//! for reports, the `svcbench` JSON, or a [`TraceSink`] export.
 
+use perf_core::hist::LogHistogram;
 use perf_core::iface::InterfaceKind;
-use perf_core::stats;
 use perf_core::trace::{json_escape, TraceSink};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Index of a representation in the per-representation arrays.
 fn ridx(kind: InterfaceKind) -> usize {
@@ -20,116 +24,120 @@ fn ridx(kind: InterfaceKind) -> usize {
 
 const REPR_NAMES: [&str; 3] = ["nl", "program", "petri"];
 
-/// Mutable counter state (kept behind the server's mutex).
-#[derive(Clone, Debug, Default)]
+/// Adds one to a counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Live counter state, shared by the server's threads.
+#[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// Requests offered to admission.
-    pub submitted: u64,
+    pub submitted: AtomicU64,
     /// Requests dropped because the queue was full.
-    pub rejected: u64,
-    /// Requests whose deadline expired in the queue.
-    pub expired: u64,
+    pub rejected: AtomicU64,
+    /// Requests whose deadline passed before they were served.
+    pub expired: AtomicU64,
     /// Requests answered successfully.
-    pub completed: u64,
+    pub completed: AtomicU64,
     /// Requests that failed in a backend.
-    pub errors: u64,
+    pub errors: AtomicU64,
     /// Answers served from the result cache.
-    pub cache_hits: u64,
+    pub cache_hits: AtomicU64,
     /// Answers served from a representation below the requested
     /// ceiling.
-    pub degraded: u64,
+    pub degraded: AtomicU64,
     /// Highest queue depth observed at admission.
-    pub queue_high_water: usize,
+    pub queue_high_water: AtomicUsize,
     /// Times a worker returned from the admission condvar wait.
-    pub worker_wakes: u64,
+    pub worker_wakes: AtomicU64,
     /// Wakes that found the queue empty and re-parked — thundering-
     /// herd evidence (more workers woken than there were bursts).
-    pub spurious_wakes: u64,
+    pub spurious_wakes: AtomicU64,
     /// Bursts of jobs claimed from the queue.
-    pub bursts: u64,
+    pub bursts: AtomicU64,
     /// Total time workers spent acquiring the queue lock,
-    /// microseconds — lock-hold / lock-contention evidence.
-    pub lock_wait_us: f64,
-    /// Per-representation evaluation times in microseconds (cache
-    /// misses only; hits cost no evaluation).
-    pub service_us: [Vec<f64>; 3],
-    /// Queueing delays in microseconds.
-    pub queue_us: Vec<f64>,
+    /// nanoseconds — lock-hold / lock-contention evidence.
+    pub lock_wait_ns: AtomicU64,
+    /// Per-representation evaluation times (cache misses only; hits
+    /// cost no evaluation).
+    pub service_ns: [LogHistogram; 3],
+    /// Queueing delays (0 for hits answered at admission).
+    pub queue_ns: LogHistogram,
 }
 
 impl ServiceMetrics {
     /// Records one served answer.
     pub fn record_answer(
-        &mut self,
+        &self,
         repr: InterfaceKind,
         degraded: bool,
         cache_hit: bool,
-        queue_us: f64,
-        service_us: f64,
+        queue_ns: u64,
+        service_ns: u64,
     ) {
-        self.completed += 1;
+        bump(&self.completed);
         if degraded {
-            self.degraded += 1;
+            bump(&self.degraded);
         }
         if cache_hit {
-            self.cache_hits += 1;
+            bump(&self.cache_hits);
         } else {
-            self.service_us[ridx(repr)].push(service_us);
+            self.service_ns[ridx(repr)].record(service_ns);
         }
-        self.queue_us.push(queue_us);
+        self.queue_ns.record(queue_ns);
     }
 
-    /// Merges a burst-local accumulator into this one. Workers record
-    /// into a thread-local `ServiceMetrics` while serving a burst and
-    /// merge once at the end, so the shared instance costs one lock
-    /// per burst instead of per query. Admission-side counters
-    /// (`submitted`, `rejected`, `queue_high_water`) are maintained by
-    /// the submitting thread and summed/maxed here for completeness.
-    pub fn merge(&mut self, other: &ServiceMetrics) {
-        self.submitted += other.submitted;
-        self.rejected += other.rejected;
-        self.expired += other.expired;
-        self.completed += other.completed;
-        self.errors += other.errors;
-        self.cache_hits += other.cache_hits;
-        self.degraded += other.degraded;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.worker_wakes += other.worker_wakes;
-        self.spurious_wakes += other.spurious_wakes;
-        self.bursts += other.bursts;
-        self.lock_wait_us += other.lock_wait_us;
-        for (mine, theirs) in self.service_us.iter_mut().zip(&other.service_us) {
-            mine.extend_from_slice(theirs);
+    /// Zeroes every counter and histogram.
+    pub fn reset(&self) {
+        for c in [
+            &self.submitted,
+            &self.rejected,
+            &self.expired,
+            &self.completed,
+            &self.errors,
+            &self.cache_hits,
+            &self.degraded,
+            &self.worker_wakes,
+            &self.spurious_wakes,
+            &self.bursts,
+            &self.lock_wait_ns,
+        ] {
+            c.store(0, Ordering::Relaxed);
         }
-        self.queue_us.extend_from_slice(&other.queue_us);
+        self.queue_high_water.store(0, Ordering::Relaxed);
+        for h in self.service_ns.iter().chain([&self.queue_ns]) {
+            h.reset();
+        }
     }
 
     /// Takes an immutable summary of the current state.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let per_repr = std::array::from_fn(|i| {
-            let xs = &self.service_us[i];
+            let h = &self.service_ns[i];
             ReprStats {
-                count: xs.len() as u64,
-                mean_us: stats::mean(xs),
-                p50_us: stats::percentile(xs, 50.0),
-                p99_us: stats::percentile(xs, 99.0),
+                count: h.count(),
+                mean_us: h.mean() / 1e3,
+                p50_us: h.percentile(50.0) / 1e3,
+                p99_us: h.percentile(99.0) / 1e3,
             }
         });
         MetricsSnapshot {
-            submitted: self.submitted,
-            rejected: self.rejected,
-            expired: self.expired,
-            completed: self.completed,
-            errors: self.errors,
-            cache_hits: self.cache_hits,
-            degraded: self.degraded,
-            queue_high_water: self.queue_high_water,
-            worker_wakes: self.worker_wakes,
-            spurious_wakes: self.spurious_wakes,
-            bursts: self.bursts,
-            lock_wait_us: self.lock_wait_us,
-            queue_p50_us: stats::percentile(&self.queue_us, 50.0),
-            queue_p99_us: stats::percentile(&self.queue_us, 99.0),
+            submitted: load(&self.submitted),
+            rejected: load(&self.rejected),
+            expired: load(&self.expired),
+            completed: load(&self.completed),
+            errors: load(&self.errors),
+            cache_hits: load(&self.cache_hits),
+            degraded: load(&self.degraded),
+            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
+            worker_wakes: load(&self.worker_wakes),
+            spurious_wakes: load(&self.spurious_wakes),
+            bursts: load(&self.bursts),
+            lock_wait_us: load(&self.lock_wait_ns) as f64 / 1e3,
+            queue_p50_us: self.queue_ns.percentile(50.0) / 1e3,
+            queue_p99_us: self.queue_ns.percentile(99.0) / 1e3,
             per_repr,
         }
     }
@@ -271,18 +279,22 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_and_renders() {
-        let mut m = ServiceMetrics {
-            submitted: 10,
-            ..Default::default()
-        };
-        m.record_answer(InterfaceKind::PetriNet, false, false, 5.0, 100.0);
-        m.record_answer(InterfaceKind::PetriNet, false, true, 2.0, 0.0);
-        m.record_answer(InterfaceKind::NaturalLanguage, true, false, 1.0, 2.0);
+        let m = ServiceMetrics::default();
+        m.submitted.store(10, Ordering::Relaxed);
+        m.record_answer(InterfaceKind::PetriNet, false, false, 5_000, 100_000);
+        m.record_answer(InterfaceKind::PetriNet, false, true, 2_000, 0);
+        m.record_answer(InterfaceKind::NaturalLanguage, true, false, 1_000, 2_000);
         let s = m.snapshot();
+        assert_eq!(s.submitted, 10);
         assert_eq!(s.completed, 3);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.degraded, 1);
         assert_eq!(s.per_repr[2].count, 1);
+        assert_eq!(s.per_repr[2].mean_us, 100.0);
+        // Percentiles come from log buckets: within 1/32 of the sample.
+        assert!((s.per_repr[2].p50_us - 100.0).abs() <= 100.0 / 32.0);
+        assert!((s.queue_p50_us - 2.0).abs() <= 2.0 / 32.0);
+        assert!((s.queue_p99_us - 5.0).abs() <= 5.0 / 32.0);
         assert!((s.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         let json = s.to_json();
         assert!(json.contains("\"petri\""));
@@ -290,5 +302,21 @@ mod tests {
         let mut sink = MemorySink::new();
         s.trace_into(&mut sink);
         assert!(sink.len() >= 4);
+        m.reset();
+        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn memory_does_not_grow_with_answers() {
+        let m = ServiceMetrics::default();
+        let size = std::mem::size_of_val(&m);
+        for i in 0..1_000_000u64 {
+            m.record_answer(InterfaceKind::Program, false, i % 2 == 0, i, 3 * i);
+        }
+        let s = m.snapshot();
+        assert_eq!((s.completed, s.cache_hits), (1_000_000, 500_000));
+        assert_eq!(s.per_repr[1].count, 500_000);
+        // Every field is inline and fixed-size: no sample vectors.
+        assert_eq!(std::mem::size_of_val(&m), size);
     }
 }

@@ -74,7 +74,8 @@ pub enum Outcome {
         budget: Budget,
         /// Whether the answer came from the result cache.
         cache_hit: bool,
-        /// Microseconds spent queued before a worker picked it up.
+        /// Microseconds spent queued before a worker picked it up (0
+        /// for cache hits answered at admission, which never queue).
         queue_us: f64,
         /// Microseconds of evaluation (0 for cache hits).
         service_us: f64,

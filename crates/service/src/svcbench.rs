@@ -8,7 +8,7 @@
 //! The workload is a fixed corpus of light-to-moderate specs over all
 //! four accelerators, cycled so each distinct query repeats — the
 //! design-space-exploration shape the serving layer exists for, where
-//! neighboring probes re-ask earlier points and the fingerprint cache
+//! neighboring probes re-ask earlier points and the result cache
 //! converts the repeats into lookups. Every sweep point runs the same
 //! request sequence against a fresh service, so points differ only in
 //! worker count, batch size, and whether the cache was pre-warmed.
@@ -18,7 +18,7 @@
 //! worker, one request in flight, empty cache — the one-shot CLI
 //! regime the service replaces): the speedup from batch-amortizing
 //! the per-query round-trip and serving repeated probes from the
-//! fingerprint cache instead of re-evaluating. Both phases appear
+//! result cache instead of re-evaluating. Both phases appear
 //! labeled in the output so the comparison is explicit.
 
 use crate::protocol::{Outcome, ReprChoice, Request, Response};
@@ -65,6 +65,8 @@ pub struct BenchPoint {
     pub service_p99_us: f64,
     /// Worker condvar wakes during the measured pass.
     pub worker_wakes: u64,
+    /// Bursts of jobs workers claimed during the measured pass.
+    pub bursts: u64,
     /// Wakes that found the queue empty (thundering-herd evidence).
     pub spurious_wakes: u64,
     /// Total worker time spent acquiring the queue lock, microseconds
@@ -82,7 +84,7 @@ impl BenchPoint {
              \"cache_hits\":{},\"wall_us\":{:.1},\"qps\":{:.1},\
              \"queue_p50_us\":{:.1},\"queue_p99_us\":{:.1},\
              \"service_p50_us\":{:.1},\"service_p99_us\":{:.1},\
-             \"worker_wakes\":{},\"spurious_wakes\":{},\"lock_wait_us\":{:.1}}}",
+             \"worker_wakes\":{},\"bursts\":{},\"spurious_wakes\":{},\"lock_wait_us\":{:.1}}}",
             self.workers,
             self.batch,
             self.warm,
@@ -97,6 +99,7 @@ impl BenchPoint {
             self.service_p50_us,
             self.service_p99_us,
             self.worker_wakes,
+            self.bursts,
             self.spurious_wakes,
             self.lock_wait_us,
         )
@@ -109,16 +112,15 @@ pub struct ServiceBenchReport {
     /// Every measured point.
     pub points: Vec<BenchPoint>,
     /// The warm batched worker-scaling curve: `(workers, qps)` at
-    /// batch 64, ascending worker count. Warm throughput must not
-    /// *fall* as workers are added (the single-map cache write lock
-    /// once made 8 workers slower than 2); [`ServiceBenchReport::pass`]
-    /// enforces that.
+    /// batch 64, ascending worker count. Warm requests are answered at
+    /// admission on the client's thread, so these are timings of one
+    /// client loop and are reported, not gated; the scaling gate
+    /// checks the counters instead (see
+    /// [`scaling_ok`](ServiceBenchReport::scaling_ok)).
     pub worker_scaling: Vec<(usize, f64)>,
     /// Hardware threads available when the sweep ran. Worker counts
-    /// beyond this oversubscribe the machine, so the scaling gate in
-    /// [`ServiceBenchReport::pass`] ignores those points (on a 1-core
-    /// CI box, 8 workers *must* lose throughput to context switching
-    /// — that is the scheduler's doing, not a cache-contention bug).
+    /// beyond this oversubscribe the machine, which the dequeue-path
+    /// diagnosis names.
     pub parallelism: usize,
     /// Single-query throughput: one worker, batch 1, cold cache — the
     /// one-shot-CLI regime the service replaces, where every query
@@ -174,30 +176,30 @@ pub fn diagnose_point(p: &BenchPoint, parallelism: usize) -> String {
 impl ServiceBenchReport {
     /// Whether the sweep met the serving-layer scaling target:
     /// ≥ 10x single-query throughput when batched across workers, and
-    /// a warm scaling curve where the widest configuration *that fits
-    /// the machine* (workers ≤ [`parallelism`](Self::parallelism)) is
-    /// no slower than the narrowest (adding workers the hardware can
-    /// actually run must never cost warm throughput — the single-map
-    /// cache write lock once made 8 workers slower than 2; a generous
-    /// 0.9 factor absorbs run-to-run noise). Oversubscribed points
-    /// stay in the artifact but do not gate.
+    /// warm batched serving that does not depend on the worker pool
+    /// (see [`scaling_ok`](Self::scaling_ok)).
     pub fn pass(&self) -> bool {
         self.speedup >= 10.0 && self.scaling_ok()
     }
 
     /// The scaling half of [`pass`](Self::pass), split out so the
-    /// rendered verdict can name which gate failed.
+    /// rendered verdict can name which gate failed: every warm batched
+    /// point (batch ≥ 64) answered all of its requests with zero
+    /// bursts and no worker wake that found work. Warm requests are
+    /// cache hits, which admission answers on the client's thread, so
+    /// adding workers cannot cost warm throughput; a warm request that
+    /// reaches a worker is the regression this catches. Counters,
+    /// unlike qps, do not move with the host's load. A spurious wake
+    /// (one that found the queue empty) is not counted against a
+    /// point: a wake signalled during the warm-up can return after the
+    /// counters are reset, and it serves nothing.
     pub fn scaling_ok(&self) -> bool {
-        let within: Vec<f64> = self
-            .worker_scaling
+        self.points
             .iter()
-            .filter(|&&(w, _)| w <= self.parallelism.max(1))
-            .map(|&(_, qps)| qps)
-            .collect();
-        match (within.first(), within.last()) {
-            (Some(&first_qps), Some(&last_qps)) => last_qps >= 0.9 * first_qps,
-            _ => true,
-        }
+            .filter(|p| p.warm && p.batch >= 64)
+            .all(|p| {
+                p.completed == p.offered && p.worker_wakes == p.spurious_wakes && p.bursts == 0
+            })
     }
 
     /// Renders the report as a JSON object.
@@ -261,8 +263,8 @@ impl ServiceBenchReport {
             (true, true) => "pass: >= 10x, scaling ok".to_string(),
             (false, _) => "FAIL: speedup < 10x".to_string(),
             (true, false) => format!(
-                "FAIL: warm throughput fell while adding workers within {} hw thread(s) — {}",
-                self.parallelism, self.scaling_diagnosis
+                "FAIL: a warm batched point left requests unanswered or woke a worker — {}",
+                self.scaling_diagnosis
             ),
         };
         s.push_str(&format!(
@@ -440,20 +442,18 @@ pub fn run_point_on(
     let svc = Service::start(cfg);
     if warm {
         drive(&svc, batch.max(64), reqs);
-        // Workers merge burst-local counters after sending the burst's
-        // responses, so wait for the warm-up's accounting to settle
-        // before resetting. Counters and percentiles should describe
-        // the measured pass only; the populated cache is the warm-up's
-        // entire legacy.
-        while svc.metrics().completed < reqs.len() as u64 {
-            std::thread::yield_now();
-        }
+        // Every answer is counted before it is sent, so the warm-up's
+        // accounting is complete here. Counters and percentiles should
+        // describe the measured pass only; the populated cache is the
+        // warm-up's entire legacy.
         svc.reset_metrics();
     }
     let t0 = Instant::now();
     drive(&svc, batch, reqs);
     let wall_us = t0.elapsed().as_micros() as f64;
-    let snap = svc.shutdown();
+    // Read the counters before shutdown, which wakes every worker.
+    let snap = svc.metrics();
+    svc.shutdown();
     // Evaluation-latency percentiles pooled across representations.
     let (mut p50, mut p99, mut evals) = (0.0f64, 0.0f64, 0u64);
     for r in &snap.per_repr {
@@ -478,6 +478,7 @@ pub fn run_point_on(
         service_p50_us: p50,
         service_p99_us: p99,
         worker_wakes: snap.worker_wakes,
+        bursts: snap.bursts,
         spurious_wakes: snap.spurious_wakes,
         lock_wait_us: snap.lock_wait_us,
     }
@@ -590,39 +591,76 @@ mod tests {
     }
 
     #[test]
-    fn scaling_gate_ignores_oversubscribed_points() {
+    fn scaling_gate_checks_warm_points_on_counters() {
+        let point = |workers: usize, batch: usize, warm: bool, qps: f64| BenchPoint {
+            workers,
+            batch,
+            warm,
+            topology: "mixed-4".into(),
+            offered: 1024,
+            completed: 1024,
+            cache_hits: if warm { 1024 } else { 0 },
+            wall_us: 1e3,
+            qps,
+            queue_p50_us: 0.0,
+            queue_p99_us: 0.0,
+            service_p50_us: 0.0,
+            service_p99_us: 0.0,
+            worker_wakes: if warm { 0 } else { 100 },
+            bursts: if warm { 0 } else { 128 },
+            spurious_wakes: 0,
+            lock_wait_us: 0.0,
+        };
         let report = ServiceBenchReport {
-            points: Vec::new(),
-            worker_scaling: vec![(1, 1000.0), (2, 1500.0), (4, 1600.0), (8, 700.0)],
+            points: vec![
+                point(1, 1, false, 10.0),
+                point(8, 64, false, 90.0),
+                point(1, 1, true, 1000.0),
+                point(1, 64, true, 2000.0),
+                point(2, 64, true, 1500.0),
+                // Slower with more workers than the machine has: qps
+                // of one client loop is not the gate.
+                point(8, 64, true, 700.0),
+            ],
+            worker_scaling: vec![(1, 2000.0), (2, 1500.0), (8, 700.0)],
             parallelism: 4,
             baseline_qps: 10.0,
-            best_batched_qps: 1600.0,
-            speedup: 160.0,
+            best_batched_qps: 2000.0,
+            speedup: 200.0,
             scaling_diagnosis: "healthy".to_string(),
         };
-        assert!(
-            report.scaling_ok(),
-            "the 8-worker point oversubscribes 4 threads and must not gate"
-        );
+        assert!(report.scaling_ok(), "cold points and warm qps do not gate");
         assert!(report.pass());
-        let single_core = ServiceBenchReport {
-            parallelism: 1,
-            ..report
-        };
-        assert!(
-            single_core.scaling_ok(),
-            "on one thread only the 1-worker point is within the machine"
-        );
-        let regressed = ServiceBenchReport {
-            worker_scaling: vec![(1, 1000.0), (2, 1500.0), (4, 800.0)],
-            parallelism: 4,
-            ..single_core
-        };
-        assert!(
-            !regressed.scaling_ok(),
-            "a warm-throughput fall within the machine must gate"
-        );
-        assert!(!regressed.pass());
+        // A wake left over from the warm-up finds nothing to serve.
+        let mut stale = report.clone();
+        stale.points[4].worker_wakes = 1;
+        stale.points[4].spurious_wakes = 1;
+        assert!(stale.scaling_ok());
+        // Seeded regressions: a warm batched point whose requests reach
+        // a worker, or that leaves one unanswered, fails the gate.
+        for broken in [
+            |p: &mut BenchPoint| p.worker_wakes = 1,
+            |p: &mut BenchPoint| p.bursts = 1,
+            |p: &mut BenchPoint| p.completed -= 1,
+        ] {
+            let mut regressed = report.clone();
+            broken(&mut regressed.points[4]);
+            assert!(!regressed.scaling_ok());
+            assert!(!regressed.pass());
+            assert!(regressed.render().contains("FAIL: a warm batched point"));
+        }
+        // A warm unbatched point is not a batched point.
+        let mut unbatched = report.clone();
+        unbatched.points[2].worker_wakes = 5;
+        assert!(unbatched.scaling_ok());
+    }
+
+    #[test]
+    fn warm_batched_points_never_reach_a_worker() {
+        let reqs = corpus(128);
+        let p = run_point(2, 64, true, &reqs);
+        assert_eq!((p.completed, p.cache_hits), (128, 128));
+        assert_eq!((p.worker_wakes, p.bursts), (p.spurious_wakes, 0));
     }
 
     #[test]

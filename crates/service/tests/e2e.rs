@@ -1,10 +1,11 @@
 //! End-to-end tests of the query service: saturation shedding,
 //! deadline expiry, fallback correctness (degraded answers stay inside
-//! the conformance budget of the representation that served them), and
-//! clean shutdown with in-flight queries drained.
+//! the conformance budget of the representation that served them),
+//! clean shutdown with in-flight queries drained, and repeats answered
+//! at admission without a worker.
 
 use perf_core::budget::channel_error;
-use perf_core::iface::{InterfaceKind, Metric};
+use perf_core::iface::Metric;
 use perf_core::query::WorkloadSpec;
 use perf_service::protocol::{Outcome, ReprChoice, Request, Response};
 use perf_service::{registry, Service, ServiceConfig};
@@ -260,54 +261,6 @@ fn deadlines_degrade_then_expire() {
     assert!(snap.expired >= 1);
 }
 
-/// Degradation is observable and honest: a deadline too short for the
-/// petri rung yields `degraded: true`, a coarser `repr_used`, and that
-/// rung's (wider) budget.
-#[test]
-fn degraded_responses_carry_coarser_repr_and_its_budget() {
-    let svc = Service::start(ServiceConfig {
-        workers: 1,
-        ..Default::default()
-    });
-    let (tx, rx) = mpsc::channel();
-    // Cold priors: nl 5 µs, program 300 µs, petri 5000 µs. A 2 ms
-    // deadline affords program (360 µs with margin) but not petri.
-    let mut r = req(
-        1,
-        "vta",
-        WorkloadSpec::new("random")
-            .with("seed", 7.0)
-            .with("max_blocks", 16.0),
-        Metric::Latency,
-    );
-    r.deadline_us = Some(2_000);
-    svc.submit(r, tx.clone());
-    drop(tx);
-    let resp = rx.recv().unwrap();
-    match resp.outcome {
-        Outcome::Answer {
-            repr_used,
-            degraded,
-            budget,
-            ..
-        } => {
-            assert!(
-                repr_used < InterfaceKind::PetriNet,
-                "2 ms deadline must degrade below the petri rung (cold prior 5 ms)"
-            );
-            assert!(degraded);
-            // The reported budget is the serving rung's, not the
-            // ceiling's: compare against the backend's declaration.
-            let backend = registry::backend("vta").unwrap();
-            let declared = backend.budget(repr_used, Metric::Latency);
-            assert_eq!(budget.max, declared.max);
-            assert_eq!(budget.atol, declared.atol);
-        }
-        other => panic!("expected an answer, got {other:?}"),
-    }
-    svc.shutdown();
-}
-
 /// Shutdown closes admission but drains everything already queued:
 /// all admitted requests get answers, none are lost.
 #[test]
@@ -370,4 +323,48 @@ fn cache_hits_across_field_order_and_batches() {
     assert_eq!(p1, p2);
     let snap = svc.shutdown();
     assert_eq!(snap.cache_hits, 1);
+}
+
+/// A repeat of an answered request is answered on the submitting
+/// thread, through `submit` and `submit_batch` alike: the response is
+/// waiting before the call returns, and no worker wakes or claims a
+/// burst for it.
+#[test]
+fn repeats_are_answered_at_admission_without_a_worker() {
+    let svc = Service::start(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let (tx, rx) = mpsc::channel();
+    let reqs = mixed_corpus(8);
+    let n = reqs.len();
+    assert_eq!(svc.submit_batch(reqs.clone(), &tx), n);
+    for _ in 0..n {
+        assert!(matches!(rx.recv().unwrap().outcome, Outcome::Answer { .. }));
+    }
+    let before = svc.metrics();
+    let check = |resp: Response| match resp.outcome {
+        Outcome::Answer {
+            cache_hit,
+            queue_us,
+            service_us,
+            ..
+        } => assert!(cache_hit && queue_us == 0.0 && service_us == 0.0),
+        other => panic!("id {} got {other:?}", resp.id),
+    };
+    assert!(svc.submit(reqs[0].clone(), tx.clone()));
+    check(rx.try_recv().expect("answered before `submit` returned"));
+    assert_eq!(svc.submit_batch(reqs, &tx), n);
+    for _ in 0..n {
+        check(
+            rx.try_recv()
+                .expect("answered before `submit_batch` returned"),
+        );
+    }
+    let after = svc.metrics();
+    assert_eq!(after.worker_wakes, before.worker_wakes);
+    assert_eq!(after.bursts, before.bursts);
+    assert_eq!(after.cache_hits, before.cache_hits + n as u64 + 1);
+    assert_eq!(after.completed, before.completed + n as u64 + 1);
+    svc.shutdown();
 }
